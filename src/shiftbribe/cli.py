@@ -1,7 +1,9 @@
 """Command-line front end: solve, gen, and bench subcommands.
 
-Exit codes: 0 success, 2 incompatible algorithm/rule or invalid parameters,
-3 parse error, 4 enumeration or table guard exceeded.
+Exit codes: 0 success, 2 incompatible algorithm/rule, invalid parameters
+(including a non-integer ``SHIFTBRIBE_GUARD``) or a value outside the
+checked 64-bit integer range, 3 parse error, 4 enumeration or table guard
+exceeded.
 """
 
 import argparse
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 4
-    except (IncompatibleRule, ValueError) as exc:
+    except (IncompatibleRule, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -1,4 +1,18 @@
-"""Shared exception types."""
+"""Shared exception types and the guard override."""
+
+import os
+
+
+def env_guard(default: int) -> int:
+    """A guard limit: the ``SHIFTBRIBE_GUARD`` environment variable when it
+    is set, else ``default``."""
+    raw = os.environ.get("SHIFTBRIBE_GUARD")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SHIFTBRIBE_GUARD must be an integer, got {raw!r}") from None
 
 
 class GuardExceeded(RuntimeError):

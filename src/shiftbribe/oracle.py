@@ -5,7 +5,6 @@ worse than none.  Witnesses are tie-broken lexicographically so repeated
 runs are identical.
 """
 
-import os
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
@@ -21,22 +20,15 @@ from .bribery import (
 )
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _margins, _rival_base_scaled
 from .elections import CopelandAlpha, pairwise_tally
-from .errors import GuardExceeded, Infeasible
+from .errors import GuardExceeded, Infeasible, env_guard
 
 DEFAULT_ENUM_GUARD = 10**7
 DEFAULT_MICRO_SLOT_GUARD = 20
 
 
-def _env_guard(default: int) -> int:
-    raw = os.environ.get("SHIFTBRIBE_GUARD")
-    if raw is None:
-        return default
-    return int(raw)
-
-
 def _enumeration_plan(inst: ShiftBriberyInstance, enum_guard: Optional[int]):
     if enum_guard is None:
-        enum_guard = _env_guard(DEFAULT_ENUM_GUARD)
+        enum_guard = env_guard(DEFAULT_ENUM_GUARD)
     ranges = [range(cf.max_reachable + 1) for cf in inst.costs]
     count = 1
     for r in ranges:
@@ -250,7 +242,7 @@ def exact_micro_opt(
     """
     if slot_guard is None:
         default_subsets = 1 << DEFAULT_MICRO_SLOT_GUARD
-        subsets_guard = _env_guard(default_subsets)
+        subsets_guard = env_guard(default_subsets)
     else:
         subsets_guard = 1 << slot_guard
     n, m = m_inst.num_voters, m_inst.num_candidates

@@ -1,8 +1,14 @@
 """Shift-bribery solvers for scoring rules.
 
-The common primitive is a budget dynamic program over voters: for every
-exact amount spent, the maximum achievable score increase of the preferred
-candidate.  On top of it this module builds
+The common primitive is a budget dynamic program over voters that keeps the
+Pareto frontier of (cost, gain) pairs: for every cost at which some action
+gains strictly more than every cheaper action, the maximum score increase
+of the preferred candidate.  It is built back to front, each voter's
+purchasable shifts combined with the frontier of the voters after it
+(Nemhauser and Ullmann's frontier method for knapsack), so a frontier never
+holds more than min(P, G) + 1 points, where P is the total of the largest
+prices and G the total of the largest gains.  On top of it this module
+builds
 
 * ``buy``: the cheapest score-maximizing action within a budget,
 * ``solve_two_pass``: a pseudo-polynomial 2-approximation that splits the
@@ -16,12 +22,14 @@ candidate.  On top of it this module builds
 * ``solve_single_pass``: the single-loop greedy sweep, provided for
   comparison only; it carries no approximation guarantee (CLI name ``G``).
 
+``solve_two_pass`` and ``solve_single_pass`` test whole batches of candidate
+actions at once against a per-voter table of score deltas.
+
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
 scanned in ascending order.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -37,21 +45,13 @@ from .bribery import (
     rebase,
     total_cost,
 )
-from .elections import scoring_scores
-from .errors import GuardExceeded, IncompatibleRule, Infeasible
+from .elections import _check_i64, scoring_scores
+from .errors import GuardExceeded, IncompatibleRule, Infeasible, env_guard
 
 DEFAULT_CELL_GUARD = 10**8
 DEFAULT_EXACT_THRESHOLD = 10**6
 
-_IMPOSSIBLE = -(1 << 62)
 _MAX_SAFE_GAIN = 1 << 50
-
-
-def _env_guard(default: int) -> int:
-    raw = os.environ.get("SHIFTBRIBE_GUARD")
-    if raw is None:
-        return default
-    return int(raw)
 
 
 def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
@@ -76,75 +76,137 @@ def _voter_options(inst: ShiftBriberyInstance, voter: int):
     return shifts, prices, gains
 
 
-class _BudgetSweep:
-    """Budget DP over all exact spends 0..budget at once.
+def _option_rows(inst: ShiftBriberyInstance):
+    """Per voter, the (prices, gains) int64 arrays of shifting by 0, 1, ...
+    up to the largest reachable amount.
 
-    Computed back-to-front over the voters so that the traceback picks the
-    lexicographically smallest shift vector among the cheapest
-    gain-maximizing actions.
+    The rows of the instance rebased over shifts ``t`` are the slices
+    ``prices[t:] - prices[t]`` and ``gains[t:] - gains[t]``.  The price
+    total is checked, so no sum of frontier costs can wrap.
+    """
+    _check_i64(_max_budget(inst), "total of the largest prices")
+    rows = []
+    for i in range(inst.num_voters):
+        _, prices, gains = _voter_options(inst, i)
+        rows.append((np.array(prices, dtype=np.int64), np.array(gains, dtype=np.int64)))
+    if sum(int(g[-1]) for _, g in rows) >= _MAX_SAFE_GAIN:
+        raise OverflowError("score gains too large for the budget sweep")
+    return rows
+
+
+class _BudgetSweep:
+    """Pareto frontier of (cost, gain) over all actions spending at most
+    ``budget``.
+
+    ``costs`` ascend and ``gains`` strictly ascend: point f is the cheapest
+    action gaining ``gains[f]``, and no action of cost at most ``costs[f]``
+    gains more.  The frontier is computed back to front over the voters.
+    Voter i's candidates are its options (shift k) combined with every point
+    j of the frontier of voters i+1..n-1; a stable lexsort by cost ascending
+    and gain descending keeps ties in flat order k * width + j, so the first
+    candidate of each (cost, gain) pair has the smallest shift.  Keeping the
+    candidates whose gain exceeds the running maximum then records, per
+    point, voter i's shift and a pointer into the next frontier.  Tracing a
+    point back yields the lexicographically smallest shift vector among the
+    actions of that exact cost and gain: every suffix of such an action is
+    itself a frontier point of its voters.
     """
 
-    def __init__(self, inst: ShiftBriberyInstance, budget: int):
+    def __init__(self, rows, budget: int):
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        options = [_voter_options(inst, i) for i in range(inst.num_voters)]
-        total_gain = sum(g[-1] for _, _, g in options)
-        if total_gain >= _MAX_SAFE_GAIN:
-            raise OverflowError("score gains too large for the budget sweep")
-        self.options = options
-        self.budget = budget
-        size = budget + 1
-        row = np.full(size, _IMPOSSIBLE, dtype=np.int64)
-        row[0] = 0
+        costs = np.zeros(1, dtype=np.int64)
+        gains = np.zeros(1, dtype=np.int64)
         choices = []
-        for shifts, prices, gains in reversed(options):
-            choice = np.zeros(size, dtype=np.int32)
-            new_row = row.copy()  # option 0: shift 0, price 0, gain 0
-            for k in range(1, len(shifts)):
-                p, g = prices[k], gains[k]
-                if p > budget:
-                    break  # prices are non-decreasing
-                shifted = np.full(size, _IMPOSSIBLE, dtype=np.int64)
-                shifted[p:] = row[: size - p] + g
-                better = shifted > new_row
-                new_row[better] = shifted[better]
-                choice[better] = k
+        pointers = []
+        for prices, option_gains in reversed(rows):
+            width = len(costs)
+            cand_cost = (prices[:, None] + costs).ravel()
+            cand_gain = (option_gains[:, None] + gains).ravel()
+            flat = np.flatnonzero(cand_cost <= budget)
+            cand_cost = cand_cost[flat]
+            cand_gain = cand_gain[flat]
+            order = np.lexsort((-cand_gain, cand_cost))
+            ordered_gain = cand_gain[order]
+            keep = np.empty(len(order), dtype=bool)
+            keep[0] = True
+            np.greater(ordered_gain[1:], np.maximum.accumulate(ordered_gain)[:-1], out=keep[1:])
+            picked = order[keep]
+            choice, pointer = np.divmod(flat[picked], width)
             choices.append(choice)
-            row = new_row
+            pointers.append(pointer)
+            costs = cand_cost[picked]
+            gains = cand_gain[picked]
         choices.reverse()
+        pointers.reverse()
         self.choices = choices
-        self.exact_gain = row  # best gain when spending exactly j
-        run_max = np.maximum.accumulate(row)
-        bps = np.nonzero(run_max[1:] > run_max[:-1])[0] + 1
-        # breakpoints: budgets where a strictly better gain first becomes
-        # affordable; between breakpoints buy() returns the same action.
-        self.breakpoints = np.concatenate(([0], bps))
-        self.breakpoint_gains = run_max[self.breakpoints]
+        self.pointers = pointers
+        self.costs = costs
+        self.gains = gains
 
     def best_at(self, budget: int) -> Tuple[int, int]:
-        """(max gain, minimum exact spend achieving it) for ``budget``."""
-        budget = min(budget, self.budget)
-        idx = int(np.searchsorted(self.breakpoints, budget, side="right")) - 1
-        spend = int(self.breakpoints[idx])
-        return int(self.breakpoint_gains[idx]), spend
+        """(max gain, minimum spend achieving it) for ``budget``."""
+        idx = int(np.searchsorted(self.costs, budget, side="right")) - 1
+        return int(self.gains[idx]), int(self.costs[idx])
+
+    def trace(self, points) -> np.ndarray:
+        """Shift vectors of the given frontier points, one row each."""
+        points = np.asarray(points)
+        shifts = np.empty((len(points), len(self.choices)), dtype=np.int64)
+        for i, (choice, pointer) in enumerate(zip(self.choices, self.pointers)):
+            shifts[:, i] = choice[points]
+            points = pointer[points]
+        return shifts
 
     def action_at(self, spend: int) -> ShiftAction:
-        """Traceback of the lexicographically smallest action spending
-        exactly ``spend`` with maximum gain."""
-        t = []
-        j = spend
-        for (shifts, prices, _), choice in zip(self.options, self.choices):
-            k = int(choice[j])
-            t.append(shifts[k])
-            j -= prices[k]
-        if j != 0:
-            raise AssertionError("budget traceback did not consume the exact spend")
-        return ShiftAction(tuple(t))
+        """The lexicographically smallest action spending exactly ``spend``
+        with maximum gain; ``spend`` must be a frontier cost."""
+        idx = int(np.searchsorted(self.costs, spend))
+        if idx == len(self.costs) or self.costs[idx] != spend:
+            raise ValueError(f"spend {spend} is not a frontier cost")
+        return ShiftAction(tuple(self.trace([idx])[0].tolist()))
 
     def iter_breakpoints(self):
-        """Yield (budget, gain) at every point where the best buy changes."""
-        for bp, g in zip(self.breakpoints, self.breakpoint_gains):
-            yield int(bp), int(g)
+        """(budget, gain) at every point where the best buy changes."""
+        return zip(self.costs.tolist(), self.gains.tolist())
+
+
+class _SuccessCheck:
+    """Batched winner test on one instance via a per-voter score-delta
+    table: ``deltas[i][t]`` is the change of every candidate's score when
+    voter i shifts the preferred candidate up by t.
+
+    Only the preferred candidate's score grows, so checking its fully
+    shifted score against the 64-bit range bounds every partial sum.
+    """
+
+    def __init__(self, inst: ShiftBriberyInstance, rows):
+        base = scoring_scores(inst.election, inst.rule.vector)
+        _check_i64(
+            base[0] + sum(int(g[-1]) for _, g in rows),
+            "fully shifted score of the preferred candidate",
+        )
+        self.base = np.array(base, dtype=np.int64)
+        self.deltas = []
+        for i, (_, gains) in enumerate(rows):
+            if len(gains) == 1:
+                continue
+            order = inst.election.voters[i]
+            pos = order.index(0)
+            delta = np.zeros((len(gains), inst.num_candidates), dtype=np.int64)
+            delta[:, 0] = gains
+            for t in range(1, len(gains)):
+                delta[t:, order[pos - t]] -= gains[t] - gains[t - 1]
+            self.deltas.append((i, delta))
+
+    def first_win(self, shifts: np.ndarray) -> Optional[int]:
+        """Index of the first row of ``shifts`` (one shift vector per row)
+        after which the preferred candidate wins, or None."""
+        scores = np.tile(self.base, (len(shifts), 1))
+        for i, delta in self.deltas:
+            scores += delta[shifts[:, i]]
+        wins = np.flatnonzero(scores[:, 0] == scores.max(axis=1))
+        return int(wins[0]) if len(wins) else None
 
 
 @dataclass
@@ -164,7 +226,7 @@ class BudgetDpTable:
 
 def build_budget_dp(inst: ShiftBriberyInstance, budget: int) -> BudgetDpTable:
     """Materialize the prefix DP table row by row (reference form, used by
-    the consistency tests; the solvers use a vectorized equivalent)."""
+    the consistency tests; the solvers use the equivalent frontier form)."""
     _require_scoring(inst)
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -212,33 +274,25 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     _require_scoring(inst)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    sweep = _BudgetSweep(inst, min(budget, _max_budget(inst)))
+    budget = min(budget, _max_budget(inst))
+    sweep = _BudgetSweep(_option_rows(inst), budget)
     g, spend = sweep.best_at(budget)
     return sweep.action_at(spend), g
 
 
-def _shifted_scores(inst: ShiftBriberyInstance, base_scores, action) -> list:
-    """Scores after applying ``action``, via per-voter deltas instead of
-    materializing the shifted election."""
-    alpha = inst.rule.vector
-    scores = list(base_scores)
-    for i, t in enumerate(action):
-        if t == 0:
-            continue
-        order = inst.election.voters[i]
-        r = order.index(0) + 1
-        tt = min(t, r - 1)
-        if tt == 0:
-            continue
-        w = inst.election.weight(i)
-        scores[0] += w * (alpha[r - tt - 1] - alpha[r - 1])
-        for idx in range(r - 1 - tt, r - 1):
-            scores[order[idx]] -= w * (alpha[idx] - alpha[idx + 1])
-    return scores
-
-
 def _wins(scores) -> bool:
     return scores[0] == max(scores)
+
+
+def _check_cells(inst: ShiftBriberyInstance, cell_guard: Optional[int], hint: str) -> int:
+    """The price total P, after checking (n + 1)(P + 1) against the guard."""
+    if cell_guard is None:
+        cell_guard = env_guard(DEFAULT_CELL_GUARD)
+    m_budget = _max_budget(inst)
+    cells = (inst.num_voters + 1) * (m_budget + 1)
+    if cells > cell_guard:
+        raise GuardExceeded(f"budget DP needs {cells} cells (guard {cell_guard}){hint}")
+    return m_budget
 
 
 def solve_two_pass(
@@ -253,41 +307,39 @@ def solve_two_pass(
     returned cost is the winning budget sum; it never exceeds twice the
     optimum and is never below it.
 
-    Runtime is pseudo-polynomial in the price total.  When the DP table
-    would exceed ``cell_guard`` cells (default 10**8, overridable via the
-    ``SHIFTBRIBE_GUARD`` environment variable) a ``GuardExceeded`` is raised
-    and the caller should switch to ``solve_two_pass_scaled``.
+    Only frontier points matter: l1 runs over the outer frontier in
+    ascending cost, and for each l1 the inner frontier is built on the
+    rebased option rows, which are slices of the instance's rows, and is cut
+    at the best sum found so far.  All its points are traced back into one
+    matrix of shift vectors and checked in one batch against the score-delta
+    table of the original instance; the cheapest winner is taken.  The
+    result is identical to the full grid scan.
 
-    Budget pairs mapping to identical buy actions are deduplicated, and
-    pairs that cannot beat the best sum found so far are pruned; the result
-    is identical to the full grid scan.
+    A frontier holds at most min(P, G) + 1 points, so the runtime is
+    pseudo-polynomial in the smaller of the price total P and the gain
+    total G; for Borda or k-approval it is polynomial whatever the prices.
+    The guard still counts the cells of an exact-spend table, exactly as
+    before: when (n + 1)(P + 1) exceeds ``cell_guard`` (default 10**8,
+    overridable via the ``SHIFTBRIBE_GUARD`` environment variable) a
+    ``GuardExceeded`` is raised and the caller should switch to
+    ``solve_two_pass_scaled``.
     """
     _require_scoring(inst)
-    if cell_guard is None:
-        cell_guard = _env_guard(DEFAULT_CELL_GUARD)
-    m_budget = _max_budget(inst)
-    cells = (inst.num_voters + 1) * (m_budget + 1)
-    if cells > cell_guard:
-        raise GuardExceeded(
-            f"budget DP needs {cells} cells (guard {cell_guard}); "
-            "use solve_two_pass_scaled instead"
-        )
-    outer = _BudgetSweep(inst, m_budget)
+    m_budget = _check_cells(inst, cell_guard, "; use solve_two_pass_scaled instead")
+    rows = _option_rows(inst)
+    check = _SuccessCheck(inst, rows)
+    outer = _BudgetSweep(rows, m_budget)
+    firsts = outer.trace(np.arange(len(outer.costs)))
     best: Optional[Tuple[int, ShiftAction]] = None
-    for l1, _ in outer.iter_breakpoints():
+    for (l1, _), first in zip(outer.iter_breakpoints(), firsts):
         if best is not None and l1 >= best[0]:
             break
-        first = outer.action_at(l1)
-        inst1 = rebase(inst, first)
-        base_scores = scoring_scores(inst1.election, inst1.rule.vector)
-        inner = _BudgetSweep(inst1, min(m_budget, _max_budget(inst1)))
-        for l2, _ in inner.iter_breakpoints():
-            if best is not None and l1 + l2 >= best[0]:
-                break
-            second = inner.action_at(l2)
-            if _wins(_shifted_scores(inst1, base_scores, second)):
-                best = (l1 + l2, first + second)
-                break  # smallest l2 for this l1; larger l2 cannot improve
+        rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, first.tolist())]
+        inner = _BudgetSweep(rebased, m_budget if best is None else best[0] - l1 - 1)
+        shifts = first + inner.trace(np.arange(len(inner.costs)))
+        w = check.first_win(shifts)
+        if w is not None:
+            best = (l1 + int(inner.costs[w]), ShiftAction(tuple(shifts[w].tolist())))
     if best is None:
         raise Infeasible("no successful shift action exists")
     return best
@@ -302,22 +354,19 @@ def solve_single_pass(
     Every action considered here is also considered by ``solve_two_pass``
     (take l2 = 0), so this never returns a cheaper solution; it carries no
     approximation guarantee of its own and exists for experimental
-    comparison.
+    comparison.  All frontier points are checked in one batch, and the guard
+    is the same (n + 1)(P + 1) cell count as in ``solve_two_pass``.
     """
     _require_scoring(inst)
-    if cell_guard is None:
-        cell_guard = _env_guard(DEFAULT_CELL_GUARD)
-    m_budget = _max_budget(inst)
-    cells = (inst.num_voters + 1) * (m_budget + 1)
-    if cells > cell_guard:
-        raise GuardExceeded(f"budget DP needs {cells} cells (guard {cell_guard})")
-    base_scores = scoring_scores(inst.election, inst.rule.vector)
-    sweep = _BudgetSweep(inst, m_budget)
-    for budget, _ in sweep.iter_breakpoints():
-        action = sweep.action_at(budget)
-        if _wins(_shifted_scores(inst, base_scores, action)):
-            return budget, action
-    raise Infeasible("no successful shift action exists")
+    m_budget = _check_cells(inst, cell_guard, "")
+    rows = _option_rows(inst)
+    check = _SuccessCheck(inst, rows)
+    sweep = _BudgetSweep(rows, m_budget)
+    shifts = sweep.trace(np.arange(len(sweep.costs)))
+    w = check.first_win(shifts)
+    if w is None:
+        raise Infeasible("no successful shift action exists")
+    return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
 def _scaled_instance(inst: ShiftBriberyInstance, rho: int, eps: Fraction, big: int):

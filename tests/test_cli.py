@@ -93,6 +93,23 @@ class TestSolve:
         monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
         assert main(["solve", thm6_file, "--algo", "exact"]) == 4
 
+    def test_non_integer_guard_exits_2(self, thm6_file, monkeypatch, capsys):
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "abc")
+        assert main(["solve", thm6_file, "--algo", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: SHIFTBRIBE_GUARD must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("algo", ["A", "G"])
+    def test_int64_overflow_exits_2(self, tmp_path, capsys, algo):
+        e = sb.Election(("p", "c"), ((1, 0), (1, 0)), (1 << 62, 1 << 62))
+        costs = (sb.CostFunction((1,)), sb.CostFunction((1,)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
+        path = tmp_path / "huge.sb"
+        path.write_text(sb.serialize_instance(inst), encoding="utf-8")
+        assert main(["solve", str(path), "--algo", algo]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_condorcet_algos(self, tmp_path, capsys):
         for rule, algo in (
             (sb.CopelandRule(sb.CopelandAlpha(1, 2)), "copeland-m"),

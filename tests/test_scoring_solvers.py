@@ -4,10 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import shiftbribe as sb
-from shiftbribe.scoring_solvers import _max_budget
+from shiftbribe.scoring_solvers import _BudgetSweep, _SuccessCheck, _max_budget, _option_rows
 
 
 def caps_product(inst):
@@ -71,6 +72,15 @@ class TestBuy:
                 assert sb.total_cost(inst, action) == want_cost
                 assert tuple(action.shifts) == want_t
 
+    def test_price_total_outside_int64_raises(self):
+        # frontier costs are int64 sums of prices; a wrapped sum would pass
+        # the budget filter, so the price total is checked up front
+        e = sb.Election(("p", "c"), ((1, 0), (1, 0)))
+        costs = (sb.CostFunction((1 << 62,)), sb.CostFunction((1 << 62,)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
+        with pytest.raises(OverflowError, match="64-bit integer range"):
+            sb.buy(inst, 10)
+
     def test_non_scoring_rejected(self):
         e = sb.Election(("p", "c"), ((1, 0),))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((1,)),), sb.MAXIMIN)
@@ -119,6 +129,37 @@ class TestBudgetDpTable:
             )
 
 
+    def test_frontier_is_the_breakpoints_of_the_exact_spend_table(self):
+        for seed in range(20):
+            inst = sb.gen_random(seed, 4, 4, 5, weighted=seed % 2 == 1)
+            budget = _max_budget(inst)
+            exact = sb.build_budget_dp(inst, budget).rows[-1]
+            breakpoints = []
+            for j, g in enumerate(exact):
+                if g is not None and (not breakpoints or g > breakpoints[-1][1]):
+                    breakpoints.append((j, g))
+            sweep = _BudgetSweep(_option_rows(inst), budget)
+            assert list(sweep.iter_breakpoints()) == breakpoints
+            total_gain = sum(sb.gain(inst, i, cf.max_reachable) for i, cf in enumerate(inst.costs))
+            assert len(breakpoints) <= min(budget, total_gain) + 1
+
+
+class TestSuccessCheck:
+    def test_batch_matches_is_successful(self):
+        for seed in range(40):
+            rng = random.Random(seed + 211)
+            m = rng.randint(2, 4)
+            rule = sb.ScoringRule(sb.k_approval(m, 1) if seed % 3 == 0 else sb.borda(m))
+            inst = sb.gen_random(seed, rng.randint(1, 4), m, 4, weighted=seed % 2 == 0, rule=rule)
+            shifts = np.array(list(caps_product(inst)))
+            wins = [sb.is_successful(inst, sb.ShiftAction(tuple(t))) for t in shifts.tolist()]
+            check = _SuccessCheck(inst, _option_rows(inst))
+            want = wins.index(True) if True in wins else None
+            assert check.first_win(shifts) == want
+            for t, won in zip(shifts, wins):
+                assert (check.first_win(t[None, :]) == 0) == won
+
+
 class TestSolveTwoPass:
     def test_already_winner(self):
         e = sb.Election(("p", "c"), ((0, 1),))
@@ -145,6 +186,21 @@ class TestSolveTwoPass:
     def test_guard(self, thm6_k1):
         with pytest.raises(sb.GuardExceeded, match="solve_two_pass_scaled"):
             sb.solve_two_pass(thm6_k1, cell_guard=10)
+
+    @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass])
+    def test_fully_shifted_score_outside_int64_raises(self, solver):
+        # Scores and gains fit, but shifting both voters lifts the preferred
+        # candidate from 2**63 - 3 to 2**63 + 1: the batched check must
+        # refuse the instance rather than compare wrapped int64 scores.
+        top = (1 << 63) - 1
+        x = (top - 4) // 3
+        e = sb.Election(("p", "c"), ((1, 0), (1, 0), (0, 1)))
+        rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
+        costs = (sb.CostFunction((1,)), sb.CostFunction((1,)), sb.CostFunction(()))
+        inst = sb.ShiftBriberyInstance(e, costs, rule)
+        assert sb.scoring_scores(e, rule.vector) == [top - 2, top]
+        with pytest.raises(OverflowError, match="64-bit integer range"):
+            solver(inst)
 
 
 class TestSolveSinglePass:

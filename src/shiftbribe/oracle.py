@@ -3,6 +3,11 @@
 Enumeration sizes are guarded by hard errors: a truncated oracle would be
 worse than none.  Witnesses are tie-broken lexicographically so repeated
 runs are identical.
+
+The shift-vector oracles enumerate blocks of lexicographically consecutive
+vectors from one per-voter table of prices and score (or pairwise-row)
+deltas, with one vectorized test per block; ``_cheapest`` explains why the
+witness is still the one a vector-by-vector scan returns.
 """
 
 from itertools import product
@@ -19,11 +24,13 @@ from .bribery import (
     rule_scores,
 )
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _margins, _rival_base_scaled
-from .elections import CopelandAlpha, pairwise_tally
+from .elections import CopelandAlpha, _check_i64, pairwise_tally
 from .errors import GuardExceeded, Infeasible, env_guard
 
 DEFAULT_ENUM_GUARD = 10**7
 DEFAULT_MICRO_SLOT_GUARD = 20
+# Most shift vectors combined into one block of the exhaustive search.
+_BLOCK = 4096
 
 
 def _enumeration_plan(inst: ShiftBriberyInstance, enum_guard: Optional[int]):
@@ -40,60 +47,55 @@ def _enumeration_plan(inst: ShiftBriberyInstance, enum_guard: Optional[int]):
     return ranges
 
 
-def _scoring_evaluator(inst: ShiftBriberyInstance):
-    """Per-action winner check via precomputed per-(voter, shift) score
-    deltas."""
-    alpha = inst.rule.vector
+def _shift_rows(inst: ShiftBriberyInstance, ranges, pairwise: bool):
+    """Per voter, the int64 ``prices`` and the (shifts x m) ``delta`` of
+    shifting the preferred candidate up by each amount in its range.
+
+    ``delta[t]`` is the change of every candidate's score (scoring rules,
+    weight-scaled) or, with ``pairwise``, of the preferred candidate's
+    pairwise row.  The price total is checked so that no block cost wraps.
+    """
+    _check_i64(
+        sum(cf.price(len(r) - 1) for cf, r in zip(inst.costs, ranges)),
+        "total of the largest prices",
+    )
     e = inst.election
-    m = e.num_candidates
-    base = np.array(rule_scores(e, inst.rule), dtype=np.int64)
-    deltas = []
-    for i, order in enumerate(e.voters):
-        r = order.index(0) + 1
+    alpha = None if pairwise else inst.rule.vector
+    rows = []
+    for i, (cf, r) in enumerate(zip(inst.costs, ranges)):
+        order = e.voters[i]
+        pos = order.index(0)
         w = e.weight(i)
-        per_shift = [np.zeros(m, dtype=np.int64)]
-        for t in range(1, inst.costs[i].max_reachable + 1):
-            tt = min(t, r - 1)
-            d = np.zeros(m, dtype=np.int64)
-            d[0] = w * (alpha[r - tt - 1] - alpha[r - 1])
-            for idx in range(r - 1 - tt, r - 1):
-                d[order[idx]] -= w * (alpha[idx] - alpha[idx + 1])
-            per_shift.append(d)
-        deltas.append(per_shift)
-
-    def wins(action) -> bool:
-        scores = base.copy()
-        for i, t in enumerate(action):
-            scores += deltas[i][t]
-        return scores[0] == scores.max()
-
-    return wins
+        delta = np.zeros((len(r), e.num_candidates), dtype=np.int64)
+        for t in r[1:]:
+            passed = order[pos - t]
+            if pairwise:
+                delta[t:, passed] += w
+            else:
+                step = w * (alpha[pos - t] - alpha[pos - t + 1])
+                delta[t:, 0] += step
+                delta[t:, passed] -= step
+        prices = np.array([cf.price(t) for t in r], dtype=np.int64)
+        rows.append((prices, delta))
+    return rows
 
 
-def _pairwise_evaluator(inst: ShiftBriberyInstance):
-    """Per-action winner check for Copeland/maximin: only the preferred
-    candidate's pairwise row changes under shifts."""
-    e = inst.election
-    m = e.num_candidates
-    total = e.total_weight
-    tally = pairwise_tally(e)
-    row_p = np.array(tally.n_matrix[0], dtype=np.int64)
-    passed = []  # per voter: per shift, weights added to row 0 per rival
-    for i, order in enumerate(e.voters):
-        idx = order.index(0)
-        w = e.weight(i)
-        per_shift = [np.zeros(m, dtype=np.int64)]
-        d = np.zeros(m, dtype=np.int64)
-        for t in range(1, inst.costs[i].max_reachable + 1):
-            if t <= idx:
-                d = d.copy()
-                d[order[idx - t]] += w
-            per_shift.append(d)
-        passed.append(per_shift)
-
+def _winner_test(inst: ShiftBriberyInstance):
+    """Batched winner test: the unshifted row that ``_shift_rows`` deltas
+    add to (all scores, or the preferred candidate's pairwise row), and a
+    function mapping a (K x m) array of shifted rows to whether the
+    preferred candidate wins after each."""
+    m = inst.num_candidates
+    if isinstance(inst.rule, ScoringRule):
+        base = np.array(rule_scores(inst.election, inst.rule), dtype=np.int64)
+        return base, lambda s: s[:, 0] == s.max(axis=1)
+    tally = pairwise_tally(inst.election)
+    base = np.array(tally.n_matrix[0], dtype=np.int64)
+    if m == 1:
+        return base, lambda rows: np.ones(len(rows), dtype=bool)
+    total = inst.election.total_weight
     if isinstance(inst.rule, CopelandRule):
-        alpha = inst.rule.alpha
-        num, den = alpha.numerator, alpha.denominator
+        num, den = inst.rule.alpha.numerator, inst.rule.alpha.denominator
         base_rivals = np.zeros(m, dtype=np.int64)
         for c in range(1, m):
             for dd in range(1, m):
@@ -104,49 +106,69 @@ def _pairwise_evaluator(inst: ShiftBriberyInstance):
                 elif tally.n_matrix[c][dd] == tally.n_matrix[dd][c]:
                     base_rivals[c] += num
 
-        def wins(action) -> bool:
-            row = row_p.copy()
-            for i, t in enumerate(action):
-                row += passed[i][t]
-            p_score = 0
-            top_rival = -1
-            for c in range(1, m):
-                against = total - row[c]
-                if row[c] > against:
-                    p_score += den
-                elif row[c] == against:
-                    p_score += num
-                rival = base_rivals[c]
-                if against > row[c]:
-                    rival += den
-                elif against == row[c]:
-                    rival += num
-                if rival > top_rival:
-                    top_rival = rival
-            return p_score >= top_rival
+        def wins(rows):
+            ours = rows[:, 1:]
+            against = total - ours
+            tie = num * (ours == against)
+            p_score = (den * (ours > against) + tie).sum(axis=1)
+            rival = base_rivals[1:] + den * (against > ours) + tie
+            return p_score >= rival.max(axis=1)
 
-    elif isinstance(inst.rule, MaximinRule):
+        return base, wins
+    if isinstance(inst.rule, MaximinRule):
         fixed_min = np.full(m, total, dtype=np.int64)
         for c in range(1, m):
             others = [tally.n_matrix[c][dd] for dd in range(1, m) if dd != c]
             if others:
                 fixed_min[c] = min(others)
 
-        def wins(action) -> bool:
-            row = row_p.copy()
-            for i, t in enumerate(action):
-                row += passed[i][t]
-            if m == 1:
-                return True
-            p_score = row[1:].min()
-            for c in range(1, m):
-                if min(fixed_min[c], total - row[c]) > p_score:
-                    return False
-            return True
+        def wins(rows):
+            p_score = rows[:, 1:].min(axis=1)
+            rival = np.minimum(fixed_min[1:], total - rows[:, 1:])
+            return (rival <= p_score[:, None]).all(axis=1)
 
-    else:  # pragma: no cover - dispatched by caller
-        raise TypeError("pairwise evaluator needs Copeland or maximin")
-    return wins
+        return base, wins
+    raise TypeError(f"unknown rule: {inst.rule!r}")
+
+
+def _cheapest(rows, base, accept) -> Optional[Tuple[int, tuple]]:
+    """Lexicographically first of the cheapest shift vectors whose shifted
+    row ``base + sum of deltas`` passes ``accept``, or None.
+
+    The voters split into a head and a tail, the longest suffix with at most
+    ``_BLOCK`` shift vectors.  The tail's costs and rows are combined once,
+    in lexicographic order; each head combination, taken in ``product``
+    order, adds its cost and delta to them and tests, in one batch, the rows
+    cheaper than the best found so far.  Lexicographic order is head-major,
+    then tail index, and a later block replaces the best only when strictly
+    cheaper, so the witness is the one a vector-by-vector scan keeps.
+    """
+    split = len(rows)
+    tail_cost = np.zeros(1, dtype=np.int64)
+    tail_delta = base[None, :]
+    while split and len(tail_cost) * len(rows[split - 1][0]) <= _BLOCK:
+        split -= 1
+        prices, delta = rows[split]
+        tail_cost = (prices[:, None] + tail_cost[None, :]).ravel()
+        tail_delta = (delta[:, None, :] + tail_delta[None, :, :]).reshape(-1, len(base))
+    tail_shape = [len(prices) for prices, _ in rows[split:]]
+    head = rows[:split]
+    best = None
+    for combo in product(*(range(len(prices)) for prices, _ in head)):
+        cost = tail_cost + sum(int(head[i][0][t]) for i, t in enumerate(combo))
+        if best is None:
+            keep = np.arange(len(cost))
+        else:
+            keep = np.flatnonzero(cost < best[0])
+            if not len(keep):
+                continue
+        shifted = tail_delta[keep] + sum(head[i][1][t] for i, t in enumerate(combo))
+        keep = keep[accept(shifted)]
+        if len(keep):
+            j = int(keep[np.argmin(cost[keep])])
+            tail = np.unravel_index(j, tail_shape) if tail_shape else ()
+            best = int(cost[j]), combo + tuple(int(t) for t in tail)
+    return best
 
 
 def exact_shift_opt(
@@ -154,78 +176,45 @@ def exact_shift_opt(
 ) -> Tuple[int, ShiftAction]:
     """Minimum cost of a successful shift action, by full enumeration.
 
-    All shift vectors within the purchasable caps are tried in
-    lexicographic order; the witness is the lexicographically smallest
-    among the minimum-cost successful actions.  Instances whose action
-    space exceeds the enumeration guard are rejected.
+    All shift vectors within the purchasable caps are tried, in blocks of
+    lexicographically consecutive vectors checked with one vectorized
+    winner test each (see ``_cheapest``); the witness is the
+    lexicographically smallest among the minimum-cost successful actions.
+    Instances whose action space exceeds the enumeration guard are
+    rejected.
     """
     ranges = _enumeration_plan(inst, enum_guard)
-    if isinstance(inst.rule, ScoringRule):
-        wins = _scoring_evaluator(inst)
-    else:
-        wins = _pairwise_evaluator(inst)
-    price_tables = [[cf.price(t) for t in r] for cf, r in zip(inst.costs, ranges)]
-    best_cost: Optional[int] = None
-    best_action = None
-    for action in product(*ranges):
-        cost = 0
-        for i, t in enumerate(action):
-            cost += price_tables[i][t]
-        if best_cost is not None and cost >= best_cost:
-            continue
-        if wins(action):
-            best_cost = cost
-            best_action = action
-    if best_cost is None:
+    base, wins = _winner_test(inst)
+    pairwise = not isinstance(inst.rule, ScoringRule)
+    found = _cheapest(_shift_rows(inst, ranges, pairwise), base, wins)
+    if found is None:
         raise Infeasible("no successful shift action exists")
-    return best_cost, ShiftAction(best_action)
+    return found[0], ShiftAction(found[1])
 
 
 def exact_cover_opt(
     inst: ShiftBriberyInstance, targets: Sequence, enum_guard: Optional[int] = None
 ) -> Tuple[int, ShiftAction]:
     """Minimum cost of a shift action meeting per-rival pairwise-support
-    demands (ground truth for the greedy multicover)."""
+    demands (ground truth for the greedy multicover), enumerated in blocks
+    like ``exact_shift_opt``."""
     ranges = _enumeration_plan(inst, enum_guard)
     e = inst.election
     m = e.num_candidates
     if len(targets) != m - 1:
         raise ValueError("need one target per rival")
     tally = pairwise_tally(e)
-    row_p = np.array(tally.n_matrix[0], dtype=np.int64)
     required = np.zeros(m, dtype=np.int64)
     for c in range(1, m):
         required[c] = min(tally.n_matrix[0][c] + targets[c - 1], e.total_weight)
-    passed = []
-    for i, order in enumerate(e.voters):
-        idx = order.index(0)
-        w = e.weight(i)
-        per_shift = [np.zeros(m, dtype=np.int64)]
-        d = np.zeros(m, dtype=np.int64)
-        for t in range(1, inst.costs[i].max_reachable + 1):
-            if t <= idx:
-                d = d.copy()
-                d[order[idx - t]] += w
-            per_shift.append(d)
-        passed.append(per_shift)
-    price_tables = [[cf.price(t) for t in r] for cf, r in zip(inst.costs, ranges)]
-    best_cost: Optional[int] = None
-    best_action = None
-    for action in product(*ranges):
-        cost = 0
-        for i, t in enumerate(action):
-            cost += price_tables[i][t]
-        if best_cost is not None and cost >= best_cost:
-            continue
-        row = row_p.copy()
-        for i, t in enumerate(action):
-            row += passed[i][t]
-        if bool((row >= required).all()):
-            best_cost = cost
-            best_action = action
-    if best_cost is None:
+    found = _cheapest(
+        _shift_rows(inst, ranges, pairwise=True),
+        np.array(tally.n_matrix[0], dtype=np.int64),
+        lambda rows: (rows >= required).all(axis=1),
+    )
+    if found is None:
         raise Infeasible("no shift action meets the targets")
-    return best_cost, ShiftAction(best_action)
+    return found[0], ShiftAction(found[1])
 
 
 def exact_micro_opt(

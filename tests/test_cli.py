@@ -1,10 +1,12 @@
 """CLI behavior: subcommands, exit codes, JSON schema."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import shiftbribe as sb
+from shiftbribe import cli
 from shiftbribe.cli import main
 
 
@@ -109,6 +111,22 @@ class TestSolve:
         assert main(["solve", str(path), "--algo", algo]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exact_price_total_overflow_exits_2(self, tmp_path, capsys):
+        e = sb.Election(("p", "c"), ((1, 0), (1, 0)))
+        costs = (sb.CostFunction((1 << 62,)), sb.CostFunction((1 << 62,)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
+        path = tmp_path / "pricey.sb"
+        path.write_text(sb.serialize_instance(inst), encoding="utf-8")
+        assert main(["solve", str(path), "--algo", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: total of the largest prices") and err.count("\n") == 1
+
+    def test_wall_time_from_perf_counter_ns(self, thm6_file, capsys, monkeypatch):
+        ticks = iter((5_000_000, 7_999_999))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter_ns=lambda: next(ticks)))
+        assert main(["solve", thm6_file, "--algo", "A", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["wall_time_ms"] == 2
 
     def test_condorcet_algos(self, tmp_path, capsys):
         for rule, algo in (

@@ -4,16 +4,22 @@ A shift-bribery instance couples an election (candidate 0 is the preferred
 candidate) with one monotone price function per voter: the price of shifting
 the preferred candidate upwards by a given number of positions in that vote.
 The goal of all solvers is a cheapest shift action after which candidate 0
-is a winner under the instance's voting rule.
+is a winner under the instance's voting rule.  ``ShiftTable`` answers "does
+candidate 0 win after these shifts" for whole batches of shift vectors; the
+batched scoring solvers and the exact oracles share it, and
+``is_successful`` stays the independent reference it is checked against.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import IncompatibleRule
 from .elections import (
     CopelandAlpha,
     Election,
+    PairwiseTally,
     ScoringVector,
     _check_i64,
     apply_shift,
@@ -251,3 +257,110 @@ def is_successful(inst: ShiftBriberyInstance, action: ShiftAction) -> bool:
         raise ValueError("shift action length must equal the number of voters")
     shifted = apply_shift(inst.election, action.shifts)
     return 0 in winners(rule_scores(shifted, inst.rule))
+
+
+def _max_budget(inst: ShiftBriberyInstance) -> int:
+    """Sum over voters of the largest finite price (nothing more can ever be
+    spent usefully)."""
+    return sum(cf.price(cf.max_reachable) for cf in inst.costs)
+
+
+class ShiftTable:
+    """Per-voter prices and row deltas of shifting the preferred candidate
+    up, with one batched winner test.
+
+    For voter i and t = 0 .. max_reachable, ``prices[i][t]`` is the price of
+    shifting by t and ``deltas[i][t]`` the change of the row it causes.  The
+    row is every candidate's score (weight-scaled) for scoring rules, and
+    the preferred candidate's pairwise row ``n_matrix[0]`` for Copeland and
+    maximin or when ``pairwise`` is set.  ``base`` is the unshifted row, and
+    ``wins`` maps a (K x m) array of rows to whether the preferred candidate
+    wins after each (None for the pairwise rows of a scoring rule).
+
+    The 64-bit range is checked once, here: the price total bounds every
+    sum of prices; only the preferred candidate's score grows, so its fully
+    shifted score bounds every scoring row; (m - 1) * den bounds every
+    scaled Copeland score; pairwise rows stay within the total weight.
+    """
+
+    def __init__(self, inst: ShiftBriberyInstance, pairwise: bool = False):
+        e = inst.election
+        _check_i64(_max_budget(inst), "total of the largest prices")
+        scoring = isinstance(inst.rule, ScoringRule) and not pairwise
+        if scoring:
+            self.base = np.array(scoring_scores(e, inst.rule.vector), dtype=np.int64)
+            self.wins = lambda s: s[:, 0] == s.max(axis=1)
+        else:
+            tally = pairwise_tally(e)
+            self.base = np.array(tally.n_matrix[0], dtype=np.int64)
+            self.wins = _pairwise_wins(tally, inst.rule)
+        self.prices = []
+        self.deltas = []
+        for i, cf in enumerate(inst.costs):
+            order = e.voters[i]
+            pos = order.index(0)
+            w = e.weight(i)
+            delta = [[0] * e.num_candidates]
+            for t in range(1, cf.max_reachable + 1):
+                row = list(delta[-1])
+                passed = order[pos - t]
+                if scoring:
+                    step = w * (inst.rule.vector[pos - t] - inst.rule.vector[pos - t + 1])
+                    row[0] += step
+                    row[passed] -= step
+                else:
+                    row[passed] += w
+                delta.append(row)
+            self.prices.append(np.array([cf.price(t) for t in range(len(delta))], dtype=np.int64))
+            self.deltas.append(np.array(delta, dtype=np.int64))
+        if scoring:
+            _check_i64(
+                int(self.base[0]) + sum(int(d[-1, 0]) for d in self.deltas),
+                "fully shifted score of the preferred candidate",
+            )
+
+    def rows_after(self, shifts: np.ndarray) -> np.ndarray:
+        """The rows after each shift vector, one vector per row of
+        ``shifts``."""
+        rows = np.tile(self.base, (len(shifts), 1))
+        for i, delta in enumerate(self.deltas):
+            if len(delta) > 1:
+                rows += delta[shifts[:, i]]
+        return rows
+
+
+def _pairwise_wins(tally: PairwiseTally, rule: Rule):
+    """Batched winner test on the preferred candidate's pairwise rows.
+
+    Rival-versus-rival pairs cannot change, so each rival's part of its
+    score comes from the rival-only sub-tally.
+    """
+    n_matrix, total = tally.n_matrix, tally.total_weight
+    m = len(n_matrix)
+    if m == 1:
+        return lambda rows: np.ones(len(rows), dtype=bool)
+    rivals = PairwiseTally(tuple(row[1:] for row in n_matrix[1:]), total)
+    if isinstance(rule, CopelandRule):
+        num, den = rule.alpha.numerator, rule.alpha.denominator
+        _check_i64((m - 1) * den, "scaled Copeland maximum")
+        base_rivals = np.array(copeland_scores(rivals, rule.alpha), dtype=np.int64)
+
+        def wins(rows):
+            ours = rows[:, 1:]
+            against = total - ours
+            tie = num * (ours == against)
+            p_score = (den * (ours > against) + tie).sum(axis=1)
+            rival = base_rivals + den * (against > ours) + tie
+            return p_score >= rival.max(axis=1)
+
+        return wins
+    if isinstance(rule, MaximinRule):
+        fixed_min = np.array(maximin_scores(rivals), dtype=np.int64)
+
+        def wins(rows):
+            p_score = rows[:, 1:].min(axis=1)
+            rival = np.minimum(fixed_min, total - rows[:, 1:])
+            return (rival <= p_score[:, None]).all(axis=1)
+
+        return wins
+    return None

@@ -13,13 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bribery import (
-    CopelandRule,
-    MaximinRule,
-    ScoringRule,
-    ShiftBriberyInstance,
-    is_successful,
-)
+from .bribery import CopelandRule, ScoringRule, ShiftBriberyInstance, is_successful
 from .condorcet_solvers import solve_copeland_shift, solve_maximin_shift
 from .elections import CopelandAlpha
 from .errors import GuardExceeded, IncompatibleRule, Infeasible
@@ -51,14 +45,11 @@ def _digest(inst: ShiftBriberyInstance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:12]
 
 
-def _select_solver(algo: str, inst: ShiftBriberyInstance):
-    """Map an --algo token to a solver, enforcing rule/weight compatibility."""
-    scoring = isinstance(inst.rule, ScoringRule)
+def _select_solver(algo: str):
+    """Map an --algo token to a solver; the solvers themselves reject a rule
+    or weighting they do not support."""
     if algo == "exact":
         return lambda i: exact_shift_opt(i)
-    if algo in ("A", "B", "G") or algo.startswith("Aeps"):
-        if not scoring:
-            raise IncompatibleRule(f"algorithm {algo} requires a scoring rule")
     if algo == "A":
         return solve_two_pass
     if algo == "G":
@@ -66,10 +57,6 @@ def _select_solver(algo: str, inst: ShiftBriberyInstance):
     if algo == "B":
         return solve_bootstrap
     if algo == "Bw":
-        if not scoring:
-            raise IncompatibleRule("algorithm Bw requires a scoring rule")
-        if inst.election.weights is None:
-            raise IncompatibleRule("algorithm Bw requires a weighted instance")
         return solve_bootstrap_weighted
     if algo.startswith("Aeps"):
         if algo == "Aeps":
@@ -81,16 +68,10 @@ def _select_solver(algo: str, inst: ShiftBriberyInstance):
                 raise IncompatibleRule(f"malformed eps in '{algo}'") from exc
         else:
             raise IncompatibleRule(f"unknown algorithm '{algo}'")
-        if eps <= 0:
-            raise IncompatibleRule("eps must be positive")
         return lambda i: solve_two_pass_scaled(i, eps)
     if algo == "copeland-m":
-        if not isinstance(inst.rule, CopelandRule):
-            raise IncompatibleRule("algorithm copeland-m requires the Copeland rule")
         return solve_copeland_shift
     if algo == "maximin-log":
-        if not isinstance(inst.rule, MaximinRule):
-            raise IncompatibleRule("algorithm maximin-log requires the maximin rule")
         return solve_maximin_shift
     raise IncompatibleRule(f"unknown algorithm '{algo}'")
 
@@ -103,7 +84,7 @@ def _ratio_str(cost: int, oracle_cost: int) -> str:
 
 
 def _solve_report(inst: ShiftBriberyInstance, algo: str, with_oracle: bool) -> dict:
-    solver = _select_solver(algo, inst)
+    solver = _select_solver(algo)
     start = time.perf_counter_ns()
     cost, action = solver(inst)
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
@@ -121,7 +102,7 @@ def _solve_report(inst: ShiftBriberyInstance, algo: str, with_oracle: bool) -> d
         "wall_time_ms": elapsed_ms,
     }
     if with_oracle:
-        oracle_cost, _ = exact_shift_opt(inst)
+        oracle_cost = cost if algo == "exact" else exact_shift_opt(inst)[0]
         report["oracle_cost"] = oracle_cost
         report["ratio"] = _ratio_str(cost, oracle_cost)
     return report

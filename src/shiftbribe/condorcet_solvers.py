@@ -30,7 +30,13 @@ from .bribery import (
     is_successful,
     total_cost,
 )
-from .elections import CopelandAlpha, maximin_scores, pairwise_tally
+from .elections import (
+    CopelandAlpha,
+    PairwiseTally,
+    copeland_scores,
+    maximin_scores,
+    pairwise_tally,
+)
 from .errors import IncompatibleRule, Infeasible
 
 _WIN, _TIE, _LOSS = 0, 1, 2  # pairwise outcome for the preferred candidate
@@ -150,19 +156,17 @@ def _margins(m_inst: MicrobriberyInstance) -> list:
 
 def _rival_base_scaled(m_inst: MicrobriberyInstance, alpha: CopelandAlpha) -> list:
     """Scaled Copeland score of each rival from rival-vs-rival pairs only
-    (those cannot be flipped)."""
-    m = m_inst.num_candidates
-    base = [0] * m
-    for c in range(1, m):
-        for d in range(1, m):
-            if d == c:
-                continue
-            margin = sum(table[c][d] for table in m_inst.tables)
-            if margin > 0:
-                base[c] += alpha.denominator
-            elif margin == 0:
-                base[c] += alpha.numerator
-    return base
+    (those cannot be flipped); entry 0 is 0."""
+    n, m = m_inst.num_voters, m_inst.num_candidates
+    # (n + margin) / 2 voters prefer c to d: the table entries are +-1.
+    rivals = PairwiseTally(
+        tuple(
+            tuple((n + sum(t[c][d] for t in m_inst.tables)) // 2 for d in range(1, m))
+            for c in range(1, m)
+        ),
+        n,
+    )
+    return [0] + copeland_scores(rivals, alpha)
 
 
 def _outcome_options(m_inst: MicrobriberyInstance, rival: int, margin: int):

@@ -5,9 +5,10 @@ worse than none.  Witnesses are tie-broken lexicographically so repeated
 runs are identical.
 
 The shift-vector oracles enumerate blocks of lexicographically consecutive
-vectors from one per-voter table of prices and score (or pairwise-row)
-deltas, with one vectorized test per block; ``_cheapest`` explains why the
-witness is still the one a vector-by-vector scan returns.
+vectors from the per-voter table of prices and score (or pairwise-row)
+deltas that the scoring solvers share (``bribery.ShiftTable``), with one
+vectorized winner test per block; ``_cheapest`` explains why the witness
+is still the one a vector-by-vector scan returns.
 """
 
 from itertools import product
@@ -15,16 +16,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bribery import (
-    CopelandRule,
-    MaximinRule,
-    ScoringRule,
-    ShiftAction,
-    ShiftBriberyInstance,
-    rule_scores,
-)
+from .bribery import ShiftAction, ShiftBriberyInstance, ShiftTable
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _margins, _rival_base_scaled
-from .elections import CopelandAlpha, _check_i64, pairwise_tally
+from .elections import CopelandAlpha
 from .errors import GuardExceeded, Infeasible, env_guard
 
 DEFAULT_ENUM_GUARD = 10**7
@@ -33,107 +27,21 @@ DEFAULT_MICRO_SLOT_GUARD = 20
 _BLOCK = 4096
 
 
-def _enumeration_plan(inst: ShiftBriberyInstance, enum_guard: Optional[int]):
+def _check_enumeration(inst: ShiftBriberyInstance, enum_guard: Optional[int]):
     if enum_guard is None:
         enum_guard = env_guard(DEFAULT_ENUM_GUARD)
-    ranges = [range(cf.max_reachable + 1) for cf in inst.costs]
     count = 1
-    for r in ranges:
-        count *= len(r)
+    for cf in inst.costs:
+        count *= cf.max_reachable + 1
         if count > enum_guard:
             raise GuardExceeded(
                 f"exhaustive search needs more than {enum_guard} shift vectors"
             )
-    return ranges
 
 
-def _shift_rows(inst: ShiftBriberyInstance, ranges, pairwise: bool):
-    """Per voter, the int64 ``prices`` and the (shifts x m) ``delta`` of
-    shifting the preferred candidate up by each amount in its range.
-
-    ``delta[t]`` is the change of every candidate's score (scoring rules,
-    weight-scaled) or, with ``pairwise``, of the preferred candidate's
-    pairwise row.  The price total is checked so that no block cost wraps.
-    """
-    _check_i64(
-        sum(cf.price(len(r) - 1) for cf, r in zip(inst.costs, ranges)),
-        "total of the largest prices",
-    )
-    e = inst.election
-    alpha = None if pairwise else inst.rule.vector
-    rows = []
-    for i, (cf, r) in enumerate(zip(inst.costs, ranges)):
-        order = e.voters[i]
-        pos = order.index(0)
-        w = e.weight(i)
-        delta = np.zeros((len(r), e.num_candidates), dtype=np.int64)
-        for t in r[1:]:
-            passed = order[pos - t]
-            if pairwise:
-                delta[t:, passed] += w
-            else:
-                step = w * (alpha[pos - t] - alpha[pos - t + 1])
-                delta[t:, 0] += step
-                delta[t:, passed] -= step
-        prices = np.array([cf.price(t) for t in r], dtype=np.int64)
-        rows.append((prices, delta))
-    return rows
-
-
-def _winner_test(inst: ShiftBriberyInstance):
-    """Batched winner test: the unshifted row that ``_shift_rows`` deltas
-    add to (all scores, or the preferred candidate's pairwise row), and a
-    function mapping a (K x m) array of shifted rows to whether the
-    preferred candidate wins after each."""
-    m = inst.num_candidates
-    if isinstance(inst.rule, ScoringRule):
-        base = np.array(rule_scores(inst.election, inst.rule), dtype=np.int64)
-        return base, lambda s: s[:, 0] == s.max(axis=1)
-    tally = pairwise_tally(inst.election)
-    base = np.array(tally.n_matrix[0], dtype=np.int64)
-    if m == 1:
-        return base, lambda rows: np.ones(len(rows), dtype=bool)
-    total = inst.election.total_weight
-    if isinstance(inst.rule, CopelandRule):
-        num, den = inst.rule.alpha.numerator, inst.rule.alpha.denominator
-        base_rivals = np.zeros(m, dtype=np.int64)
-        for c in range(1, m):
-            for dd in range(1, m):
-                if dd == c:
-                    continue
-                if tally.n_matrix[c][dd] > tally.n_matrix[dd][c]:
-                    base_rivals[c] += den
-                elif tally.n_matrix[c][dd] == tally.n_matrix[dd][c]:
-                    base_rivals[c] += num
-
-        def wins(rows):
-            ours = rows[:, 1:]
-            against = total - ours
-            tie = num * (ours == against)
-            p_score = (den * (ours > against) + tie).sum(axis=1)
-            rival = base_rivals[1:] + den * (against > ours) + tie
-            return p_score >= rival.max(axis=1)
-
-        return base, wins
-    if isinstance(inst.rule, MaximinRule):
-        fixed_min = np.full(m, total, dtype=np.int64)
-        for c in range(1, m):
-            others = [tally.n_matrix[c][dd] for dd in range(1, m) if dd != c]
-            if others:
-                fixed_min[c] = min(others)
-
-        def wins(rows):
-            p_score = rows[:, 1:].min(axis=1)
-            rival = np.minimum(fixed_min[1:], total - rows[:, 1:])
-            return (rival <= p_score[:, None]).all(axis=1)
-
-        return base, wins
-    raise TypeError(f"unknown rule: {inst.rule!r}")
-
-
-def _cheapest(rows, base, accept) -> Optional[Tuple[int, tuple]]:
+def _cheapest(table: ShiftTable, accept) -> Optional[Tuple[int, tuple]]:
     """Lexicographically first of the cheapest shift vectors whose shifted
-    row ``base + sum of deltas`` passes ``accept``, or None.
+    row ``table.base`` plus the sum of deltas passes ``accept``, or None.
 
     The voters split into a head and a tail, the longest suffix with at most
     ``_BLOCK`` shift vectors.  The tail's costs and rows are combined once,
@@ -143,6 +51,8 @@ def _cheapest(rows, base, accept) -> Optional[Tuple[int, tuple]]:
     then tail index, and a later block replaces the best only when strictly
     cheaper, so the witness is the one a vector-by-vector scan keeps.
     """
+    rows = list(zip(table.prices, table.deltas))
+    base = table.base
     split = len(rows)
     tail_cost = np.zeros(1, dtype=np.int64)
     tail_delta = base[None, :]
@@ -183,10 +93,9 @@ def exact_shift_opt(
     Instances whose action space exceeds the enumeration guard are
     rejected.
     """
-    ranges = _enumeration_plan(inst, enum_guard)
-    base, wins = _winner_test(inst)
-    pairwise = not isinstance(inst.rule, ScoringRule)
-    found = _cheapest(_shift_rows(inst, ranges, pairwise), base, wins)
+    _check_enumeration(inst, enum_guard)
+    table = ShiftTable(inst)
+    found = _cheapest(table, table.wins)
     if found is None:
         raise Infeasible("no successful shift action exists")
     return found[0], ShiftAction(found[1])
@@ -198,20 +107,16 @@ def exact_cover_opt(
     """Minimum cost of a shift action meeting per-rival pairwise-support
     demands (ground truth for the greedy multicover), enumerated in blocks
     like ``exact_shift_opt``."""
-    ranges = _enumeration_plan(inst, enum_guard)
+    _check_enumeration(inst, enum_guard)
     e = inst.election
     m = e.num_candidates
     if len(targets) != m - 1:
         raise ValueError("need one target per rival")
-    tally = pairwise_tally(e)
+    table = ShiftTable(inst, pairwise=True)
     required = np.zeros(m, dtype=np.int64)
     for c in range(1, m):
-        required[c] = min(tally.n_matrix[0][c] + targets[c - 1], e.total_weight)
-    found = _cheapest(
-        _shift_rows(inst, ranges, pairwise=True),
-        np.array(tally.n_matrix[0], dtype=np.int64),
-        lambda rows: (rows >= required).all(axis=1),
-    )
+        required[c] = min(int(table.base[c]) + targets[c - 1], e.total_weight)
+    found = _cheapest(table, lambda rows: (rows >= required).all(axis=1))
     if found is None:
         raise Infeasible("no shift action meets the targets")
     return found[0], ShiftAction(found[1])

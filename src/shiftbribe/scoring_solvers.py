@@ -23,7 +23,9 @@ builds
   comparison only; it carries no approximation guarantee (CLI name ``G``).
 
 ``solve_two_pass`` and ``solve_single_pass`` test whole batches of candidate
-actions at once against a per-voter table of score deltas.
+actions at once against the per-voter table of prices and score deltas that
+the exact oracle shares (``bribery.ShiftTable``); the budget sweeps read
+their (price, gain) option rows from the same table.
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -40,12 +42,14 @@ from .bribery import (
     ScoringRule,
     ShiftAction,
     ShiftBriberyInstance,
+    ShiftTable,
+    _max_budget,
     gain,
     is_successful,
     rebase,
     total_cost,
 )
-from .elections import _check_i64, scoring_scores
+from .elections import scoring_scores
 from .errors import GuardExceeded, IncompatibleRule, Infeasible, env_guard
 
 DEFAULT_CELL_GUARD = 10**8
@@ -60,35 +64,15 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
     return inst.rule
 
 
-def _voter_options(inst: ShiftBriberyInstance, voter: int):
-    """Purchasable shift amounts for one voter with their prices and gains.
-
-    Option 0 is always the free zero shift; unreachable amounts are absent.
-    """
-    cf = inst.costs[voter]
-    shifts = [0]
-    prices = [0]
-    gains = [0]
-    for k in range(1, cf.max_reachable + 1):
-        shifts.append(k)
-        prices.append(cf.prices[k - 1])
-        gains.append(gain(inst, voter, k))
-    return shifts, prices, gains
-
-
-def _option_rows(inst: ShiftBriberyInstance):
+def _option_rows(table: ShiftTable):
     """Per voter, the (prices, gains) int64 arrays of shifting by 0, 1, ...
     up to the largest reachable amount.
 
     The rows of the instance rebased over shifts ``t`` are the slices
-    ``prices[t:] - prices[t]`` and ``gains[t:] - gains[t]``.  The price
-    total is checked, so no sum of frontier costs can wrap.
+    ``prices[t:] - prices[t]`` and ``gains[t:] - gains[t]``.  The table
+    checks the price total, so no sum of frontier costs can wrap.
     """
-    _check_i64(_max_budget(inst), "total of the largest prices")
-    rows = []
-    for i in range(inst.num_voters):
-        _, prices, gains = _voter_options(inst, i)
-        rows.append((np.array(prices, dtype=np.int64), np.array(gains, dtype=np.int64)))
+    rows = [(prices, delta[:, 0]) for prices, delta in zip(table.prices, table.deltas)]
     if sum(int(g[-1]) for _, g in rows) >= _MAX_SAFE_GAIN:
         raise OverflowError("score gains too large for the budget sweep")
     return rows
@@ -171,44 +155,6 @@ class _BudgetSweep:
         return zip(self.costs.tolist(), self.gains.tolist())
 
 
-class _SuccessCheck:
-    """Batched winner test on one instance via a per-voter score-delta
-    table: ``deltas[i][t]`` is the change of every candidate's score when
-    voter i shifts the preferred candidate up by t.
-
-    Only the preferred candidate's score grows, so checking its fully
-    shifted score against the 64-bit range bounds every partial sum.
-    """
-
-    def __init__(self, inst: ShiftBriberyInstance, rows):
-        base = scoring_scores(inst.election, inst.rule.vector)
-        _check_i64(
-            base[0] + sum(int(g[-1]) for _, g in rows),
-            "fully shifted score of the preferred candidate",
-        )
-        self.base = np.array(base, dtype=np.int64)
-        self.deltas = []
-        for i, (_, gains) in enumerate(rows):
-            if len(gains) == 1:
-                continue
-            order = inst.election.voters[i]
-            pos = order.index(0)
-            delta = np.zeros((len(gains), inst.num_candidates), dtype=np.int64)
-            delta[:, 0] = gains
-            for t in range(1, len(gains)):
-                delta[t:, order[pos - t]] -= gains[t] - gains[t - 1]
-            self.deltas.append((i, delta))
-
-    def first_win(self, shifts: np.ndarray) -> Optional[int]:
-        """Index of the first row of ``shifts`` (one shift vector per row)
-        after which the preferred candidate wins, or None."""
-        scores = np.tile(self.base, (len(shifts), 1))
-        for i, delta in self.deltas:
-            scores += delta[shifts[:, i]]
-        wins = np.flatnonzero(scores[:, 0] == scores.max(axis=1))
-        return int(wins[0]) if len(wins) else None
-
-
 @dataclass
 class BudgetDpTable:
     """The prefix-form budget DP table.
@@ -231,13 +177,14 @@ def build_budget_dp(inst: ShiftBriberyInstance, budget: int) -> BudgetDpTable:
     if budget < 0:
         raise ValueError("budget must be non-negative")
     rows = [[0] + [None] * budget]
-    for i in range(inst.num_voters):
-        shifts, prices, gains = _voter_options(inst, i)
+    for i, cf in enumerate(inst.costs):
+        prices = [cf.price(k) for k in range(cf.max_reachable + 1)]
+        gains = [gain(inst, i, k) for k in range(len(prices))]
         prev = rows[-1]
         row: List[Optional[int]] = [None] * (budget + 1)
         for j in range(budget + 1):
             best = None
-            for k in range(len(shifts)):
+            for k in range(len(prices)):
                 p = prices[k]
                 if p > j:
                     break
@@ -252,17 +199,6 @@ def build_budget_dp(inst: ShiftBriberyInstance, budget: int) -> BudgetDpTable:
     return BudgetDpTable(budget, rows)
 
 
-def _max_budget(inst: ShiftBriberyInstance) -> int:
-    """Sum over voters of the largest finite price (nothing more can ever be
-    spent usefully)."""
-    total = 0
-    for cf in inst.costs:
-        k = cf.max_reachable
-        if k > 0:
-            total += cf.prices[k - 1]
-    return total
-
-
 def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     """Cheapest shift action maximizing the preferred candidate's score gain
     subject to spending at most ``budget``.
@@ -275,7 +211,7 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     if budget < 0:
         raise ValueError("budget must be non-negative")
     budget = min(budget, _max_budget(inst))
-    sweep = _BudgetSweep(_option_rows(inst), budget)
+    sweep = _BudgetSweep(_option_rows(ShiftTable(inst)), budget)
     g, spend = sweep.best_at(budget)
     return sweep.action_at(spend), g
 
@@ -326,8 +262,8 @@ def solve_two_pass(
     """
     _require_scoring(inst)
     m_budget = _check_cells(inst, cell_guard, "; use solve_two_pass_scaled instead")
-    rows = _option_rows(inst)
-    check = _SuccessCheck(inst, rows)
+    table = ShiftTable(inst)
+    rows = _option_rows(table)
     outer = _BudgetSweep(rows, m_budget)
     firsts = outer.trace(np.arange(len(outer.costs)))
     best: Optional[Tuple[int, ShiftAction]] = None
@@ -337,8 +273,9 @@ def solve_two_pass(
         rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, first.tolist())]
         inner = _BudgetSweep(rebased, m_budget if best is None else best[0] - l1 - 1)
         shifts = first + inner.trace(np.arange(len(inner.costs)))
-        w = check.first_win(shifts)
-        if w is not None:
+        won = np.flatnonzero(table.wins(table.rows_after(shifts)))
+        if len(won):
+            w = won[0]
             best = (l1 + int(inner.costs[w]), ShiftAction(tuple(shifts[w].tolist())))
     if best is None:
         raise Infeasible("no successful shift action exists")
@@ -359,13 +296,13 @@ def solve_single_pass(
     """
     _require_scoring(inst)
     m_budget = _check_cells(inst, cell_guard, "")
-    rows = _option_rows(inst)
-    check = _SuccessCheck(inst, rows)
-    sweep = _BudgetSweep(rows, m_budget)
+    table = ShiftTable(inst)
+    sweep = _BudgetSweep(_option_rows(table), m_budget)
     shifts = sweep.trace(np.arange(len(sweep.costs)))
-    w = check.first_win(shifts)
-    if w is None:
+    won = np.flatnonzero(table.wins(table.rows_after(shifts)))
+    if not len(won):
         raise Infeasible("no successful shift action exists")
+    w = won[0]
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 

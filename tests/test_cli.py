@@ -63,6 +63,31 @@ class TestSolve:
         assert report["oracle_cost"] is None
         assert report["ratio"] is None
 
+    def test_exact_with_oracle_solves_once(self, thm6_file, capsys, monkeypatch):
+        cost, action = sb.exact_shift_opt(sb.gen_theorem6(1))
+        calls = []
+        real = cli.exact_shift_opt
+
+        def counted(inst, *args, **kwargs):
+            calls.append(inst)
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_shift_opt", counted)
+        assert main(["solve", thm6_file, "--algo", "exact", "--oracle", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        report["wall_time_ms"] = 0
+        assert report == {
+            "algorithm": "exact",
+            "instance_digest": "26f8e29f07de",
+            "cost": cost,
+            "shift_action": list(action.shifts),
+            "successful": True,
+            "oracle_cost": cost,
+            "ratio": "1/1",
+            "wall_time_ms": 0,
+        }
+
     def test_aeps_with_custom_eps(self, thm6_file, capsys):
         assert main(["solve", thm6_file, "--algo", "Aeps:0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] == 4

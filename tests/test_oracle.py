@@ -1,5 +1,6 @@
 """Brute-force oracles: exactness anchors, invariances, guards."""
 
+import itertools
 import random
 
 import pytest
@@ -101,6 +102,60 @@ class TestExactShiftOpt:
             sb.exact_shift_opt(inst)
         with pytest.raises(sb.Infeasible):
             sb.solve_two_pass(inst)
+
+
+def scoring_instance(alpha, votes, prices):
+    m = len(alpha)
+    e = sb.Election(("p", "a", "b", "c", "d")[:m], votes)
+    rule = sb.ScoringRule(sb.ScoringVector(alpha))
+    return sb.ShiftBriberyInstance(e, tuple(sb.CostFunction(p) for p in prices), rule)
+
+
+class TestInt64Edge:
+    """Shifted rows outside the 64-bit range must be refused, as
+    ``is_successful`` refuses them, not compared after wrapping."""
+
+    def test_scoring_overflow_is_not_infeasible(self):
+        # Shifting voter 0 lifts the preferred score past 2**63 - 1; wrapped,
+        # it turned negative and the instance looked infeasible.
+        inst = scoring_instance((2**62 + 7, 2**62 - 1, 5), ((2, 1, 0), (0, 1, 2)), [(4, 4), ()])
+        with pytest.raises(OverflowError):
+            sb.is_successful(inst, sb.ShiftAction((1, 0)))
+        with pytest.raises(OverflowError, match="fully shifted score"):
+            sb.exact_shift_opt(inst)
+
+    def test_scoring_overflow_gives_no_wrong_witness(self):
+        # (0, 0, 2) lifts the preferred score to 2**63, a win with exact
+        # arithmetic and lexicographically before the cost-2 tie (0, 1, 0)
+        # that the wrapped scores picked instead.
+        inst = scoring_instance(
+            (2**62, 2**61 - 1, 0), ((0, 2, 1), (1, 2, 0), (2, 1, 0)), [(), (2, 4), (2, 2)]
+        )
+        assert sb.is_successful(inst, sb.ShiftAction((0, 1, 0)))
+        with pytest.raises(OverflowError):
+            sb.is_successful(inst, sb.ShiftAction((0, 0, 2)))
+        with pytest.raises(OverflowError, match="fully shifted score"):
+            sb.exact_shift_opt(inst)
+
+    def test_copeland_scaled_maximum(self):
+        # (m - 1) * den is the largest scaled Copeland score: beyond 2**63 - 1
+        # the oracle raises, and with the largest den that keeps it within
+        # range the oracle still matches a plain scan.
+        for seed in range(30):
+            rng = random.Random(seed)
+            n, m = rng.randint(1, 3), rng.randint(3, 5)
+            inst = sb.gen_random(seed, n, m, 4, rule=sb.CopelandRule(sb.CopelandAlpha(1, 2**62)))
+            with pytest.raises(OverflowError, match="scaled Copeland maximum"):
+                sb.exact_shift_opt(inst)
+            alpha = sb.CopelandAlpha(1, ((1 << 63) - 1) // (m - 1))
+            inst = sb.ShiftBriberyInstance(inst.election, inst.costs, sb.CopelandRule(alpha))
+            scan = None
+            for t in itertools.product(*(range(cf.max_reachable + 1) for cf in inst.costs)):
+                action = sb.ShiftAction(t)
+                cost = sb.total_cost(inst, action)
+                if (scan is None or cost < scan[0]) and sb.is_successful(inst, action):
+                    scan = (cost, action)
+            assert sb.exact_shift_opt(inst) == scan, seed
 
 
 class TestExactMicroOpt:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import shiftbribe as sb
-from shiftbribe.scoring_solvers import _BudgetSweep, _SuccessCheck, _max_budget, _option_rows
+from shiftbribe.bribery import ShiftTable
+from shiftbribe.scoring_solvers import _BudgetSweep, _max_budget, _option_rows
 
 
 def caps_product(inst):
@@ -138,7 +139,7 @@ class TestBudgetDpTable:
             for j, g in enumerate(exact):
                 if g is not None and (not breakpoints or g > breakpoints[-1][1]):
                     breakpoints.append((j, g))
-            sweep = _BudgetSweep(_option_rows(inst), budget)
+            sweep = _BudgetSweep(_option_rows(ShiftTable(inst)), budget)
             assert list(sweep.iter_breakpoints()) == breakpoints
             total_gain = sum(sb.gain(inst, i, cf.max_reachable) for i, cf in enumerate(inst.costs))
             assert len(breakpoints) <= min(budget, total_gain) + 1
@@ -146,18 +147,28 @@ class TestBudgetDpTable:
 
 class TestSuccessCheck:
     def test_batch_matches_is_successful(self):
-        for seed in range(40):
-            rng = random.Random(seed + 211)
-            m = rng.randint(2, 4)
-            rule = sb.ScoringRule(sb.k_approval(m, 1) if seed % 3 == 0 else sb.borda(m))
-            inst = sb.gen_random(seed, rng.randint(1, 4), m, 4, weighted=seed % 2 == 0, rule=rule)
-            shifts = np.array(list(caps_product(inst)))
-            wins = [sb.is_successful(inst, sb.ShiftAction(tuple(t))) for t in shifts.tolist()]
-            check = _SuccessCheck(inst, _option_rows(inst))
-            want = wins.index(True) if True in wins else None
-            assert check.first_win(shifts) == want
-            for t, won in zip(shifts, wins):
-                assert (check.first_win(t[None, :]) == 0) == won
+        # The shift table that A, G and the exact oracles share: its batched
+        # winner test must agree with is_successful on every shift vector,
+        # for every rule family, weighted and not.
+        rules = (
+            lambda m, rng: sb.ScoringRule(sb.borda(m)),
+            lambda m, rng: sb.ScoringRule(sb.k_approval(m, rng.randint(1, m))),
+            lambda m, rng: sb.CopelandRule(sb.CopelandAlpha(0)),
+            lambda m, rng: sb.CopelandRule(sb.CopelandAlpha(1, 2)),
+            lambda m, rng: sb.CopelandRule(sb.CopelandAlpha(1)),
+            lambda m, rng: sb.MAXIMIN,
+        )
+        for r, make_rule in enumerate(rules):
+            for seed in range(100):
+                rng = random.Random(seed * len(rules) + r + 211)
+                m = 1 + seed % 4
+                rule = make_rule(m, rng)
+                weighted = seed // 4 % 2 == 1
+                inst = sb.gen_random(rng.randrange(10**6), 2 + seed % 3, m, 4, weighted, rule)
+                shifts = np.array(list(caps_product(inst)))
+                want = [sb.is_successful(inst, sb.ShiftAction(tuple(t))) for t in shifts.tolist()]
+                table = ShiftTable(inst)
+                assert table.wins(table.rows_after(shifts)).tolist() == want, (r, seed)
 
 
 class TestSolveTwoPass:

@@ -37,10 +37,7 @@ from .bribery import (
     total_cost,
 )
 from .scoring_solvers import (
-    BudgetDpTable,
-    build_budget_dp,
     buy,
-    double_gain_check,
     solve_bootstrap,
     solve_bootstrap_weighted,
     solve_single_pass,
@@ -97,10 +94,7 @@ __all__ = [
     "rebase",
     "rule_scores",
     "total_cost",
-    "BudgetDpTable",
-    "build_budget_dp",
     "buy",
-    "double_gain_check",
     "solve_bootstrap",
     "solve_bootstrap_weighted",
     "solve_single_pass",

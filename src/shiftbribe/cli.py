@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 incompatible algorithm/rule, invalid parameters
 (including a non-integer ``SHIFTBRIBE_GUARD``) or a value outside the
-checked 64-bit integer range, 3 parse error, 4 enumeration or table guard
-exceeded.
+checked 64-bit integer range (also a weight or price in the input file),
+3 parse error, 4 enumeration or table guard exceeded.
 """
 
 import argparse
@@ -297,13 +297,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OverflowError as exc:  # includes out-of-range values in the input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 4
-    except (IncompatibleRule, ValueError, OverflowError) as exc:
+    except (IncompatibleRule, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

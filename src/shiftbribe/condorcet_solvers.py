@@ -12,21 +12,30 @@ Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
 every rival, which is a set-multicover problem over (voter, shift) moves
 solved greedily within a logarithmic factor (``cover_targets_greedy``,
-``solve_maximin_shift``).
+``solve_maximin_shift``).  The per-voter move lists (prices from the
+instance's ``bribery.ShiftTable``, rivals above the preferred candidate) are
+built once per instance and shared by every k; each greedy run is lazy,
+re-evaluating only the voter at the top of its heap, and the runs' actions
+are checked with one batched winner test on the same table.
 
 Weighted instances are rejected by all solvers in this module; weighted
 microbribery is inapproximable in general and the covering bound is stated
 for unit weights.
 """
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .bribery import (
     CopelandRule,
     MaximinRule,
     ShiftAction,
     ShiftBriberyInstance,
+    ShiftTable,
     is_successful,
     total_cost,
 )
@@ -365,6 +374,82 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     return total_cost(inst, action), action
 
 
+def _best_move(prices: list, above: list, shift: int, deficits: list, voter: int, scale: int):
+    """The voter's best move from ``shift`` as (key, voter, amount), or None
+    if no move removes any deficit.
+
+    ``prices[t]`` is the price of shifting by t, and shifting on to t + 1
+    passes ``above[t]``.  The key is price * scale / reduction, the price
+    per unit of deficit removed; it is an exact integer because ``scale``
+    is a multiple of every possible reduction, so keys order like the
+    cross-multiplied ratios, and ties go to the smaller voter, then the
+    smaller amount.
+    """
+    paid = prices[shift]
+    best = None
+    reduction = 0
+    for a in range(1, len(prices) - shift):
+        if deficits[above[shift + a - 1]] > 0:
+            reduction += 1
+        if reduction == 0:
+            continue
+        key = (prices[shift + a] - paid) * scale // reduction
+        if best is None or key < best[0]:
+            best = (key, voter, a)
+    return best
+
+
+def _cover(prices: list, above: list, deficits: list) -> list:
+    """Greedy weighted set-multicover of ``deficits`` (per candidate, entry 0
+    unused), which it uses up; returns the per-voter shifts.
+
+    Lazy greedy (Minoux): the heap holds one move per voter, keyed as that
+    move was when last evaluated.  Deficits only shrink, so a voter's best
+    move only gets worse while its shift stays put, and a stale key is a
+    lower bound on the voter's current one.  The popped voter is evaluated
+    again; its move is the best of all moves if it still orders before the
+    new top, else it goes back into the heap.  The picks are those of the
+    plain greedy that evaluates every voter in every round.
+    """
+    scale = math.lcm(*range(1, len(deficits)))  # a move passes at most m - 1 rivals
+    shifts = [0] * len(prices)
+    left = sum(d > 0 for d in deficits)
+    heap = []
+    for i in range(len(prices)):
+        move = _best_move(prices[i], above[i], 0, deficits, i, scale)
+        if move is not None:
+            heap.append(move)
+    heapq.heapify(heap)
+    while left:
+        if not heap:
+            raise Infeasible("targets cannot be met with the purchasable shifts")
+        i = heapq.heappop(heap)[1]
+        move = _best_move(prices[i], above[i], shifts[i], deficits, i, scale)
+        if move is None:
+            continue
+        if heap and heap[0] < move:
+            heapq.heappush(heap, move)
+            continue
+        s, a = shifts[i], move[2]
+        for rival in above[i][s : s + a]:
+            if deficits[rival] > 0:
+                deficits[rival] -= 1
+                left -= deficits[rival] == 0
+        shifts[i] = s + a
+        move = _best_move(prices[i], above[i], s + a, deficits, i, scale)
+        if move is not None:
+            heapq.heappush(heap, move)
+    return shifts
+
+
+def _move_lists(inst: ShiftBriberyInstance, table: ShiftTable):
+    """Per voter: the prices over shifts 0..max_reachable, and the rivals
+    above the preferred candidate, nearest first."""
+    prices = [p.tolist() for p in table.prices]
+    above = [_candidates_above(inst, i) for i in range(inst.num_voters)]
+    return prices, above
+
+
 def cover_targets_greedy(
     inst: ShiftBriberyInstance, targets: Sequence
 ) -> ShiftAction:
@@ -385,51 +470,12 @@ def cover_targets_greedy(
         raise ValueError("need one target per rival")
     if any(k < 0 for k in targets):
         raise ValueError("targets must be non-negative")
-    tally = pairwise_tally(inst.election)
-    deficits = [0] * m
-    for c in range(1, m):
-        required = min(tally.n_matrix[0][c] + targets[c - 1], n)
-        deficits[c] = max(0, required - tally.n_matrix[0][c])
-
-    orders = [list(order) for order in inst.election.voters]
-    shifts = [0] * n
-    while any(deficits[c] > 0 for c in range(1, m)):
-        best = None  # (price, reduction, voter, amount, passed)
-        for i in range(n):
-            idx = orders[i].index(0)
-            if idx == 0:
-                continue
-            paid = inst.costs[i].price(shifts[i])
-            reduction = 0
-            passed = []
-            for a in range(1, idx + 1):
-                price_total = inst.costs[i].price(shifts[i] + a)
-                if price_total is None:
-                    break
-                rival = orders[i][idx - a]
-                passed.append(rival)
-                if deficits[rival] > 0:
-                    reduction += 1
-                if reduction == 0:
-                    continue
-                price = price_total - paid
-                if (
-                    best is None
-                    or price * best[1] < best[0] * reduction
-                    or (price * best[1] == best[0] * reduction and (i, a) < (best[2], best[3]))
-                ):
-                    best = (price, reduction, i, a, list(passed))
-        if best is None:
-            raise Infeasible("targets cannot be met with the purchasable shifts")
-        _, _, i, a, passed = best
-        idx = orders[i].index(0)
-        for rival in passed:
-            if deficits[rival] > 0:
-                deficits[rival] -= 1
-        del orders[i][idx]
-        orders[i].insert(idx - a, 0)
-        shifts[i] += a
-    return ShiftAction(tuple(shifts))
+    table = ShiftTable(inst, pairwise=True)
+    support = table.base.tolist()
+    deficits = [0] + [
+        max(0, min(support[c] + targets[c - 1], n) - support[c]) for c in range(1, m)
+    ]
+    return ShiftAction(tuple(_cover(*_move_lists(inst, table), deficits)))
 
 
 def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -439,32 +485,36 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     maximin score and n, the candidate needs pairwise support of at least k
     against every rival, and at least n - k against every rival currently
     scoring above k (which caps that rival's score at k).  Each k yields a
-    covering problem solved by ``cover_targets_greedy``; the cheapest
-    successful action over all k is returned.
+    covering problem solved by the greedy of ``cover_targets_greedy``, on
+    per-voter move lists built once from the instance's ``ShiftTable``; all
+    the greedy actions are checked in one batch, and the first cheapest
+    successful one is returned.
     """
     if not isinstance(inst.rule, MaximinRule):
         raise IncompatibleRule("solve_maximin_shift requires the maximin rule")
     _require_unweighted(inst, "solve_maximin_shift")
     n, m = inst.num_voters, inst.num_candidates
+    table = ShiftTable(inst)
+    prices, above = _move_lists(inst, table)
     tally = pairwise_tally(inst.election)
     scores = maximin_scores(tally)
-    best: Optional[Tuple[int, ShiftAction]] = None
+    support = tally.n_matrix[0]
+    actions = []
     for k in range(scores[0], n + 1):
-        targets = []
-        for c in range(1, m):
-            needed = k
-            if scores[c] > k:
-                needed = max(needed, n - k)
-            targets.append(max(0, needed - tally.n_matrix[0][c]))
+        deficits = [0] + [
+            max(0, (max(k, n - k) if scores[c] > k else k) - support[c]) for c in range(1, m)
+        ]
         try:
-            action = cover_targets_greedy(inst, targets)
+            actions.append(_cover(prices, above, deficits))
         except Infeasible:
             continue
-        if not is_successful(inst, action):
-            continue
-        cost = total_cost(inst, action)
-        if best is None or cost < best[0]:
-            best = (cost, action)
+    best: Optional[Tuple[int, list]] = None
+    if actions:
+        won = table.wins(table.rows_after(np.array(actions, dtype=np.int64)))
+        for shifts, ok in zip(actions, won):
+            cost = sum(p[t] for p, t in zip(prices, shifts))
+            if ok and (best is None or cost < best[0]):
+                best = (cost, shifts)
     if best is None:
         raise Infeasible("no successful shift action exists")
-    return best
+    return best[0], ShiftAction(tuple(best[1]))

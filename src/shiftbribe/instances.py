@@ -27,7 +27,7 @@ from .bribery import (
     ScoringRule,
     ShiftBriberyInstance,
 )
-from .elections import CopelandAlpha, Election, ScoringVector, borda, k_approval
+from .elections import _I64_MAX, CopelandAlpha, Election, ScoringVector, borda, k_approval
 
 
 class ParseError(ValueError):
@@ -36,6 +36,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} at line {line}")
         self.line = line
+
+
+class _RangeError(ParseError, OverflowError):
+    """A weight or price beyond the checked 64-bit integer range; the CLI
+    reports it like every other out-of-range value."""
 
 
 def gen_theorem6(k: int) -> ShiftBriberyInstance:
@@ -259,6 +264,8 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
                 raise ParseError("weight must be an integer", no)
             if w < 1:
                 raise ParseError("weight must be positive", no)
+            if w > _I64_MAX:
+                raise _RangeError("weight exceeds the 64-bit integer range", no)
             weights.append(w)
         no, line = lines.next(f"prices of voter {v}")
         if not line.startswith("prices:"):
@@ -290,6 +297,8 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
                 raise ParseError("non-monotone cost function", no)
             if p < 0:
                 raise ParseError("negative price", no)
+            if p > _I64_MAX:
+                raise _RangeError("price exceeds the 64-bit integer range", no)
             if p < prev:
                 raise ParseError("non-monotone cost function", no)
             prev = p

@@ -32,7 +32,6 @@ then by the lexicographically smallest shift vector, and budget grids are
 scanned in ascending order.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -44,8 +43,6 @@ from .bribery import (
     ShiftBriberyInstance,
     ShiftTable,
     _max_budget,
-    gain,
-    is_successful,
     rebase,
     total_cost,
 )
@@ -153,50 +150,6 @@ class _BudgetSweep:
     def iter_breakpoints(self):
         """(budget, gain) at every point where the best buy changes."""
         return zip(self.costs.tolist(), self.gains.tolist())
-
-
-@dataclass
-class BudgetDpTable:
-    """The prefix-form budget DP table.
-
-    ``rows[i][j]`` is the maximum increase in the preferred candidate's
-    score when spending exactly ``j`` on the first ``i`` voters, or ``None``
-    when ``j`` cannot be spent exactly.  ``rows[0]`` is 0 at spend 0 and
-    ``None`` elsewhere, and each row follows from the previous one by
-    maximizing over that voter's purchasable shifts.
-    """
-
-    budget: int
-    rows: List[List[Optional[int]]]
-
-
-def build_budget_dp(inst: ShiftBriberyInstance, budget: int) -> BudgetDpTable:
-    """Materialize the prefix DP table row by row (reference form, used by
-    the consistency tests; the solvers use the equivalent frontier form)."""
-    _require_scoring(inst)
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    rows = [[0] + [None] * budget]
-    for i, cf in enumerate(inst.costs):
-        prices = [cf.price(k) for k in range(cf.max_reachable + 1)]
-        gains = [gain(inst, i, k) for k in range(len(prices))]
-        prev = rows[-1]
-        row: List[Optional[int]] = [None] * (budget + 1)
-        for j in range(budget + 1):
-            best = None
-            for k in range(len(prices)):
-                p = prices[k]
-                if p > j:
-                    break
-                base = prev[j - p]
-                if base is None:
-                    continue
-                val = base + gains[k]
-                if best is None or val > best:
-                    best = val
-            row[j] = best
-        rows.append(row)
-    return BudgetDpTable(budget, rows)
 
 
 def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
@@ -441,23 +394,3 @@ def solve_bootstrap_weighted(
     if inst.election.weights is None:
         raise IncompatibleRule("solve_bootstrap_weighted requires a weighted instance")
     return solve_bootstrap(inst, cell_guard=cell_guard)
-
-
-def double_gain_check(
-    inst: ShiftBriberyInstance, s: ShiftAction, r: ShiftAction
-) -> bool:
-    """Whether ``r`` gains at least twice the score gain of the successful
-    action ``s``.
-
-    Shifting the preferred candidate never raises anyone else's score, so
-    a successful action gaining k bounds every rival's head start by 2k;
-    any action gaining at least 2k is therefore guaranteed successful.
-    Exposed as a predicate so the property suite can check that implication
-    directly.
-    """
-    _require_scoring(inst)
-    if not is_successful(inst, s):
-        raise ValueError("s must be a successful shift action")
-    gain_s = sum(gain(inst, i, t) for i, t in enumerate(s))
-    gain_r = sum(gain(inst, i, t) for i, t in enumerate(r))
-    return gain_r >= 2 * gain_s

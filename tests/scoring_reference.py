@@ -1,0 +1,69 @@
+"""Reference forms of the scoring-rule budget DP and the doubling bound,
+kept for the consistency tests: the solvers use the frontier sweep of
+``scoring_solvers`` and never call these."""
+
+from dataclasses import dataclass
+from typing import List, Optional
+
+import shiftbribe as sb
+from shiftbribe.scoring_solvers import _require_scoring
+
+
+@dataclass
+class BudgetDpTable:
+    """The prefix-form budget DP table.
+
+    ``rows[i][j]`` is the maximum increase in the preferred candidate's
+    score when spending exactly ``j`` on the first ``i`` voters, or ``None``
+    when ``j`` cannot be spent exactly.  ``rows[0]`` is 0 at spend 0 and
+    ``None`` elsewhere, and each row follows from the previous one by
+    maximizing over that voter's purchasable shifts.
+    """
+
+    budget: int
+    rows: List[List[Optional[int]]]
+
+
+def build_budget_dp(inst, budget: int) -> BudgetDpTable:
+    """Materialize the prefix DP table row by row, with its own ``cf.price``
+    and ``gain`` loop rather than the shared shift table."""
+    _require_scoring(inst)
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    rows = [[0] + [None] * budget]
+    for i, cf in enumerate(inst.costs):
+        prices = [cf.price(k) for k in range(cf.max_reachable + 1)]
+        gains = [sb.gain(inst, i, k) for k in range(len(prices))]
+        prev = rows[-1]
+        row: List[Optional[int]] = [None] * (budget + 1)
+        for j in range(budget + 1):
+            best = None
+            for k in range(len(prices)):
+                p = prices[k]
+                if p > j:
+                    break
+                base = prev[j - p]
+                if base is None:
+                    continue
+                val = base + gains[k]
+                if best is None or val > best:
+                    best = val
+            row[j] = best
+        rows.append(row)
+    return BudgetDpTable(budget, rows)
+
+
+def double_gain_check(inst, s, r) -> bool:
+    """Whether ``r`` gains at least twice the score gain of the successful
+    action ``s``.
+
+    Shifting the preferred candidate never raises anyone else's score, so
+    a successful action gaining k bounds every rival's head start by 2k;
+    any action gaining at least 2k is therefore guaranteed successful.
+    """
+    _require_scoring(inst)
+    if not sb.is_successful(inst, s):
+        raise ValueError("s must be a successful shift action")
+    gain_s = sum(sb.gain(inst, i, t) for i, t in enumerate(s))
+    gain_r = sum(sb.gain(inst, i, t) for i, t in enumerate(r))
+    return gain_r >= 2 * gain_s

@@ -14,6 +14,7 @@ import pytest
 
 import shiftbribe as sb
 from conftest import gen_random_micro
+from scoring_reference import double_gain_check
 
 ALPHAS = (sb.CopelandAlpha(0, 1), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1, 1))
 
@@ -196,7 +197,7 @@ def test_criterion_9_double_gain_property():
                 continue
             for _ in range(4):
                 r = sb.ShiftAction(tuple(rng.randint(0, c) for c in caps))
-                if sb.double_gain_check(inst, s, r):
+                if double_gain_check(inst, s, r):
                     assert sb.is_successful(inst, r), (seed, s, r)
                     checked += 1
 

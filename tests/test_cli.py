@@ -147,6 +147,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: total of the largest prices") and err.count("\n") == 1
 
+    def test_price_beyond_int64_exits_2(self, tmp_path, capsys):
+        # copeland-m sums prices as Python ints and would answer, at cost 1.
+        text = (
+            "shiftbribe v1\nrule copeland 1/2\n2 3\np c\norder: 1 0\nprices: 1\n"
+            "order: 1 0\nprices: 9223372036854775808\norder: 0 1\nprices:\n"
+        )
+        path = tmp_path / "huge_price.sb"
+        path.write_text(text, encoding="utf-8")
+        assert main(["solve", str(path), "--algo", "copeland-m"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: price exceeds the 64-bit integer range at line 8\n"
+
     def test_wall_time_from_perf_counter_ns(self, thm6_file, capsys, monkeypatch):
         ticks = iter((5_000_000, 7_999_999))
         monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter_ns=lambda: next(ticks)))

@@ -299,3 +299,51 @@ class TestSolveMaximinShift:
             assert sb.is_successful(inst, action)
             assert opt <= cost, (seed, opt, cost)
             assert cost <= m * opt, (seed, opt, cost)  # weak sanity envelope
+
+
+def maximin_instance(orders, prices):
+    m = len(orders[0])
+    e = sb.Election(tuple(f"x{i}" for i in range(m)), tuple(tuple(o) for o in orders))
+    return sb.ShiftBriberyInstance(e, tuple(sb.CostFunction(p) for p in prices), sb.MAXIMIN)
+
+
+class TestGreedyPicks:
+    def test_ties_prefer_smaller_voter_then_smaller_shift(self):
+        # Only rival 1 has a deficit.  Voter 0 passes it for 3 by shifting
+        # 1 or 2 (the second also passes rival 2, which has none), and
+        # voter 1 for 3 by shifting 1: three moves at 3 per unit.
+        inst = maximin_instance([(2, 1, 0), (1, 0, 2)], [(3, 3), (3,)])
+        assert tuple(sb.cover_targets_greedy(inst, (1, 0)).shifts) == (1, 0)
+
+    def test_ratios_compare_exactly(self):
+        # Shifting voter 0 by 2 costs 2**60 + 1 per unit and voter 1 by 2
+        # costs 2**60 per unit; as floats both are 2**60.
+        inst = maximin_instance(
+            [(2, 1, 0), (2, 1, 0)], [(2**61, 2**61 + 2), (2**61, 2**61)]
+        )
+        assert tuple(sb.cover_targets_greedy(inst, (1, 1)).shifts) == (0, 2)
+
+    def test_stale_move_is_evaluated_again(self):
+        # Round 1 buys voter 1 (1 per unit), which meets rival 1's deficit.
+        # Voter 0's shift by 2 was 2 per unit while it passed two rivals in
+        # deficit; now it passes one, for 4, and voter 2's 3 is cheaper.
+        inst = maximin_instance([(2, 1, 0), (1, 0, 2), (2, 0, 1)], [(3, 4), (1,), (3,)])
+        action = sb.cover_targets_greedy(inst, (1, 1))
+        assert tuple(action.shifts) == (0, 1, 1)
+        assert sb.total_cost(inst, action) == 4
+
+
+class TestMaximinInt64Edge:
+    def test_price_total_at_int64_limit(self):
+        inst = maximin_instance([(1, 0), (1, 0)], [(1 << 62,), ((1 << 62) - 1,)])
+        assert sb.solve_maximin_shift(inst) == ((1 << 62) - 1, sb.ShiftAction((0, 1)))
+        assert tuple(sb.cover_targets_greedy(inst, (1,)).shifts) == (0, 1)
+
+    def test_price_total_beyond_int64_raises(self):
+        # The answer costs 2**62, but the shared table sums the largest
+        # prices in int64.
+        inst = maximin_instance([(1, 0), (1, 0)], [(1 << 62,), (1 << 62,)])
+        with pytest.raises(OverflowError, match="total of the largest prices"):
+            sb.solve_maximin_shift(inst)
+        with pytest.raises(OverflowError, match="total of the largest prices"):
+            sb.cover_targets_greedy(inst, (1,))

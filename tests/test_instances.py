@@ -137,6 +137,20 @@ class TestParseDiagnostics:
             sb.parse_instance(bad)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize(
+        "block,line",
+        [
+            ("weight: 9223372036854775808\nprices: 2\n", 6),
+            ("weight: 1\nprices: 9223372036854775808\n", 7),
+        ],
+    )
+    def test_int64_range(self, block, line):
+        bad = "shiftbribe v1\nrule copeland 1/2\n2 1 weighted\np c\norder: 1 0\n" + block
+        with pytest.raises(sb.ParseError, match=f"64-bit integer range at line {line}") as err:
+            sb.parse_instance(bad)
+        assert err.value.line == line
+        assert sb.parse_instance(bad.replace("9223372036854775808", "9223372036854775807"))
+
     def test_wrong_price_count(self):
         bad = "shiftbribe v1\nrule borda\n2 1\np c\norder: 1 0\nprices: 2,3\n"
         with pytest.raises(sb.ParseError, match="expected 1 price"):

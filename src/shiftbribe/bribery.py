@@ -272,10 +272,11 @@ class ShiftTable:
     For voter i and t = 0 .. max_reachable, ``prices[i][t]`` is the price of
     shifting by t and ``deltas[i][t]`` the change of the row it causes.  The
     row is every candidate's score (weight-scaled) for scoring rules, and
-    the preferred candidate's pairwise row ``n_matrix[0]`` for Copeland and
-    maximin or when ``pairwise`` is set.  ``base`` is the unshifted row, and
-    ``wins`` maps a (K x m) array of rows to whether the preferred candidate
-    wins after each (None for the pairwise rows of a scoring rule).
+    the preferred candidate's row ``tally.n_matrix[0]`` for Copeland and
+    maximin or when ``pairwise`` is set (else ``tally`` is None).  ``base``
+    is the unshifted row, and ``wins`` maps a (K x m) array of rows to
+    whether the preferred candidate wins after each (None for the pairwise
+    rows of a scoring rule).
 
     The 64-bit range is checked once, here: the price total bounds every
     sum of prices; only the preferred candidate's score grows, so its fully
@@ -287,13 +288,13 @@ class ShiftTable:
         e = inst.election
         _check_i64(_max_budget(inst), "total of the largest prices")
         scoring = isinstance(inst.rule, ScoringRule) and not pairwise
+        self.tally = None if scoring else pairwise_tally(e)
         if scoring:
             self.base = np.array(scoring_scores(e, inst.rule.vector), dtype=np.int64)
             self.wins = lambda s: s[:, 0] == s.max(axis=1)
         else:
-            tally = pairwise_tally(e)
-            self.base = np.array(tally.n_matrix[0], dtype=np.int64)
-            self.wins = _pairwise_wins(tally, inst.rule)
+            self.base = np.array(self.tally.n_matrix[0], dtype=np.int64)
+            self.wins = _pairwise_wins(self.tally, inst.rule)
         self.prices = []
         self.deltas = []
         for i, cf in enumerate(inst.costs):
@@ -329,17 +330,22 @@ class ShiftTable:
         return rows
 
 
+def _rival_tally(tally: PairwiseTally) -> PairwiseTally:
+    """The tally without the preferred candidate: the rival-versus-rival
+    pairs, which no shift of the preferred candidate changes."""
+    return PairwiseTally(tuple(row[1:] for row in tally.n_matrix[1:]), tally.total_weight)
+
+
 def _pairwise_wins(tally: PairwiseTally, rule: Rule):
     """Batched winner test on the preferred candidate's pairwise rows.
 
     Rival-versus-rival pairs cannot change, so each rival's part of its
     score comes from the rival-only sub-tally.
     """
-    n_matrix, total = tally.n_matrix, tally.total_weight
-    m = len(n_matrix)
+    total, m = tally.total_weight, len(tally.n_matrix)
     if m == 1:
         return lambda rows: np.ones(len(rows), dtype=bool)
-    rivals = PairwiseTally(tuple(row[1:] for row in n_matrix[1:]), total)
+    rivals = _rival_tally(tally)
     if isinstance(rule, CopelandRule):
         num, den = rule.alpha.numerator, rule.alpha.denominator
         _check_i64((m - 1) * den, "scaled Copeland maximum")

@@ -6,7 +6,8 @@ one buys flips of single table entries involving the preferred candidate.
 With all finite flip prices restricted to pairs involving the preferred
 candidate, optimal microbribery is polynomial (``solve_copeland_micro``),
 and translating a shift-bribery instance through it loses at most a factor
-m in cost (``solve_copeland_shift``).
+m in cost (``solve_copeland_shift``).  Both feed one core a pairwise tally
+(of the tables, or of the election) and each rival's sorted flip prices.
 
 Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
@@ -23,6 +24,7 @@ microbribery is inapproximable in general and the covering bound is stated
 for unit weights.
 """
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ from .bribery import (
     ShiftAction,
     ShiftBriberyInstance,
     ShiftTable,
+    _rival_tally,
     is_successful,
     total_cost,
 )
@@ -152,146 +155,123 @@ def flip_set_cost(m_inst: MicrobriberyInstance, flips: FlipSet) -> int:
     return total
 
 
-def _margins(m_inst: MicrobriberyInstance) -> list:
-    """margin[c] = (#voters preferring rival c) - (#preferring candidate 0);
-    positive means c currently beats the preferred candidate."""
-    m = m_inst.num_candidates
-    margins = [0] * m
-    for table in m_inst.tables:
-        for c in range(1, m):
-            margins[c] += table[c][0]
-    return margins
-
-
-def _rival_base_scaled(m_inst: MicrobriberyInstance, alpha: CopelandAlpha) -> list:
-    """Scaled Copeland score of each rival from rival-vs-rival pairs only
-    (those cannot be flipped); entry 0 is 0."""
+def _micro_tally(m_inst: MicrobriberyInstance) -> PairwiseTally:
+    """The tables' pairwise tally: (n + sum of the +-1 entries) / 2 voters
+    prefer a to b."""
     n, m = m_inst.num_voters, m_inst.num_candidates
-    # (n + margin) / 2 voters prefer c to d: the table entries are +-1.
-    rivals = PairwiseTally(
-        tuple(
-            tuple((n + sum(t[c][d] for t in m_inst.tables)) // 2 for d in range(1, m))
-            for c in range(1, m)
-        ),
-        n,
-    )
-    return [0] + copeland_scores(rivals, alpha)
+    rows = [[(n + sum(t[a][b] for t in m_inst.tables)) // 2 for b in range(m)] for a in range(m)]
+    for a in range(m):
+        rows[a][a] = 0
+    return PairwiseTally(rows, n)
 
 
-def _outcome_options(m_inst: MicrobriberyInstance, rival: int, margin: int):
-    """Cheapest flips forcing each pairwise outcome against one rival.
+def _copeland_inputs(tally: PairwiseTally, alpha: CopelandAlpha) -> Tuple[list, list]:
+    """Per rival c (entry 0 unused): the margin, the weight preferring c
+    minus the weight preferring candidate 0, and the scaled Copeland score
+    c gets from rival-vs-rival pairs, which no flip changes."""
+    n_matrix = tally.n_matrix
+    margins = [n_matrix[c][0] - n_matrix[0][c] for c in range(len(n_matrix))]
+    return margins, [0] + copeland_scores(_rival_tally(tally), alpha)
 
-    Returns a dict outcome -> (cost, flips) for the outcomes that are
-    purchasable; flips are (voter, rival) pairs.  One flip moves the margin
-    by exactly 2, so its parity is fixed and a tie needs an even margin.
+
+def _outcome_options(against: list, for_pref: list, margin: int) -> dict:
+    """Outcome (win, tie, loss in that order) -> (cost, flips) of the
+    cheapest (price, voter) flips forcing it, from the sorted flips of the
+    voters preferring the rival (``against``) and candidate 0 (``for_pref``).
+    A flip moves the margin by exactly 2, so a tie needs an even margin."""
+    wanted = {
+        _WIN: (against, margin // 2 + 1 if margin >= 0 else 0),
+        _TIE: (against, margin // 2) if margin >= 0 else (for_pref, -margin // 2),
+        _LOSS: (for_pref, -margin // 2 + 1 if margin <= 0 else 0),
+    }
+    return {
+        outcome: (sum(p for p, _ in pool[:count]), pool[:count])
+        for outcome, (pool, count) in wanted.items()
+        if count <= len(pool) and (outcome != _TIE or margin % 2 == 0)
+    }
+
+
+def _rival_dp(options: list, allowed) -> dict:
+    """(wins, ties) of candidate 0 -> (cost, outcome per rival) of the
+    cheapest outcomes, taking only those ``allowed(c, outcome)``; of equally
+    cheap choices the first found is kept."""
+    dp: Dict[Tuple[int, int], Tuple[int, tuple]] = {(0, 0): (0, ())}
+    for c in range(1, len(options)):
+        steps = [(o, cost, o == _WIN, o == _TIE) for o, (cost, _) in options[c].items()]
+        steps = [step for step in steps if allowed(c, step[0])]
+        if not steps:
+            return {}
+        nxt: Dict[Tuple[int, int], Tuple[int, tuple]] = {}
+        for (w, t), (cost, chosen) in dp.items():
+            for outcome, ocost, won, tied in steps:
+                key = (w + won, t + tied)
+                old = nxt.get(key)
+                if old is None or cost + ocost < old[0]:
+                    nxt[key] = (cost + ocost, chosen + (outcome,))
+        dp = nxt
+    return dp
+
+
+def _solve_copeland(
+    margins: list, base: list, pools: list, alpha: CopelandAlpha
+) -> Tuple[int, Dict[int, set]]:
+    """Cheapest flips making candidate 0 a Copeland-alpha winner, as (cost,
+    voter -> flipped rivals), from ``_copeland_inputs`` and per rival the
+    sorted (price, voter) flips (against, for-preferred).
+
+    Tries every pattern (i wins, j ties) for candidate 0 whose scaled score
+    k = i*den + j*num lies between its current score and m - 1 (a lower one
+    is dominated: dropping the flips that downgrade candidate 0's own pairs
+    keeps the bribery successful and no more expensive).  A dynamic program
+    over the rivals picks each one's outcome so that the counts match and
+    no rival scores above k; it depends on k only through the outcomes it
+    allows, so one program serves all k between two thresholds base[c] +
+    gain.  The first pattern with the strictly lowest cost wins.
     """
-    against = []  # voters currently preferring the rival
-    for_pref = []  # voters currently preferring candidate 0
-    for i, table in enumerate(m_inst.tables):
-        p = m_inst.flip_costs[i].price(rival)
-        if p is None:
-            continue
-        if table[rival][0] == 1:
-            against.append((p, i))
-        else:
-            for_pref.append((p, i))
-    against.sort()
-    for_pref.sort()
-
-    def cheapest(pool, count):
-        if count > len(pool):
-            return None
-        cost = sum(p for p, _ in pool[:count])
-        return cost, [(i, rival) for _, i in pool[:count]]
-
-    options = {}
-    for outcome in (_WIN, _TIE, _LOSS):
-        if outcome == _WIN:
-            need = margin // 2 + 1 if margin >= 0 else 0
-            picked = cheapest(against, need)
-        elif outcome == _TIE:
-            if margin % 2 != 0:
-                picked = None
-            elif margin >= 0:
-                picked = cheapest(against, margin // 2)
-            else:
-                picked = cheapest(for_pref, (-margin) // 2)
-        else:
-            need = (-margin) // 2 + 1 if margin <= 0 else 0
-            picked = cheapest(for_pref, need)
-        if picked is not None:
-            options[outcome] = picked
-    return options
+    m = len(margins)
+    den, num = alpha.denominator, alpha.numerator
+    gain = {_WIN: 0, _TIE: num, _LOSS: den}  # the rival's score gain
+    current = sum(den if d < 0 else num if d == 0 else 0 for d in margins[1:])
+    options = [None] + [_outcome_options(*pools[c], margins[c]) for c in range(1, m)]
+    thresholds = sorted(base[c] + gain[o] for c in range(1, m) for o in options[c])
+    programs: Dict[int, dict] = {}
+    best: Optional[Tuple[int, tuple]] = None
+    for wins in range(m):
+        for ties in range(m - wins):
+            k = wins * den + ties * num
+            if not current <= k <= (m - 1) * den:
+                continue
+            cut = bisect.bisect_right(thresholds, k)
+            if cut not in programs:
+                programs[cut] = _rival_dp(options, lambda c, o: base[c] + gain[o] <= k)
+            hit = programs[cut].get((wins, ties))
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = hit
+    if best is None:
+        raise Infeasible("no flip set makes the preferred candidate a winner")
+    flips: Dict[int, set] = {}
+    for c, outcome in enumerate(best[1], start=1):
+        for _, voter in options[c][outcome][1]:
+            flips.setdefault(voter, set()).add(c)
+    return best[0], flips
 
 
 def solve_copeland_micro(
     m_inst: MicrobriberyInstance, alpha: CopelandAlpha
 ) -> Tuple[int, FlipSet]:
     """Optimal microbribery making candidate 0 a Copeland-alpha winner,
-    when only flips involving candidate 0 are available.
-
-    Enumerates every target pattern (i wins, j ties) for the preferred
-    candidate whose scaled score i*den + j*num lies between the current
-    score and m - 1.  Any pattern with a lower score is dominated: dropping
-    the flips that downgrade the preferred candidate's own pairs keeps the
-    bribery successful and no more expensive.  For each pattern, a dynamic
-    program over the rivals picks a pairwise outcome per rival (with its
-    cheapest flip price) such that the outcome counts match the pattern and
-    every rival's score stays at or below the pattern score.  The global
-    minimum over patterns is optimal.
-    """
-    n, m = m_inst.num_voters, m_inst.num_candidates
-    den, num = alpha.denominator, alpha.numerator
-    margins = _margins(m_inst)
-    base = _rival_base_scaled(m_inst, alpha)
-    current_scaled = 0
-    for c in range(1, m):
-        if margins[c] < 0:
-            current_scaled += den
-        elif margins[c] == 0:
-            current_scaled += num
-    rival_options = {c: _outcome_options(m_inst, c, margins[c]) for c in range(1, m)}
-    outcome_rival_gain = {_WIN: 0, _TIE: num, _LOSS: den}
-
-    best_cost: Optional[int] = None
-    best_choice = None
-    for wins in range(m):
-        for ties in range(m - wins):
-            k_scaled = wins * den + ties * num
-            if not current_scaled <= k_scaled <= (m - 1) * den:
-                continue
-            # dp[(w, t)] = (cost, choices) over rivals 1..c
-            dp: Dict[Tuple[int, int], Tuple[int, tuple]] = {(0, 0): (0, ())}
-            for c in range(1, m):
-                options = rival_options[c]
-                nxt: Dict[Tuple[int, int], Tuple[int, tuple]] = {}
-                for (w, t), (cost, chosen) in dp.items():
-                    for outcome, (ocost, _) in options.items():
-                        if base[c] + outcome_rival_gain[outcome] > k_scaled:
-                            continue
-                        w2 = w + (1 if outcome == _WIN else 0)
-                        t2 = t + (1 if outcome == _TIE else 0)
-                        if w2 > wins or t2 > ties:
-                            continue
-                        key = (w2, t2)
-                        val = (cost + ocost, chosen + (outcome,))
-                        if key not in nxt or val[0] < nxt[key][0]:
-                            nxt[key] = val
-                dp = nxt
-                if not dp:
-                    break
-            hit = dp.get((wins, ties))
-            if hit is not None and (best_cost is None or hit[0] < best_cost):
-                best_cost = hit[0]
-                best_choice = hit[1]
-    if best_cost is None:
-        raise Infeasible("no flip set makes the preferred candidate a winner")
-    flips: List[set] = [set() for _ in range(n)]
-    for c, outcome in enumerate(best_choice, start=1):
-        _, picked = rival_options[c][outcome]
-        for voter, rival in picked:
-            flips[voter].add(rival)
-    return best_cost, FlipSet(tuple(frozenset(s) for s in flips))
+    when only flips involving candidate 0 are available: the core
+    ``_solve_copeland`` on the tables' tally and flip prices."""
+    pools = [None]
+    for c in range(1, m_inst.num_candidates):
+        sides = ([], [])  # voters preferring rival c, voters preferring candidate 0
+        for i, table in enumerate(m_inst.tables):
+            p = m_inst.flip_costs[i].price(c)
+            if p is not None:
+                sides[table[c][0] == -1].append((p, i))
+        pools.append((sorted(sides[0]), sorted(sides[1])))
+    cost, flips = _solve_copeland(*_copeland_inputs(_micro_tally(m_inst), alpha), pools, alpha)
+    return cost, FlipSet(tuple(flips.get(i, ()) for i in range(m_inst.num_voters)))
 
 
 def _candidates_above(inst: ShiftBriberyInstance, voter: int) -> list:
@@ -299,6 +279,13 @@ def _candidates_above(inst: ShiftBriberyInstance, voter: int) -> list:
     order = inst.election.voters[voter]
     idx = order.index(0)
     return [order[idx - 1 - d] for d in range(idx)]
+
+
+def _flip_prices(inst: ShiftBriberyInstance, voter: int) -> dict:
+    """Rival -> price of flipping the voter's entry against it: passing the
+    d-th rival above the preferred candidate costs a shift by d."""
+    prices = zip(_candidates_above(inst, voter), inst.costs[voter].prices)
+    return {rival: p for rival, p in prices if p is not None}
 
 
 def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
@@ -319,12 +306,7 @@ def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
             for a in range(m)
         ]
         tables.append(tuple(tuple(row) for row in table))
-        flip_prices = {}
-        for d, rival in enumerate(_candidates_above(inst, i), start=1):
-            p = inst.costs[i].price(d)
-            if p is not None:
-                flip_prices[rival] = p
-        costs.append(FlipCostFunction(flip_prices))
+        costs.append(FlipCostFunction(_flip_prices(inst, i)))
     return MicrobriberyInstance(tuple(tables), tuple(costs))
 
 
@@ -335,9 +317,9 @@ def micro_to_shift(inst: ShiftBriberyInstance, flips: FlipSet) -> ShiftAction:
         raise ValueError("flip set length must equal the number of voters")
     shifts = []
     for i in range(inst.num_voters):
-        above = _candidates_above(inst, i)
-        depth = {c: d for d, c in enumerate(above, start=1)}
         s = 0
+        if flips[i]:
+            depth = {c: d for d, c in enumerate(_candidates_above(inst, i), start=1)}
         for c in flips[i]:
             if c not in depth:
                 raise ValueError(
@@ -362,13 +344,23 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     shift action costs no more than the flip set, which costs no more than
     the flip set induced by an optimal shift action, which costs at most m
     times that action; hence the factor m.
+
+    The tables are never built: the core (``_solve_copeland``) reads one
+    pairwise tally and the flip prices.  The action is checked with
+    ``is_successful``.
     """
     if not isinstance(inst.rule, CopelandRule):
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
     _require_unweighted(inst, "solve_copeland_shift")
-    micro = shift_to_micro(inst)
-    _, flips = solve_copeland_micro(micro, inst.rule.alpha)
-    action = micro_to_shift(inst, flips)
+    n, alpha = inst.num_voters, inst.rule.alpha
+    against: List[list] = [[] for _ in range(inst.num_candidates)]
+    for i in range(n):
+        for rival, p in _flip_prices(inst, i).items():
+            against[rival].append((p, i))
+    pools = [(sorted(flips), []) for flips in against]
+    tally = pairwise_tally(inst.election)
+    _, flips = _solve_copeland(*_copeland_inputs(tally, alpha), pools, alpha)
+    action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
     if not is_successful(inst, action):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
     return total_cost(inst, action), action
@@ -496,9 +488,8 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     n, m = inst.num_voters, inst.num_candidates
     table = ShiftTable(inst)
     prices, above = _move_lists(inst, table)
-    tally = pairwise_tally(inst.election)
-    scores = maximin_scores(tally)
-    support = tally.n_matrix[0]
+    scores = maximin_scores(table.tally)
+    support = table.tally.n_matrix[0]
     actions = []
     for k in range(scores[0], n + 1):
         deficits = [0] + [

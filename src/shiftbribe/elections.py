@@ -16,8 +16,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
+import numpy as np
+
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
+_TALLY_BLOCK = 1 << 18  # voter-candidate-candidate comparisons per block
 
 
 def _check_i64(value: int, what: str) -> int:
@@ -204,18 +207,19 @@ def scoring_scores(election: Election, alpha: ScoringVector) -> list:
 
 def pairwise_tally(election: Election) -> PairwiseTally:
     """Count, for every ordered pair, the total weight preferring the first
-    candidate to the second."""
-    m = election.num_candidates
-    n_matrix = [[0] * m for _ in range(m)]
-    for i, order in enumerate(election.voters):
-        w = election.weight(i)
-        for a_pos in range(m):
-            a = order[a_pos]
-            row = n_matrix[a]
-            for b_pos in range(a_pos + 1, m):
-                row[order[b_pos]] += w
-    _check_i64(election.total_weight, "total voter weight")
-    return PairwiseTally(tuple(tuple(r) for r in n_matrix), election.total_weight)
+    candidate to the second: weighted sums of position comparisons over
+    blocks of voters.  The total weight, checked first, bounds every sum.
+    """
+    total = _check_i64(election.total_weight, "total voter weight")
+    n, m = election.num_voters, election.num_candidates
+    pos = np.argsort(np.array(election.voters, dtype=np.int64), axis=1)
+    weights = np.array(election.weights or (1,) * n, dtype=np.int64)
+    n_matrix = np.zeros(m * m, dtype=np.int64)
+    block = max(1, _TALLY_BLOCK // (m * m))
+    for lo in range(0, n, block):
+        p = pos[lo : lo + block]
+        n_matrix += weights[lo : lo + block] @ (p[:, :, None] < p[:, None, :]).reshape(len(p), -1)
+    return PairwiseTally(n_matrix.reshape(m, m).tolist(), total)
 
 
 def copeland_scores(tally: PairwiseTally, alpha: CopelandAlpha) -> list:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bribery import ShiftAction, ShiftBriberyInstance, ShiftTable
-from .condorcet_solvers import FlipSet, MicrobriberyInstance, _margins, _rival_base_scaled
+from .condorcet_solvers import FlipSet, MicrobriberyInstance, _copeland_inputs, _micro_tally
 from .elections import CopelandAlpha
 from .errors import GuardExceeded, Infeasible, env_guard
 
@@ -151,8 +151,7 @@ def exact_micro_opt(
             f"(guard {subsets_guard})"
         )
     num, den = alpha.numerator, alpha.denominator
-    margins = _margins(m_inst)
-    base = _rival_base_scaled(m_inst, alpha)
+    margins, base = _copeland_inputs(_micro_tally(m_inst), alpha)
 
     costs = np.zeros(1, dtype=np.int64)
     margin_delta = {c: np.zeros(1, dtype=np.int64) for c in range(1, m)}

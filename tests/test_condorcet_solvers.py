@@ -88,12 +88,12 @@ class TestSolveCopelandMicro:
             m_inst = gen_random_micro(seed + 900, 3, 4, 4, infinite_prob=0.0)
             alpha = ALPHAS[seed % 3]
             _, flips = sb.solve_copeland_micro(m_inst, alpha)
-            margins = list(sb.condorcet_solvers._margins(m_inst))
+            cs = sb.condorcet_solvers
+            margins, base = cs._copeland_inputs(cs._micro_tally(m_inst), alpha)
             for i, s in enumerate(flips.flips):
                 for c in s:
                     margins[c] += -2 if m_inst.tables[i][c][0] == 1 else 2
             den, num = alpha.denominator, alpha.numerator
-            base = sb.condorcet_solvers._rival_base_scaled(m_inst, alpha)
             p_score = sum(
                 den if margins[c] < 0 else num if margins[c] == 0 else 0
                 for c in range(1, m_inst.num_candidates)
@@ -204,6 +204,81 @@ class TestSolveCopelandShift:
                 induced.append(frozenset(above[:t]))
             induced_cost = sb.flip_set_cost(micro, sb.FlipSet(tuple(induced)))
             assert micro_cost <= induced_cost <= m * opt
+
+
+class TestCopelandCore:
+    def test_both_feeds_agree(self):
+        """The tally feed of ``solve_copeland_shift`` answers like the table
+        feed: shift_to_micro, solve_copeland_micro, micro_to_shift."""
+        for seed in range(400):
+            rng = random.Random(seed * 37 + 11)
+            n, m = rng.randint(1, 12), rng.randint(1, 7)
+            alpha = ALPHAS[seed % 3]
+            inst = sb.gen_random(seed, n, m, rng.choice((1, 4, 30)), rule=sb.CopelandRule(alpha))
+            costs = []
+            for cf in inst.costs:
+                prices = list(cf.prices)
+                if prices and rng.random() < 0.2:
+                    cut = rng.randint(0, len(prices) - 1)
+                    prices[cut:] = [None] * (len(prices) - cut)
+                costs.append(sb.CostFunction(tuple(prices)))
+            inst = sb.ShiftBriberyInstance(inst.election, tuple(costs), inst.rule)
+            try:
+                _, flips = sb.solve_copeland_micro(sb.shift_to_micro(inst), alpha)
+            except sb.Infeasible:
+                with pytest.raises(sb.Infeasible):
+                    sb.solve_copeland_shift(inst)
+                continue
+            action = sb.micro_to_shift(inst, flips)
+            assert sb.solve_copeland_shift(inst) == (sb.total_cost(inst, action), action), seed
+
+    def test_patterns_sharing_one_program(self, monkeypatch):
+        # Two voters rank 1 > 0 > 2.  With alpha = 0 the patterns (1 win,
+        # 0 ties) and (1 win, 1 tie) both score 1, so they allow the same
+        # outcomes and share one program, but need different entries of
+        # it: beating both rivals costs 3 + 2 and the optimum is tying
+        # rival 1 (voter 1, price 1) while keeping the win over rival 2.
+        table = ((0, -1, 1), (1, 0, 1), (-1, -1, 0))
+        costs = (sb.FlipCostFunction({1: 2, 2: 2}), sb.FlipCostFunction({1: 1, 2: 0}))
+        m_inst = sb.MicrobriberyInstance((table, table), costs)
+        alpha = sb.CopelandAlpha(0, 1)
+        programs = []
+        original = sb.condorcet_solvers._rival_dp
+
+        def counted(options, allowed):
+            programs.append(original(options, allowed))
+            return programs[-1]
+
+        monkeypatch.setattr(sb.condorcet_solvers, "_rival_dp", counted)
+        cost, flips = sb.solve_copeland_micro(m_inst, alpha)
+        assert (cost, flips.flips) == (1, (frozenset(), frozenset({1})))
+        assert cost == sb.exact_micro_opt(m_inst, alpha)[0]
+        # patterns (1, 0), (1, 1) and (2, 0); the first two share a program
+        assert len(programs) == 2
+        assert programs[0][(1, 0)][0] == 5 and programs[0][(1, 1)][0] == 1
+
+
+def test_one_pairwise_tally_per_solve(monkeypatch):
+    """Maximin reads its scores off the shift table's tally; Copeland takes
+    one tally for the core and one more inside ``is_successful``."""
+    original = sb.pairwise_tally
+    calls = []
+
+    def counted(election):
+        calls.append(election)
+        return original(election)
+
+    for module in (sb.elections, sb.bribery, sb.condorcet_solvers, sb.oracle):
+        if getattr(module, "pairwise_tally", None) is original:
+            monkeypatch.setattr(module, "pairwise_tally", counted)
+    rules = {sb.MAXIMIN: 1, sb.CopelandRule(sb.CopelandAlpha(1, 2)): 2}
+    for rule, per_solve in rules.items():
+        for seed in range(10):
+            inst = sb.gen_random(seed, 8, 5, 10, rule=rule)
+            calls.clear()
+            solve = sb.solve_maximin_shift if rule == sb.MAXIMIN else sb.solve_copeland_shift
+            solve(inst)
+            assert len(calls) == per_solve, (rule, seed)
 
 
 class TestCoverTargetsGreedy:

@@ -133,6 +133,61 @@ class TestPairwiseTally:
                 assert t.n_matrix[i][j] == count
 
 
+def loop_tally(election):
+    """Reference pairwise tally: one weighted count per voter and ordered
+    pair, in Python integers."""
+    m = election.num_candidates
+    n_matrix = [[0] * m for _ in range(m)]
+    for i, order in enumerate(election.voters):
+        for a_pos, a in enumerate(order):
+            for b in order[a_pos + 1 :]:
+                n_matrix[a][b] += election.weight(i)
+    return tuple(tuple(row) for row in n_matrix)
+
+
+class TestPairwiseTallyReference:
+    @given(elections(max_n=8, max_m=6, weighted=True))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, e):
+        t = sb.pairwise_tally(e)
+        assert t.n_matrix == loop_tally(e)
+        assert t.total_weight == e.total_weight
+
+    def test_small_cases(self):
+        for e in (
+            _election([(0,)]),
+            _election([(0,), (0,)], weights=(3, 4)),
+            _election([(2, 0, 1)]),
+            _election([(2, 0, 1)], weights=(7,)),
+            _election([(1, 0, 2), (2, 1, 0), (0, 2, 1)], weights=(5, 1, 2)),
+        ):
+            assert sb.pairwise_tally(e).n_matrix == loop_tally(e)
+        assert sb.pairwise_tally(_election([(0,)])).n_matrix == ((0,),)
+
+    def test_voter_blocks(self, monkeypatch):
+        # blocks of one voter (4 * 4 comparisons) and of three voters
+        elections_ = [
+            _election([(3, 1, 0, 2), (0, 1, 2, 3), (2, 3, 1, 0), (1, 0, 3, 2)], weights=w)
+            for w in (None, (1, 9, 4, 2))
+        ]
+        for block in (1, 48):
+            monkeypatch.setattr(sb.elections, "_TALLY_BLOCK", block)
+            for e in elections_:
+                assert sb.pairwise_tally(e).n_matrix == loop_tally(e)
+
+    def test_weights_at_int64_limit(self):
+        e = _election([(0, 1, 2), (2, 1, 0)], weights=(1 << 62, (1 << 62) - 1))
+        t = sb.pairwise_tally(e)
+        assert t.n_matrix == loop_tally(e)
+        assert t.total_weight == (1 << 63) - 1
+        assert all(type(x) is int for row in t.n_matrix for x in row)
+
+    def test_total_weight_beyond_int64_raises(self):
+        e = _election([(0, 1, 2), (2, 1, 0)], weights=(1 << 62, 1 << 62))
+        with pytest.raises(OverflowError, match="total voter weight"):
+            sb.pairwise_tally(e)
+
+
 class TestCopelandScores:
     def test_condorcet_winner(self):
         e = _election([(0, 1, 2), (0, 2, 1), (1, 0, 2)])

@@ -126,7 +126,7 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: SHIFTBRIBE_GUARD must be an integer, got 'abc'\n"
 
-    @pytest.mark.parametrize("algo", ["A", "G"])
+    @pytest.mark.parametrize("algo", ["A", "G", "Aeps", "B", "Bw"])
     def test_int64_overflow_exits_2(self, tmp_path, capsys, algo):
         e = sb.Election(("p", "c"), ((1, 0), (1, 0)), (1 << 62, 1 << 62))
         costs = (sb.CostFunction((1,)), sb.CostFunction((1,)))

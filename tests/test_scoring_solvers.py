@@ -270,6 +270,16 @@ class TestSolveTwoPassScaled:
             assert 2 * cost <= 5 * opt, (seed, opt, cost)  # (2 + 1/2) * opt
             assert sb.is_successful(inst, action)
 
+    def test_scaled_price_total_outside_int64_raises(self, thm6_k1):
+        # eps 1/10**20 lifts the first round's big price beyond 2**63; with
+        # the cell guard out of the way, the 64-bit check on the scaled total
+        # must refuse it before any int64 array of those prices is built.
+        with pytest.raises(
+            OverflowError,
+            match="^total of the largest prices exceeds the checked 64-bit integer range",
+        ):
+            sb.solve_two_pass_scaled(thm6_k1, Fraction(1, 10**20), cell_guard=10**40)
+
     def test_scaled_path_alone_stays_within_bound(self):
         for seed in range(40):
             inst = sb.gen_random(seed, 4, 4, 6)
@@ -299,6 +309,62 @@ class TestSolveBootstrap:
             cost, action = sb.solve_bootstrap(inst)
             assert opt <= cost <= 2 * opt, (seed, opt, cost)
             assert sb.is_successful(inst, action)
+
+
+    def test_already_winner_before_any_check(self):
+        # The candidate already wins, so B answers 0 before the cell guard
+        # and before the fully shifted score (2**63 here) is range-checked;
+        # Aeps runs its rounds and refuses the instance.
+        x = (1 << 62) - 2
+        e = sb.Election(("p", "c"), ((0, 1), (1, 0)))
+        rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
+        inst = sb.ShiftBriberyInstance(e, (sb.CostFunction(()), sb.CostFunction((1,))), rule)
+        assert sb.solve_bootstrap(inst, cell_guard=1) == (0, sb.ShiftAction((0, 0)))
+        with pytest.raises(OverflowError, match="fully shifted score"):
+            sb.solve_two_pass_scaled(inst, Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [lambda inst: sb.solve_two_pass_scaled(inst, Fraction(1, 4)), sb.solve_bootstrap],
+    ids=["Aeps", "B"],
+)
+@pytest.mark.parametrize(
+    "prices,want",
+    [((1 << 62, 1 << 62), (1 << 62, (0, 1, 0))), ((1 << 70, 1), (1, (0, 1, 0)))],
+)
+def test_prices_beyond_int64_still_answer(solver, prices, want):
+    # Aeps and B price their rounds as Python ints: an original price or
+    # price total beyond 2**63 does not stop them, while A exits on its guard.
+    e = sb.Election(("p", "c"), ((1, 0), (1, 0), (0, 1)))
+    costs = tuple(sb.CostFunction((p,)) for p in prices) + (sb.CostFunction(()),)
+    inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
+    cost, action = solver(inst)
+    assert (cost, action.shifts) == want
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        sb.solve_two_pass,
+        sb.solve_single_pass,
+        lambda inst, cell_guard: sb.solve_two_pass_scaled(
+            inst, Fraction(1, 4), cell_guard=cell_guard
+        ),
+    ],
+    ids=["A", "G", "Aeps"],
+)
+def test_cell_guard_before_score_checks(solver):
+    # The fully shifted score leaves int64 (see TestSolveTwoPass), but the
+    # cell guard trips first.
+    top = (1 << 63) - 1
+    x = (top - 4) // 3
+    e = sb.Election(("p", "c"), ((1, 0), (1, 0), (0, 1)))
+    rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
+    costs = (sb.CostFunction((1,)), sb.CostFunction((1,)), sb.CostFunction(()))
+    inst = sb.ShiftBriberyInstance(e, costs, rule)
+    with pytest.raises(sb.GuardExceeded):
+        solver(inst, cell_guard=1)
 
 
 class TestSolveBootstrapWeighted:

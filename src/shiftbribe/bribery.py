@@ -11,6 +11,7 @@ batched scoring solvers and the exact oracles share it, and
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -265,6 +266,11 @@ def _max_budget(inst: ShiftBriberyInstance) -> int:
     return sum(cf.price(cf.max_reachable) for cf in inst.costs)
 
 
+def _price_lists(inst: ShiftBriberyInstance) -> list:
+    """Per voter, the prices of shifting by 0 .. max_reachable."""
+    return [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
+
+
 class ShiftTable:
     """Per-voter prices and row deltas of shifting the preferred candidate
     up, with one batched winner test.
@@ -278,15 +284,15 @@ class ShiftTable:
     whether the preferred candidate wins after each (None for the pairwise
     rows of a scoring rule).
 
-    The 64-bit range is checked once, here: the price total bounds every
-    sum of prices; only the preferred candidate's score grows, so its fully
-    shifted score bounds every scoring row; (m - 1) * den bounds every
-    scaled Copeland score; pairwise rows stay within the total weight.
+    The 64-bit range of the rows is checked once, here: only the preferred
+    candidate's score grows, so its fully shifted score bounds every scoring
+    row; (m - 1) * den bounds every scaled Copeland score; pairwise rows
+    stay within the total weight.  The prices are checked when first read.
     """
 
     def __init__(self, inst: ShiftBriberyInstance, pairwise: bool = False):
         e = inst.election
-        _check_i64(_max_budget(inst), "total of the largest prices")
+        self._inst = inst
         scoring = isinstance(inst.rule, ScoringRule) and not pairwise
         self.tally = None if scoring else pairwise_tally(e)
         if scoring:
@@ -295,7 +301,6 @@ class ShiftTable:
         else:
             self.base = np.array(self.tally.n_matrix[0], dtype=np.int64)
             self.wins = _pairwise_wins(self.tally, inst.rule)
-        self.prices = []
         self.deltas = []
         for i, cf in enumerate(inst.costs):
             order = e.voters[i]
@@ -312,13 +317,20 @@ class ShiftTable:
                 else:
                     row[passed] += w
                 delta.append(row)
-            self.prices.append(np.array([cf.price(t) for t in range(len(delta))], dtype=np.int64))
             self.deltas.append(np.array(delta, dtype=np.int64))
         if scoring:
             _check_i64(
                 int(self.base[0]) + sum(int(d[-1, 0]) for d in self.deltas),
                 "fully shifted score of the preferred candidate",
             )
+
+    @cached_property
+    def prices(self) -> list:
+        """Per voter, the int64 ``_price_lists``, built on first read after
+        checking that the largest prices, which bound every sum of prices,
+        sum within 64 bits."""
+        _check_i64(_max_budget(self._inst), "total of the largest prices")
+        return [np.array(p, dtype=np.int64) for p in _price_lists(self._inst)]
 
     def rows_after(self, shifts: np.ndarray) -> np.ndarray:
         """The rows after each shift vector, one vector per row of

@@ -22,10 +22,11 @@ builds
 * ``solve_single_pass``: the single-loop greedy sweep, provided for
   comparison only; it carries no approximation guarantee (CLI name ``G``).
 
-``solve_two_pass`` and ``solve_single_pass`` test whole batches of candidate
-actions at once against the per-voter table of prices and score deltas that
-the exact oracle shares (``bribery.ShiftTable``); the budget sweeps read
-their (price, gain) option rows from the same table.
+Each solve builds one per-voter table of score deltas, shared with the
+exact oracle (``bribery.ShiftTable``), and tests whole batches of candidate
+actions against it.  The sweep of ``solve_two_pass`` serves ``A``, every
+``Aeps`` round and every ``B`` guess: a round re-prices the (price, gain)
+option rows, and a guess slices one voter's rows and starts from the shift.
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -33,7 +34,7 @@ scanned in ascending order.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +44,10 @@ from .bribery import (
     ShiftBriberyInstance,
     ShiftTable,
     _max_budget,
-    rebase,
-    total_cost,
+    _price_lists,
+    is_successful,
 )
-from .elections import scoring_scores
+from .elections import _check_i64
 from .errors import GuardExceeded, IncompatibleRule, Infeasible, env_guard
 
 DEFAULT_CELL_GUARD = 10**8
@@ -61,18 +62,32 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
     return inst.rule
 
 
-def _option_rows(table: ShiftTable):
-    """Per voter, the (prices, gains) int64 arrays of shifting by 0, 1, ...
-    up to the largest reachable amount.
+def _price_rows(prices: list, cell_guard: Optional[int], hint: str = ""):
+    """(P, int64 rows) of per-voter price lists whose largest prices sum to
+    P, after checking (n + 1)(P + 1) against the cell guard and then P
+    against the 64-bit range, so that no sum of frontier costs can wrap."""
+    total = sum(p[-1] for p in prices)
+    if cell_guard is None:
+        cell_guard = env_guard(DEFAULT_CELL_GUARD)
+    cells = (len(prices) + 1) * (total + 1)
+    if cells > cell_guard:
+        raise GuardExceeded(f"budget DP needs {cells} cells (guard {cell_guard}){hint}")
+    _check_i64(total, "total of the largest prices")
+    return total, [np.array(p, dtype=np.int64) for p in prices]
 
-    The rows of the instance rebased over shifts ``t`` are the slices
-    ``prices[t:] - prices[t]`` and ``gains[t:] - gains[t]``.  The table
-    checks the price total, so no sum of frontier costs can wrap.
-    """
-    rows = [(prices, delta[:, 0]) for prices, delta in zip(table.prices, table.deltas)]
-    if sum(int(g[-1]) for _, g in rows) >= _MAX_SAFE_GAIN:
+
+def _gain_rows(table: ShiftTable) -> list:
+    """Per voter, the int64 score gains of shifting by 0, 1, ... up to the
+    largest reachable amount."""
+    gains = [delta[:, 0] for delta in table.deltas]
+    if sum(int(g[-1]) for g in gains) >= _MAX_SAFE_GAIN:
         raise OverflowError("score gains too large for the budget sweep")
-    return rows
+    return gains
+
+
+def _option_rows(table: ShiftTable):
+    """Per voter, the (prices, gains) int64 arrays of the table."""
+    return list(zip(table.prices, _gain_rows(table)))
 
 
 class _BudgetSweep:
@@ -125,11 +140,6 @@ class _BudgetSweep:
         self.costs = costs
         self.gains = gains
 
-    def best_at(self, budget: int) -> Tuple[int, int]:
-        """(max gain, minimum spend achieving it) for ``budget``."""
-        idx = int(np.searchsorted(self.costs, budget, side="right")) - 1
-        return int(self.gains[idx]), int(self.costs[idx])
-
     def trace(self, points) -> np.ndarray:
         """Shift vectors of the given frontier points, one row each."""
         points = np.asarray(points)
@@ -138,14 +148,6 @@ class _BudgetSweep:
             shifts[:, i] = choice[points]
             points = pointer[points]
         return shifts
-
-    def action_at(self, spend: int) -> ShiftAction:
-        """The lexicographically smallest action spending exactly ``spend``
-        with maximum gain; ``spend`` must be a frontier cost."""
-        idx = int(np.searchsorted(self.costs, spend))
-        if idx == len(self.costs) or self.costs[idx] != spend:
-            raise ValueError(f"spend {spend} is not a frontier cost")
-        return ShiftAction(tuple(self.trace([idx])[0].tolist()))
 
     def iter_breakpoints(self):
         """(budget, gain) at every point where the best buy changes."""
@@ -165,23 +167,30 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
         raise ValueError("budget must be non-negative")
     budget = min(budget, _max_budget(inst))
     sweep = _BudgetSweep(_option_rows(ShiftTable(inst)), budget)
-    g, spend = sweep.best_at(budget)
-    return sweep.action_at(spend), g
+    last = len(sweep.costs) - 1  # every point is within budget; the last gains most
+    return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
 
 
-def _wins(scores) -> bool:
-    return scores[0] == max(scores)
-
-
-def _check_cells(inst: ShiftBriberyInstance, cell_guard: Optional[int], hint: str) -> int:
-    """The price total P, after checking (n + 1)(P + 1) against the guard."""
-    if cell_guard is None:
-        cell_guard = env_guard(DEFAULT_CELL_GUARD)
-    m_budget = _max_budget(inst)
-    cells = (inst.num_voters + 1) * (m_budget + 1)
-    if cells > cell_guard:
-        raise GuardExceeded(f"budget DP needs {cells} cells (guard {cell_guard}){hint}")
-    return m_budget
+def _two_pass(table: ShiftTable, rows: list, start, budget: int):
+    """(cost, shifts) of ``solve_two_pass`` on the option ``rows``, one
+    (prices, gains) pair per voter, for actions on top of ``start``: the
+    winner test runs on ``table`` at ``start`` plus the shifts returned."""
+    outer = _BudgetSweep(rows, budget)
+    firsts = outer.trace(np.arange(len(outer.costs)))
+    best = None
+    for (l1, _), first in zip(outer.iter_breakpoints(), firsts):
+        if best is not None and l1 >= best[0]:
+            break
+        rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, first.tolist())]
+        inner = _BudgetSweep(rebased, budget if best is None else best[0] - l1 - 1)
+        shifts = start + first + inner.trace(np.arange(len(inner.costs)))
+        won = np.flatnonzero(table.wins(table.rows_after(shifts)))
+        if len(won):
+            w = won[0]
+            best = (l1 + int(inner.costs[w]), shifts[w])
+    if best is None:
+        raise Infeasible("no successful shift action exists")
+    return best
 
 
 def solve_two_pass(
@@ -207,32 +216,17 @@ def solve_two_pass(
     A frontier holds at most min(P, G) + 1 points, so the runtime is
     pseudo-polynomial in the smaller of the price total P and the gain
     total G; for Borda or k-approval it is polynomial whatever the prices.
-    The guard still counts the cells of an exact-spend table, exactly as
-    before: when (n + 1)(P + 1) exceeds ``cell_guard`` (default 10**8,
-    overridable via the ``SHIFTBRIBE_GUARD`` environment variable) a
-    ``GuardExceeded`` is raised and the caller should switch to
-    ``solve_two_pass_scaled``.
+    The guard counts the cells of an exact-spend table: when (n + 1)(P + 1)
+    exceeds ``cell_guard`` (default 10**8, overridable via the
+    ``SHIFTBRIBE_GUARD`` environment variable) a ``GuardExceeded`` is raised
+    and the caller should switch to ``solve_two_pass_scaled``.
     """
     _require_scoring(inst)
-    m_budget = _check_cells(inst, cell_guard, "; use solve_two_pass_scaled instead")
+    hint = "; use solve_two_pass_scaled instead"
+    budget, prices = _price_rows(_price_lists(inst), cell_guard, hint)
     table = ShiftTable(inst)
-    rows = _option_rows(table)
-    outer = _BudgetSweep(rows, m_budget)
-    firsts = outer.trace(np.arange(len(outer.costs)))
-    best: Optional[Tuple[int, ShiftAction]] = None
-    for (l1, _), first in zip(outer.iter_breakpoints(), firsts):
-        if best is not None and l1 >= best[0]:
-            break
-        rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, first.tolist())]
-        inner = _BudgetSweep(rebased, m_budget if best is None else best[0] - l1 - 1)
-        shifts = first + inner.trace(np.arange(len(inner.costs)))
-        won = np.flatnonzero(table.wins(table.rows_after(shifts)))
-        if len(won):
-            w = won[0]
-            best = (l1 + int(inner.costs[w]), ShiftAction(tuple(shifts[w].tolist())))
-    if best is None:
-        raise Infeasible("no successful shift action exists")
-    return best
+    cost, shifts = _two_pass(table, list(zip(prices, _gain_rows(table))), 0, budget)
+    return cost, ShiftAction(tuple(shifts.tolist()))
 
 
 def solve_single_pass(
@@ -248,9 +242,9 @@ def solve_single_pass(
     is the same (n + 1)(P + 1) cell count as in ``solve_two_pass``.
     """
     _require_scoring(inst)
-    m_budget = _check_cells(inst, cell_guard, "")
+    budget, prices = _price_rows(_price_lists(inst), cell_guard)
     table = ShiftTable(inst)
-    sweep = _BudgetSweep(_option_rows(table), m_budget)
+    sweep = _BudgetSweep(list(zip(prices, _gain_rows(table))), budget)
     shifts = sweep.trace(np.arange(len(sweep.costs)))
     won = np.flatnonzero(table.wins(table.rows_after(shifts)))
     if not len(won):
@@ -259,25 +253,43 @@ def solve_single_pass(
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_instance(inst: ShiftBriberyInstance, rho: int, eps: Fraction, big: int):
-    """Rescale all price tables: ceil(price / K) with K = rho*eps/n for
-    prices at most rho, a poly-bounded big value beyond."""
-    from .bribery import CostFunction
+def _scaled_rounds(inst, table, start, eps, exact_threshold, cell_guard):
+    """(cost, shifts, table) of the rounds of ``solve_two_pass_scaled``, with
+    internal ``eps``, for actions on top of ``start``.
 
+    Each voter's options are rebased over its start shift s: prices
+    ``p[s:] - p[s]``, gains ``g[s:] - g[s]``.  Every round re-prices them and
+    calls ``_two_pass`` on ``table``; when that is None, it is built after
+    the first round's checks.  The cost is under the rebased prices.
+    """
     n = inst.num_voters
     num, den = eps.numerator, eps.denominator
-    new_costs = []
-    for cf in inst.costs:
-        scaled = []
-        for p in cf.prices:
-            if p is None:
-                scaled.append(None)
-            elif p <= rho:
-                scaled.append(-(-p * n * den // (rho * num)))  # exact ceiling
-            else:
-                scaled.append(big)
-        new_costs.append(CostFunction(tuple(scaled)))
-    return ShiftBriberyInstance(inst.election, tuple(new_costs), inst.rule)
+    big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
+    prices = [[q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start.tolist())]
+    top = max(p[-1] for p in prices)
+    rhos = [1]  # doubled up to the first value at least the largest price
+    while rhos[-1] < top:
+        rhos.append(2 * rhos[-1])
+    # ceil(price / K), exactly, with K = rho*eps/n for prices at most rho
+    pricings = [
+        [[-(-q * n * den // (rho * num)) if q <= rho else big for q in p] for p in prices]
+        for rho in rhos
+    ]
+    if (n + 1) * (sum(p[-1] for p in prices) + 1) <= exact_threshold:
+        pricings.append(prices)
+    best = None
+    for scaled in pricings:
+        budget, rows = _price_rows(scaled, cell_guard)
+        if table is None:
+            table = ShiftTable(inst)
+        gains = [g[s:] - g[s] for g, s in zip(_gain_rows(table), start.tolist())]
+        _, shifts = _two_pass(table, list(zip(rows, gains)), start, budget)
+        moved = (shifts - start).tolist()
+        if scaled is prices or all(p[k] < big for p, k in zip(scaled, moved)):
+            cost = _check_i64(sum(p[k] for p, k in zip(prices, moved)), "total bribery cost")
+            if best is None or cost < best[0]:
+                best = (cost, shifts)
+    return best + (table,)
 
 
 def solve_two_pass_scaled(
@@ -291,16 +303,18 @@ def solve_two_pass_scaled(
     Doubles a guess ``rho`` of the most expensive single shift from 1 up to
     the largest finite price.  Each round rescales prices at most ``rho`` by
     the exact rational ceiling of price/(rho*eps'/n) and maps larger prices
-    to a polynomially bounded big value, runs ``solve_two_pass`` on the
-    rescaled instance, and keeps the resulting action unless it used one of
-    the big-valued shifts.  The cheapest kept action under the original
-    prices is returned.
+    to a polynomially bounded big value, runs the sweep of
+    ``solve_two_pass`` on the re-priced option rows, and keeps the resulting
+    action unless it used one of the big-valued shifts.  Every round checks
+    its winners against the one shift table of the instance.  The cheapest
+    kept action under the original prices is returned.
 
     The per-round analysis delivers a (2 + 4*eps') bound, so internally
     eps' = eps/4 and the advertised guarantee is the caller-facing
-    (2 + eps).  Whenever the unscaled DP is small (price total at most
-    ``exact_threshold``, default 10**6), the exact ``solve_two_pass`` run is
-    included as one more candidate, making the answer exact at desk scale.
+    (2 + eps).  Whenever the unscaled DP is small (cell count
+    (n + 1)(P + 1) at most ``exact_threshold``, default 10**6), the exact
+    ``solve_two_pass`` run is included as one more candidate, making the
+    answer exact at desk scale.
     """
     _require_scoring(inst)
     eps = Fraction(eps)
@@ -308,39 +322,9 @@ def solve_two_pass_scaled(
         raise ValueError("eps must be positive")
     if exact_threshold is None:
         exact_threshold = DEFAULT_EXACT_THRESHOLD
-    eps_internal = eps / 4
-    n = inst.num_voters
-    m_budget = _max_budget(inst)
-    if m_budget == 0:
-        return solve_two_pass(inst, cell_guard=cell_guard)
-    max_price = max(
-        cf.prices[cf.max_reachable - 1] for cf in inst.costs if cf.max_reachable > 0
-    )
-    threshold = 2 * (n * n / eps_internal + n)
-    big = int(threshold) + 1  # smallest integer strictly above the keep threshold
-
-    candidates: List[Tuple[int, ShiftAction]] = []
-    rho = 1
-    while True:
-        scaled = _scaled_instance(inst, rho, eps_internal, big)
-        _, action = solve_two_pass(scaled, cell_guard=cell_guard)
-        if all(
-            scaled.costs[i].price(t) is not None and scaled.costs[i].price(t) < big
-            for i, t in enumerate(action)
-        ):
-            candidates.append((total_cost(inst, action), action))
-        if rho >= max_price:
-            break
-        rho *= 2
-    if (inst.num_voters + 1) * (m_budget + 1) <= exact_threshold:
-        candidates.append(solve_two_pass(inst, cell_guard=cell_guard))
-    if not candidates:
-        raise Infeasible("no successful shift action exists")
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] < best[0]:
-            best = cand
-    return best
+    zero = np.zeros(inst.num_voters, dtype=np.int64)
+    cost, shifts, _ = _scaled_rounds(inst, None, zero, eps / 4, exact_threshold, cell_guard)
+    return cost, ShiftAction(tuple(shifts.tolist()))
 
 
 def solve_bootstrap(
@@ -350,35 +334,37 @@ def solve_bootstrap(
 
     Some coordinate of an optimal action carries at least a 1/n fraction of
     its cost, and there are only n * m candidate (voter, amount) guesses.
-    For every guess the instance is rebased over that single shift and the
-    remainder is solved by ``solve_two_pass_scaled`` with eps = 1/n, which
-    makes the combined cost at most twice the optimum for the correct
-    guess.  A no-guess run is included as the baseline so that an already
-    winning candidate yields cost 0.  Returns the cheapest successful
-    combination found.
+    For every guess the remainder is solved by the rounds of
+    ``solve_two_pass_scaled`` with eps = 1/n, started from the guess: the
+    guessed voter's option rows are sliced at the guessed shift, and the
+    winner test runs on the instance's one shift table.  This makes the
+    combined cost at most twice the optimum for the correct guess.  A
+    no-guess run is included as the baseline, and a candidate that already
+    wins yields cost 0 before any guard is consulted.  Returns the cheapest
+    successful combination found.
     """
     _require_scoring(inst)
     n = inst.num_voters
-    eps = Fraction(1, n)
-    if _wins(scoring_scores(inst.election, inst.rule.vector)):
+    if is_successful(inst, ShiftAction.zero(n)):
         return 0, ShiftAction.zero(n)
-    best = solve_two_pass_scaled(inst, eps, cell_guard=cell_guard)
-    for i in range(n):
-        cf = inst.costs[i]
-        for t in range(1, cf.max_reachable + 1):
-            head = cf.prices[t - 1]
-            if head >= best[0]:
+    args = (Fraction(1, 4 * n), DEFAULT_EXACT_THRESHOLD, cell_guard)  # internal eps of 1/n
+    zero = np.zeros(n, dtype=np.int64)
+    cost, shifts, table = _scaled_rounds(inst, None, zero, *args)
+    best = (cost, shifts)
+    for i, p in enumerate(_price_lists(inst)):
+        for t in range(1, len(p)):
+            if p[t] >= best[0]:
                 break  # prices are non-decreasing; nothing cheaper follows
-            guess = ShiftAction(tuple(t if j == i else 0 for j in range(n)))
-            rebased = rebase(inst, guess)
-            if _wins(scoring_scores(rebased.election, inst.rule.vector)):
-                cand = (head, guess)
+            guess = zero.copy()
+            guess[i] = t
+            if table.wins(table.rows_after(guess[None]))[0]:
+                cand = (p[t], guess)
             else:
-                rest_cost, rest = solve_two_pass_scaled(rebased, eps, cell_guard=cell_guard)
-                cand = (head + rest_cost, guess + rest)
+                rest_cost, shifts, _ = _scaled_rounds(inst, table, guess, *args)
+                cand = (p[t] + rest_cost, shifts)
             if cand[0] < best[0]:
                 best = cand
-    return best
+    return best[0], ShiftAction(tuple(best[1].tolist()))
 
 
 def solve_bootstrap_weighted(

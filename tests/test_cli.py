@@ -120,6 +120,16 @@ class TestSolve:
         monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
         assert main(["solve", thm6_file, "--algo", "exact"]) == 4
 
+    @pytest.mark.parametrize("algo", ["Aeps:1/100000000000000000000", "B"])
+    def test_guard_hint_names_no_solver_already_run(self, thm6_file, monkeypatch, capsys, algo):
+        # Only A suggests solve_two_pass_scaled; Aeps and B already are it.
+        if algo == "B":
+            monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
+        assert main(["solve", thm6_file, "--algo", algo]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("guard exceeded: budget DP needs ") and err.count("\n") == 1
+        assert "solve_two_pass_scaled" not in err
+
     def test_non_integer_guard_exits_2(self, thm6_file, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTBRIBE_GUARD", "abc")
         assert main(["solve", thm6_file, "--algo", "exact"]) == 2

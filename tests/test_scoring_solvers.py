@@ -280,6 +280,32 @@ class TestSolveTwoPassScaled:
         ):
             sb.solve_two_pass_scaled(thm6_k1, Fraction(1, 10**20), cell_guard=10**40)
 
+    def test_rounds_keep_only_shifts_priced_below_big(self):
+        # Some round's sweep buys a shift priced at the big value; keeping
+        # that action would return A's witness (0, 4, 2) instead.
+        e = sb.Election(
+            ("p", "c1", "c2", "c3", "c4"), ((1, 4, 3, 0, 2), (3, 1, 4, 2, 0), (1, 2, 0, 3, 4))
+        )
+        costs = tuple(sb.CostFunction(p) for p in ((1, 2, 3), (1, 2, 2, 3), (0, 0)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(5)))
+        for cost, action in (
+            sb.solve_two_pass_scaled(inst, Fraction(1, 4)),
+            sb.solve_two_pass_scaled(inst, 1, exact_threshold=0),
+            sb.solve_bootstrap(inst),
+        ):
+            assert (cost, action.shifts) == (3, (1, 3, 2))
+
+    def test_exact_candidate_kept_at_prices_above_big(self):
+        # eps = 3 puts the big value at 31, below both prices; the exact A
+        # candidate (399) is kept anyway and beats the rounds' 402.
+        e = sb.Election(("p", "c1", "c2"), ((0, 2, 1), (1, 0, 2), (2, 0, 1)), (798, 918, 127))
+        costs = (sb.CostFunction(()), sb.CostFunction((402,)), sb.CostFunction((399,)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.k_approval(3, 1)))
+        cost, action = sb.solve_two_pass_scaled(inst, 3)
+        assert (cost, action.shifts) == (399, (0, 0, 1))
+        cost, action = sb.solve_two_pass_scaled(inst, 3, exact_threshold=0)
+        assert (cost, action.shifts) == (402, (0, 1, 0))
+
     def test_scaled_path_alone_stays_within_bound(self):
         for seed in range(40):
             inst = sb.gen_random(seed, 4, 4, 6)
@@ -309,7 +335,6 @@ class TestSolveBootstrap:
             cost, action = sb.solve_bootstrap(inst)
             assert opt <= cost <= 2 * opt, (seed, opt, cost)
             assert sb.is_successful(inst, action)
-
 
     def test_already_winner_before_any_check(self):
         # The candidate already wins, so B answers 0 before the cell guard
@@ -365,6 +390,30 @@ def test_cell_guard_before_score_checks(solver):
     inst = sb.ShiftBriberyInstance(e, costs, rule)
     with pytest.raises(sb.GuardExceeded):
         solver(inst, cell_guard=1)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: sb.solve_two_pass_scaled(sb.gen_random(1, 6, 5, 10), Fraction(1, 4)),
+        lambda: sb.solve_bootstrap(sb.gen_random(2, 5, 4, 6)),
+        lambda: sb.solve_bootstrap_weighted(sb.gen_random(2, 5, 4, 6, weighted=True)),
+    ],
+    ids=["Aeps", "B", "Bw"],
+)
+def test_one_shift_table_per_solve(solve, monkeypatch):
+    # Rounds re-price the option rows and guesses slice them, so no solve
+    # builds a second table.
+    built = []
+    init = ShiftTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftTable, "__init__", counting_init)
+    solve()
+    assert len(built) == 1
 
 
 class TestSolveBootstrapWeighted:

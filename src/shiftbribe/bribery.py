@@ -176,10 +176,6 @@ class ShiftBriberyInstance:
     def num_candidates(self) -> int:
         return self.election.num_candidates
 
-    @property
-    def is_weighted(self) -> bool:
-        return self.election.weights is not None
-
 
 def rule_scores(election: Election, rule: Rule) -> list:
     """Per-candidate scores of ``election`` under ``rule``."""

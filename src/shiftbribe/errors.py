@@ -20,7 +20,7 @@ class GuardExceeded(RuntimeError):
 
     Raised instead of silently truncating a search or letting a
     pseudo-polynomial loop blow up.  The guards can be overridden via the
-    ``SHIFTBRIBE_GUARD`` environment variable or per-call arguments.
+    ``SHIFTBRIBE_GUARD`` environment variable.
     """
 
 

@@ -287,22 +287,12 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
             raise ParseError(
                 f"expected {cap} prices for a rank-{cap + 1} preferred candidate", no
             )
-        prev = 0
-        seen_inf = False
-        for p in prices:
-            if p is None:
-                seen_inf = True
-                continue
-            if seen_inf:
-                raise ParseError("non-monotone cost function", no)
-            if p < 0:
-                raise ParseError("negative price", no)
-            if p > _I64_MAX:
-                raise _RangeError("price exceeds the 64-bit integer range", no)
-            if p < prev:
-                raise ParseError("non-monotone cost function", no)
-            prev = p
-        costs.append(CostFunction(tuple(prices)))
+        if any(p is not None and p > _I64_MAX for p in prices):
+            raise _RangeError("price exceeds the 64-bit integer range", no)
+        try:
+            costs.append(CostFunction(tuple(prices)))
+        except ValueError as exc:
+            raise ParseError(str(exc), no) from exc
     if not lines.exhausted():
         no, _ = lines.next("")
         raise ParseError("unexpected trailing content", no)

@@ -27,16 +27,13 @@ DEFAULT_MICRO_SLOT_GUARD = 20
 _BLOCK = 4096
 
 
-def _check_enumeration(inst: ShiftBriberyInstance, enum_guard: Optional[int]):
-    if enum_guard is None:
-        enum_guard = env_guard(DEFAULT_ENUM_GUARD)
+def _check_enumeration(inst: ShiftBriberyInstance):
+    guard = env_guard(DEFAULT_ENUM_GUARD)
     count = 1
     for cf in inst.costs:
         count *= cf.max_reachable + 1
-        if count > enum_guard:
-            raise GuardExceeded(
-                f"exhaustive search needs more than {enum_guard} shift vectors"
-            )
+        if count > guard:
+            raise GuardExceeded(f"exhaustive search needs more than {guard} shift vectors")
 
 
 def _cheapest(table: ShiftTable, accept) -> Optional[Tuple[int, tuple]]:
@@ -81,9 +78,7 @@ def _cheapest(table: ShiftTable, accept) -> Optional[Tuple[int, tuple]]:
     return best
 
 
-def exact_shift_opt(
-    inst: ShiftBriberyInstance, enum_guard: Optional[int] = None
-) -> Tuple[int, ShiftAction]:
+def exact_shift_opt(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Minimum cost of a successful shift action, by full enumeration.
 
     All shift vectors within the purchasable caps are tried, in blocks of
@@ -93,7 +88,7 @@ def exact_shift_opt(
     Instances whose action space exceeds the enumeration guard are
     rejected.
     """
-    _check_enumeration(inst, enum_guard)
+    _check_enumeration(inst)
     table = ShiftTable(inst)
     found = _cheapest(table, table.wins)
     if found is None:
@@ -101,13 +96,11 @@ def exact_shift_opt(
     return found[0], ShiftAction(found[1])
 
 
-def exact_cover_opt(
-    inst: ShiftBriberyInstance, targets: Sequence, enum_guard: Optional[int] = None
-) -> Tuple[int, ShiftAction]:
+def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int, ShiftAction]:
     """Minimum cost of a shift action meeting per-rival pairwise-support
     demands (ground truth for the greedy multicover), enumerated in blocks
     like ``exact_shift_opt``."""
-    _check_enumeration(inst, enum_guard)
+    _check_enumeration(inst)
     e = inst.election
     m = e.num_candidates
     if len(targets) != m - 1:
@@ -122,23 +115,16 @@ def exact_cover_opt(
     return found[0], ShiftAction(found[1])
 
 
-def exact_micro_opt(
-    m_inst: MicrobriberyInstance,
-    alpha: CopelandAlpha,
-    slot_guard: Optional[int] = None,
-) -> Tuple[int, FlipSet]:
+def exact_micro_opt(m_inst: MicrobriberyInstance, alpha: CopelandAlpha) -> Tuple[int, FlipSet]:
     """Optimal microbribery by enumerating every subset of available flips.
 
     All subsets of the finitely priced flips are evaluated in a vectorized
-    pass; at most ``slot_guard`` (default 20) flip slots are allowed.  The
+    pass; at most 2**20 subsets (``DEFAULT_MICRO_SLOT_GUARD`` flip slots)
+    are allowed, unless ``SHIFTBRIBE_GUARD`` sets another count.  The
     witness is the subset with the smallest bitmask in (voter, rival) slot
     order among the minimum-cost successful ones.
     """
-    if slot_guard is None:
-        default_subsets = 1 << DEFAULT_MICRO_SLOT_GUARD
-        subsets_guard = env_guard(default_subsets)
-    else:
-        subsets_guard = 1 << slot_guard
+    subsets_guard = env_guard(1 << DEFAULT_MICRO_SLOT_GUARD)
     n, m = m_inst.num_voters, m_inst.num_candidates
     slots = []
     for i in range(n):

@@ -34,7 +34,7 @@ scanned in ascending order.
 """
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,16 +62,15 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
     return inst.rule
 
 
-def _price_rows(prices: list, cell_guard: Optional[int], hint: str = ""):
+def _price_rows(prices: list, hint: str = ""):
     """(P, int64 rows) of per-voter price lists whose largest prices sum to
     P, after checking (n + 1)(P + 1) against the cell guard and then P
     against the 64-bit range, so that no sum of frontier costs can wrap."""
     total = sum(p[-1] for p in prices)
-    if cell_guard is None:
-        cell_guard = env_guard(DEFAULT_CELL_GUARD)
+    guard = env_guard(DEFAULT_CELL_GUARD)
     cells = (len(prices) + 1) * (total + 1)
-    if cells > cell_guard:
-        raise GuardExceeded(f"budget DP needs {cells} cells (guard {cell_guard}){hint}")
+    if cells > guard:
+        raise GuardExceeded(f"budget DP needs {cells} cells (guard {guard}){hint}")
     _check_i64(total, "total of the largest prices")
     return total, [np.array(p, dtype=np.int64) for p in prices]
 
@@ -193,9 +192,7 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int):
     return best
 
 
-def solve_two_pass(
-    inst: ShiftBriberyInstance, cell_guard: Optional[int] = None
-) -> Tuple[int, ShiftAction]:
+def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Two-round greedy budget sweep; 2-approximation for scoring rules.
 
     Scans all budget splits (l1, l2) up to the total of the largest finite
@@ -217,21 +214,19 @@ def solve_two_pass(
     pseudo-polynomial in the smaller of the price total P and the gain
     total G; for Borda or k-approval it is polynomial whatever the prices.
     The guard counts the cells of an exact-spend table: when (n + 1)(P + 1)
-    exceeds ``cell_guard`` (default 10**8, overridable via the
+    exceeds ``DEFAULT_CELL_GUARD`` (10**8, overridable via the
     ``SHIFTBRIBE_GUARD`` environment variable) a ``GuardExceeded`` is raised
     and the caller should switch to ``solve_two_pass_scaled``.
     """
     _require_scoring(inst)
     hint = "; use solve_two_pass_scaled instead"
-    budget, prices = _price_rows(_price_lists(inst), cell_guard, hint)
+    budget, prices = _price_rows(_price_lists(inst), hint)
     table = ShiftTable(inst)
     cost, shifts = _two_pass(table, list(zip(prices, _gain_rows(table))), 0, budget)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
-def solve_single_pass(
-    inst: ShiftBriberyInstance, cell_guard: Optional[int] = None
-) -> Tuple[int, ShiftAction]:
+def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Single greedy budget sweep: the smallest budget whose best buy makes
     the preferred candidate win.
 
@@ -242,7 +237,7 @@ def solve_single_pass(
     is the same (n + 1)(P + 1) cell count as in ``solve_two_pass``.
     """
     _require_scoring(inst)
-    budget, prices = _price_rows(_price_lists(inst), cell_guard)
+    budget, prices = _price_rows(_price_lists(inst))
     table = ShiftTable(inst)
     sweep = _BudgetSweep(list(zip(prices, _gain_rows(table))), budget)
     shifts = sweep.trace(np.arange(len(sweep.costs)))
@@ -253,7 +248,7 @@ def solve_single_pass(
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_rounds(inst, table, start, eps, exact_threshold, cell_guard):
+def _scaled_rounds(inst, table, start, eps):
     """(cost, shifts, table) of the rounds of ``solve_two_pass_scaled``, with
     internal ``eps``, for actions on top of ``start``.
 
@@ -275,11 +270,11 @@ def _scaled_rounds(inst, table, start, eps, exact_threshold, cell_guard):
         [[-(-q * n * den // (rho * num)) if q <= rho else big for q in p] for p in prices]
         for rho in rhos
     ]
-    if (n + 1) * (sum(p[-1] for p in prices) + 1) <= exact_threshold:
+    if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
         pricings.append(prices)
     best = None
     for scaled in pricings:
-        budget, rows = _price_rows(scaled, cell_guard)
+        budget, rows = _price_rows(scaled)
         if table is None:
             table = ShiftTable(inst)
         gains = [g[s:] - g[s] for g, s in zip(_gain_rows(table), start.tolist())]
@@ -292,12 +287,7 @@ def _scaled_rounds(inst, table, start, eps, exact_threshold, cell_guard):
     return best + (table,)
 
 
-def solve_two_pass_scaled(
-    inst: ShiftBriberyInstance,
-    eps,
-    exact_threshold: Optional[int] = None,
-    cell_guard: Optional[int] = None,
-) -> Tuple[int, ShiftAction]:
+def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAction]:
     """Price-scaling approximation scheme; (2 + eps)-approximation.
 
     Doubles a guess ``rho`` of the most expensive single shift from 1 up to
@@ -312,7 +302,7 @@ def solve_two_pass_scaled(
     The per-round analysis delivers a (2 + 4*eps') bound, so internally
     eps' = eps/4 and the advertised guarantee is the caller-facing
     (2 + eps).  Whenever the unscaled DP is small (cell count
-    (n + 1)(P + 1) at most ``exact_threshold``, default 10**6), the exact
+    (n + 1)(P + 1) at most ``DEFAULT_EXACT_THRESHOLD``, 10**6), the exact
     ``solve_two_pass`` run is included as one more candidate, making the
     answer exact at desk scale.
     """
@@ -320,16 +310,12 @@ def solve_two_pass_scaled(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if exact_threshold is None:
-        exact_threshold = DEFAULT_EXACT_THRESHOLD
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    cost, shifts, _ = _scaled_rounds(inst, None, zero, eps / 4, exact_threshold, cell_guard)
+    cost, shifts, _ = _scaled_rounds(inst, None, zero, eps / 4)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
-def solve_bootstrap(
-    inst: ShiftBriberyInstance, cell_guard: Optional[int] = None
-) -> Tuple[int, ShiftAction]:
+def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Guess-and-rescale solver; 2-approximation in polynomial time.
 
     Some coordinate of an optimal action carries at least a 1/n fraction of
@@ -347,9 +333,9 @@ def solve_bootstrap(
     n = inst.num_voters
     if is_successful(inst, ShiftAction.zero(n)):
         return 0, ShiftAction.zero(n)
-    args = (Fraction(1, 4 * n), DEFAULT_EXACT_THRESHOLD, cell_guard)  # internal eps of 1/n
+    eps = Fraction(1, 4 * n)  # internal eps of 1/n
     zero = np.zeros(n, dtype=np.int64)
-    cost, shifts, table = _scaled_rounds(inst, None, zero, *args)
+    cost, shifts, table = _scaled_rounds(inst, None, zero, eps)
     best = (cost, shifts)
     for i, p in enumerate(_price_lists(inst)):
         for t in range(1, len(p)):
@@ -360,16 +346,14 @@ def solve_bootstrap(
             if table.wins(table.rows_after(guess[None]))[0]:
                 cand = (p[t], guess)
             else:
-                rest_cost, shifts, _ = _scaled_rounds(inst, table, guess, *args)
+                rest_cost, shifts, _ = _scaled_rounds(inst, table, guess, eps)
                 cand = (p[t] + rest_cost, shifts)
             if cand[0] < best[0]:
                 best = cand
     return best[0], ShiftAction(tuple(best[1].tolist()))
 
 
-def solve_bootstrap_weighted(
-    inst: ShiftBriberyInstance, cell_guard: Optional[int] = None
-) -> Tuple[int, ShiftAction]:
+def solve_bootstrap_weighted(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Weighted-voter entry point of ``solve_bootstrap``.
 
     A voter of weight w behaves exactly like a unit-weight voter whose
@@ -379,4 +363,4 @@ def solve_bootstrap_weighted(
     _require_scoring(inst)
     if inst.election.weights is None:
         raise IncompatibleRule("solve_bootstrap_weighted requires a weighted instance")
-    return solve_bootstrap(inst, cell_guard=cell_guard)
+    return solve_bootstrap(inst)

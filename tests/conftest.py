@@ -3,6 +3,7 @@ import random
 import pytest
 
 import shiftbribe as sb
+from shiftbribe import scoring_solvers
 
 
 def gen_random_micro(seed, n, m, max_price, infinite_prob=0.15):
@@ -24,6 +25,14 @@ def gen_random_micro(seed, n, m, max_price, infinite_prob=0.15):
                 prices[c] = rng.randint(0, max_price)
         costs.append(sb.FlipCostFunction(prices))
     return sb.MicrobriberyInstance(tuple(tables), tuple(costs))
+
+
+def scaled_rounds_alone(inst, eps):
+    """``solve_two_pass_scaled`` without its exact ``A`` candidate: the
+    scaled rounds alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring_solvers, "DEFAULT_EXACT_THRESHOLD", 0)
+        return sb.solve_two_pass_scaled(inst, eps)
 
 
 def small_instance_sizes(seed):

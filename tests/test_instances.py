@@ -125,7 +125,30 @@ class TestParseDiagnostics:
         bad = (
             "shiftbribe v1\nrule borda\n3 1\np a b\norder: 1 2 0\nprices: 5,3\n"
         )
-        with pytest.raises(sb.ParseError, match="non-monotone cost function at line 6"):
+        with pytest.raises(sb.ParseError, match="price table decreases at shift 2 at line 6"):
+            sb.parse_instance(bad)
+
+    @pytest.mark.parametrize(
+        "prices,message",
+        [
+            ("-1,3", "price for shift 1 is negative"),
+            ("inf,3", "unreachable marks must form a suffix of the price table"),
+        ],
+    )
+    def test_cost_function_rules(self, prices, message):
+        bad = f"shiftbribe v1\nrule borda\n3 1\np a b\norder: 1 2 0\nprices: {prices}\n"
+        with pytest.raises(sb.ParseError, match=f"^{message} at line 6$") as err:
+            sb.parse_instance(bad)
+        assert not isinstance(err.value, OverflowError)
+
+    def test_range_fault_before_order_fault(self):
+        # a price beyond 2**63 - 1 is reported as out of range (CLI exit 2)
+        # even when the table also decreases
+        bad = (
+            "shiftbribe v1\nrule borda\n3 1\np a b\norder: 1 2 0\n"
+            "prices: 9223372036854775808,3\n"
+        )
+        with pytest.raises(OverflowError, match="64-bit integer range at line 6"):
             sb.parse_instance(bad)
 
     def test_zero_weight(self):

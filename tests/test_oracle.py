@@ -29,10 +29,11 @@ class TestExactShiftOpt:
             assert opt <= sb.solve_single_pass(inst)[0]
             assert opt <= sb.solve_bootstrap(inst)[0]
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         inst = sb.gen_random(0, 4, 4, 6)
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "3")
         with pytest.raises(sb.GuardExceeded):
-            sb.exact_shift_opt(inst, enum_guard=3)
+            sb.exact_shift_opt(inst)
 
     def test_cost_invariant_under_voter_permutation(self):
         for seed in range(20):
@@ -197,10 +198,22 @@ class TestExactMicroOpt:
             agreements += 1
         assert agreements > 100
 
-    def test_slot_guard(self):
+    def test_slot_guard(self, monkeypatch):
         m_inst = gen_random_micro(1, 4, 4, 3, infinite_prob=0.0)
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**4))
         with pytest.raises(sb.GuardExceeded):
-            sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2), slot_guard=4)
+            sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
+
+    def test_slot_guard_boundary(self, monkeypatch):
+        # three finitely priced flips: 2**3 subsets
+        table = ((0, -1), (1, 0))
+        costs = tuple(sb.FlipCostFunction({1: 1}) for _ in range(3))
+        m_inst = sb.MicrobriberyInstance((table,) * 3, costs)
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**3))
+        assert sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))[0] == 2
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**3 - 1))
+        with pytest.raises(sb.GuardExceeded, match=r"2\*\*3 subsets \(guard 7\)"):
+            sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
 
 
 class TestExactCoverOpt:

@@ -440,14 +440,16 @@ def test_later_block_wins_only_when_strictly_cheaper():
     assert sb.exact_shift_opt(inst) == (13, sb.ShiftAction((1,) + (0,) * 7 + (1,) * 6))
 
 
-def test_guard_boundary():
+def test_guard_boundary(monkeypatch):
     inst = unanimous_runner_up((1,) * 14)
-    assert sb.exact_shift_opt(inst, enum_guard=2**14)[0] == 7
+    monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**14))
+    assert sb.exact_shift_opt(inst)[0] == 7
+    assert sb.exact_cover_opt(inst, (7,))[0] == 7
+    monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**14 - 1))
     with pytest.raises(sb.GuardExceeded):
-        sb.exact_shift_opt(inst, enum_guard=2**14 - 1)
-    assert sb.exact_cover_opt(inst, (7,), enum_guard=2**14)[0] == 7
+        sb.exact_shift_opt(inst)
     with pytest.raises(sb.GuardExceeded):
-        sb.exact_cover_opt(inst, (7,), enum_guard=2**14 - 1)
+        sb.exact_cover_opt(inst, (7,))
 
 
 def test_price_total_at_int64_limit():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shiftbribe as sb
+from conftest import scaled_rounds_alone
 from scoring_reference import build_budget_dp, double_gain_check
 from shiftbribe.bribery import ShiftTable
 from shiftbribe.scoring_solvers import _BudgetSweep, _max_budget, _option_rows
@@ -195,9 +196,18 @@ class TestSolveTwoPass:
             assert opt <= cost <= 2 * opt, (seed, opt, cost)
             assert sb.is_successful(inst, action)
 
-    def test_guard(self, thm6_k1):
+    def test_guard(self, thm6_k1, monkeypatch):
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
         with pytest.raises(sb.GuardExceeded, match="solve_two_pass_scaled"):
-            sb.solve_two_pass(thm6_k1, cell_guard=10)
+            sb.solve_two_pass(thm6_k1)
+
+    def test_guard_boundary(self, thm6_k1, monkeypatch):
+        # (n + 1)(P + 1) = 7 * 15 cells: 6 voters, largest prices summing to 14
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "105")
+        assert sb.solve_two_pass(thm6_k1) == (4, sb.ShiftAction((0, 0, 1, 1, 0, 0)))
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "104")
+        with pytest.raises(sb.GuardExceeded, match=r"needs 105 cells \(guard 104\)"):
+            sb.solve_two_pass(thm6_k1)
 
     @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass])
     def test_fully_shifted_score_outside_int64_raises(self, solver):
@@ -257,7 +267,7 @@ class TestSolveTwoPassScaled:
             )
             inst = sb.ShiftBriberyInstance(base.election, costs, base.rule)
             want = sb.solve_two_pass(inst)[0]
-            got = sb.solve_two_pass_scaled(inst, Fraction(1, 2), exact_threshold=0)[0]
+            got = scaled_rounds_alone(inst, Fraction(1, 2))[0]
             assert got == want, seed
 
     def test_envelope_on_random_instances(self):
@@ -270,15 +280,16 @@ class TestSolveTwoPassScaled:
             assert 2 * cost <= 5 * opt, (seed, opt, cost)  # (2 + 1/2) * opt
             assert sb.is_successful(inst, action)
 
-    def test_scaled_price_total_outside_int64_raises(self, thm6_k1):
+    def test_scaled_price_total_outside_int64_raises(self, thm6_k1, monkeypatch):
         # eps 1/10**20 lifts the first round's big price beyond 2**63; with
         # the cell guard out of the way, the 64-bit check on the scaled total
         # must refuse it before any int64 array of those prices is built.
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(10**40))
         with pytest.raises(
             OverflowError,
             match="^total of the largest prices exceeds the checked 64-bit integer range",
         ):
-            sb.solve_two_pass_scaled(thm6_k1, Fraction(1, 10**20), cell_guard=10**40)
+            sb.solve_two_pass_scaled(thm6_k1, Fraction(1, 10**20))
 
     def test_rounds_keep_only_shifts_priced_below_big(self):
         # Some round's sweep buys a shift priced at the big value; keeping
@@ -290,7 +301,7 @@ class TestSolveTwoPassScaled:
         inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(5)))
         for cost, action in (
             sb.solve_two_pass_scaled(inst, Fraction(1, 4)),
-            sb.solve_two_pass_scaled(inst, 1, exact_threshold=0),
+            scaled_rounds_alone(inst, 1),
             sb.solve_bootstrap(inst),
         ):
             assert (cost, action.shifts) == (3, (1, 3, 2))
@@ -303,14 +314,14 @@ class TestSolveTwoPassScaled:
         inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.k_approval(3, 1)))
         cost, action = sb.solve_two_pass_scaled(inst, 3)
         assert (cost, action.shifts) == (399, (0, 0, 1))
-        cost, action = sb.solve_two_pass_scaled(inst, 3, exact_threshold=0)
+        cost, action = scaled_rounds_alone(inst, 3)
         assert (cost, action.shifts) == (402, (0, 1, 0))
 
     def test_scaled_path_alone_stays_within_bound(self):
         for seed in range(40):
             inst = sb.gen_random(seed, 4, 4, 6)
             opt, _ = sb.exact_shift_opt(inst)
-            cost, _ = sb.solve_two_pass_scaled(inst, Fraction(1, 2), exact_threshold=0)
+            cost, _ = scaled_rounds_alone(inst, Fraction(1, 2))
             assert opt <= cost
             assert 2 * cost <= 5 * opt, (seed, opt, cost)
 
@@ -336,7 +347,7 @@ class TestSolveBootstrap:
             assert opt <= cost <= 2 * opt, (seed, opt, cost)
             assert sb.is_successful(inst, action)
 
-    def test_already_winner_before_any_check(self):
+    def test_already_winner_before_any_check(self, monkeypatch):
         # The candidate already wins, so B answers 0 before the cell guard
         # and before the fully shifted score (2**63 here) is range-checked;
         # Aeps runs its rounds and refuses the instance.
@@ -344,7 +355,9 @@ class TestSolveBootstrap:
         e = sb.Election(("p", "c"), ((0, 1), (1, 0)))
         rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction(()), sb.CostFunction((1,))), rule)
-        assert sb.solve_bootstrap(inst, cell_guard=1) == (0, sb.ShiftAction((0, 0)))
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "1")
+        assert sb.solve_bootstrap(inst) == (0, sb.ShiftAction((0, 0)))
+        monkeypatch.delenv("SHIFTBRIBE_GUARD")
         with pytest.raises(OverflowError, match="fully shifted score"):
             sb.solve_two_pass_scaled(inst, Fraction(1, 4))
 
@@ -373,13 +386,11 @@ def test_prices_beyond_int64_still_answer(solver, prices, want):
     [
         sb.solve_two_pass,
         sb.solve_single_pass,
-        lambda inst, cell_guard: sb.solve_two_pass_scaled(
-            inst, Fraction(1, 4), cell_guard=cell_guard
-        ),
+        lambda inst: sb.solve_two_pass_scaled(inst, Fraction(1, 4)),
     ],
     ids=["A", "G", "Aeps"],
 )
-def test_cell_guard_before_score_checks(solver):
+def test_cell_guard_before_score_checks(solver, monkeypatch):
     # The fully shifted score leaves int64 (see TestSolveTwoPass), but the
     # cell guard trips first.
     top = (1 << 63) - 1
@@ -388,8 +399,9 @@ def test_cell_guard_before_score_checks(solver):
     rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
     costs = (sb.CostFunction((1,)), sb.CostFunction((1,)), sb.CostFunction(()))
     inst = sb.ShiftBriberyInstance(e, costs, rule)
+    monkeypatch.setenv("SHIFTBRIBE_GUARD", "1")
     with pytest.raises(sb.GuardExceeded):
-        solver(inst, cell_guard=1)
+        solver(inst)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,23 @@ def gen_random_micro(seed, n, m, max_price, infinite_prob=0.15):
     return sb.MicrobriberyInstance(tuple(tables), tuple(costs))
 
 
+def flips_win(m_inst, alpha, flips):
+    """Whether candidate 0 is a Copeland-alpha winner once each voter's
+    entries against the rivals in ``flips[i]`` are flipped: a direct count
+    over the flipped tables, the reference the microbribery solvers and
+    oracle are checked against."""
+    m = m_inst.num_candidates
+    tables = []
+    for table, rivals in zip(m_inst.tables, flips):
+        t = [list(row) for row in table]
+        for c in rivals:
+            t[0][c], t[c][0] = t[c][0], t[0][c]
+        tables.append(t)
+    n_matrix = [[sum(t[a][b] == 1 for t in tables) for b in range(m)] for a in range(m)]
+    tally = sb.PairwiseTally(n_matrix, len(tables))
+    return 0 in sb.winners(sb.copeland_scores(tally, alpha))
+
+
 def scaled_rounds_alone(inst, eps):
     """``solve_two_pass_scaled`` without its exact ``A`` candidate: the
     scaled rounds alone."""

@@ -8,6 +8,14 @@ weighted now and then), and the edge cases n = 1, m = 1, zero prices,
 unreachable price suffixes, already-winning and infeasible instances.  About
 one in five has 7-9 voters and 6 candidates, so that the enumeration spans
 several blocks.
+
+``MICRO_GOLDEN`` was recorded with the whole-space subset enumeration of
+``exact_micro_opt`` that predates its block enumeration, so it pins the
+witness rule: the smallest bitmask in (voter, rival) order among the
+cheapest winning flip sets.  The instances have 1-5 voters, 1-6 candidates
+and alpha 0, 1/2, 1 and 2/3, cyclic tables, zero prices, unavailable flips
+(some infeasible) and already-winning tables; every 30th has 17-20 flips,
+the others at most 16.
 """
 
 import random
@@ -16,6 +24,7 @@ from itertools import product
 import pytest
 
 import shiftbribe as sb
+from conftest import flips_win, gen_random_micro
 
 FAMILIES = (
     "borda",
@@ -29,6 +38,8 @@ FAMILIES = (
 )
 NO_ACTION = "Infeasible('no successful shift action exists')"
 NO_COVER = "Infeasible('no shift action meets the targets')"
+NO_FLIPS = "Infeasible('no flip subset makes the preferred candidate a winner')"
+MICRO_ALPHAS = tuple(sb.CopelandAlpha(*a) for a in ((0, 1), (1, 2), (1, 1), (2, 3)))
 
 
 def shift_vectors(inst):
@@ -90,6 +101,35 @@ def cover_case(seed):
     rng = random.Random(seed + 4242)
     targets = tuple(rng.randint(0, inst.num_voters) for _ in range(inst.num_candidates - 1))
     return inst, targets
+
+
+def flip_count(m_inst):
+    return sum(len(fc.costs) for fc in m_inst.flip_costs)
+
+
+def micro_case(seed):
+    """Seed-deterministic microbribery instance and alpha: 17-20 flips for
+    every 30th seed, at most 16 otherwise."""
+    rng = random.Random(seed * 4099 + 17)
+    alpha = MICRO_ALPHAS[seed % 4]
+    if seed % 30 == 29:
+        n, m, infinite_prob = rng.randint(4, 5), rng.randint(5, 6), 0.15
+        sizes = range(17, 21)
+    else:
+        n = rng.randint(1, 5)
+        m = 1 if rng.random() < 0.05 else rng.randint(2, 6)
+        infinite_prob = rng.choice((0.0, 0.2, 0.5, 0.9))
+        if not infinite_prob:
+            m = min(m, 16 // n + 1)
+        sizes = range(17)
+    max_price = rng.choice((0, 3, 10, 100))
+    draw = seed
+    while True:
+        m_inst = gen_random_micro(draw, n, m, max_price, infinite_prob=infinite_prob)
+        winning = flips_win(m_inst, alpha, ((),) * n)
+        if flip_count(m_inst) in sizes and (not winning or rng.random() < 0.1):
+            return m_inst, alpha
+        draw += 1000
 
 
 # seed: (cost, witness) of exact_shift_opt, or the repr of what it raised
@@ -360,6 +400,161 @@ COVER_GOLDEN = {
     59: ((5, 0, 7, 4, 5), NO_COVER),
 }
 
+# seed: (cost, flipped rivals per voter) of exact_micro_opt on micro_case,
+# or the repr of what it raised
+MICRO_GOLDEN = {
+    0: (4, ((), (), (), (1,), ())),
+    1: (0, ((), ())),
+    2: (94, ((), (1,), ())),
+    3: NO_FLIPS,
+    4: (0, ((), (3,), (), ())),
+    5: (1, ((2,), (), ())),
+    6: (0, ((3,),)),
+    7: (0, ((3,), (), ())),
+    8: (0, ((1,),)),
+    9: (5, ((2,), (), (2,))),
+    10: (0, ((2,), (), (), ())),
+    11: (0, ((),)),
+    12: (1, ((1, 5), ())),
+    13: (68, ((1,), (4,))),
+    14: NO_FLIPS,
+    15: (6, ((2,), ())),
+    16: (28, ((), (1,), (), (1,), ())),
+    17: (0, ((1,), (), (), ())),
+    18: (0, ((4,), ())),
+    19: (1, ((2,), ())),
+    20: NO_FLIPS,
+    21: NO_FLIPS,
+    22: (0, ((5,), (), (), ())),
+    23: (7, ((1,), ())),
+    24: (1, ((), (1,), (), (), ())),
+    25: (0, ((), (1,), (), (), (1,))),
+    26: (0, ((), ())),
+    27: (13, ((1,), (1,), (1,), (), ())),
+    28: (1, ((), (), (4,), (), ())),
+    29: (2, ((2, 3), (), (1,), ())),
+    30: (0, ((1,), (), (), (), ())),
+    31: (0, ((), (1,))),
+    32: (0, ((), (), (), (), ())),
+    33: (3, ((4,),)),
+    34: NO_FLIPS,
+    35: (0, ((), (), (), (), ())),
+    36: (0, ((), (), ())),
+    37: NO_FLIPS,
+    38: (1, ((1,), (3,), (), (), ())),
+    39: NO_FLIPS,
+    40: NO_FLIPS,
+    41: (11, ((1,), (), (1,))),
+    42: (3, ((1,),)),
+    43: (0, ((4,), (), (4,), (), ())),
+    44: (1, ((1,), (1,), (), (), ())),
+    45: NO_FLIPS,
+    46: (0, ((2,), (), ())),
+    47: (37, ((), (1,), (1,))),
+    48: (57, ((3, 5),)),
+    49: (2, ((), (3,), (2,), (2, 3, 4))),
+    50: (1, ((), (1,), ())),
+    51: (13, ((), (3,), (), (3,))),
+    52: (12, ((2,), ())),
+    53: NO_FLIPS,
+    54: (5, ((3,), (), (3,))),
+    55: NO_FLIPS,
+    56: (0, ((), (), ())),
+    57: (0, ((), (1,), (), ())),
+    58: NO_FLIPS,
+    59: (0, ((5,), (), (), ())),
+    60: (2, ((1,),)),
+    61: (0, ((1, 5),)),
+    62: (7, ((3,), (1,), (1,), (3,), ())),
+    63: (0, ((1, 2, 3, 4), ())),
+    64: (0, ((), ())),
+    65: (42, ((1, 2, 3),)),
+    66: NO_FLIPS,
+    67: (136, ((), (), (), (2, 3, 4))),
+    68: (0, ((2,), ())),
+    69: (0, ((3,), ())),
+    70: (3, ((2,), (), (2,), ())),
+    71: (4, ((1,), ())),
+    72: (51, ((1,),)),
+    73: (3, ((), (1, 3), (), (), ())),
+    74: (67, ((), (), (), (1,), ())),
+    75: (6, ((2, 3), (1, 2))),
+    76: (3, ((1,), (4,))),
+    77: (35, ((2,), ())),
+    78: (37, ((), (), (1,))),
+    79: (2, ((2,), ())),
+    80: (27, ((1, 2), ())),
+    81: (0, ((), (), (), (), (2,))),
+    82: (1, ((3,), (), (), (3,))),
+    83: NO_FLIPS,
+    84: (0, ((), (), (1,), ())),
+    85: (57, ((2,), (), ())),
+    86: NO_FLIPS,
+    87: (2, ((1,), ())),
+    88: (187, ((1, 3), (2,), ())),
+    89: (6, ((5,), (), (), (), (3,))),
+    90: NO_FLIPS,
+    91: (2, ((1,), (3,))),
+    92: (0, ((), ())),
+    93: (0, ((1, 2),)),
+    94: (0, ((4,), (), (), (), ())),
+    95: (0, ((),)),
+    96: (0, ((1, 3), (1,), ())),
+    97: NO_FLIPS,
+    98: NO_FLIPS,
+    99: NO_FLIPS,
+    100: (0, ((), (), (), ())),
+    101: (3, ((1,),)),
+    102: NO_FLIPS,
+    103: (1, ((1,), ())),
+    104: (0, ((5,),)),
+    105: (6, ((), (), (), (3,), ())),
+    106: (7, ((), (), (1,), (1,), (1,))),
+    107: NO_FLIPS,
+    108: (0, ((4,), ())),
+    109: NO_FLIPS,
+    110: NO_FLIPS,
+    111: (2, ((3,), (2,), (), (2, 3))),
+    112: NO_FLIPS,
+    113: NO_FLIPS,
+    114: (0, ((), (), (), (), ())),
+    115: (43, ((1,), ())),
+    116: (0, ((), (1,), (1,), ())),
+    117: (2, ((1,),)),
+    118: (3, ((), (1,), (), ())),
+    119: (2, ((1,), (), (1,), ())),
+    120: NO_FLIPS,
+    121: NO_FLIPS,
+    122: (0, ((1,), (), (1,), (), ())),
+    123: (0, ((), (), (), (), ())),
+    124: (0, ((1,),)),
+    125: NO_FLIPS,
+    126: (0, ((), (), ())),
+    127: (1, ((1,),)),
+    128: (7, ((2, 5), (), (2,), ())),
+    129: NO_FLIPS,
+    130: (94, ((), (), (), (2,))),
+    131: (0, ((), ())),
+    132: (0, ((), (1,), (), ())),
+    133: NO_FLIPS,
+    134: NO_FLIPS,
+    135: NO_FLIPS,
+    136: (71, ((), (), (), (1,), ())),
+    137: (0, ((), (1,), (), (1,), ())),
+    138: NO_FLIPS,
+    139: (4, ((), (), (1,))),
+    140: (0, ((1,),)),
+    141: (3, ((), (2,), (), (), (2,))),
+    142: (10, ((2,), (), ())),
+    143: (18, ((), (), (1,))),
+    144: (0, ((1,),)),
+    145: (3, ((1,), (), (1,), (), ())),
+    146: NO_FLIPS,
+    147: (0, ((), (3,), ())),
+    148: (2, ((3,), (2,))),
+    149: (0, ((2,), (), (), ())),
+}
+
 
 def outcome(solve):
     try:
@@ -367,6 +562,14 @@ def outcome(solve):
     except sb.Infeasible as exc:
         return repr(exc)
     return cost, tuple(action.shifts)
+
+
+def micro_outcome(solve, seed):
+    try:
+        cost, flips = solve(*micro_case(seed))
+    except sb.Infeasible as exc:
+        return repr(exc)
+    return cost, tuple(tuple(sorted(s)) for s in flips.flips)
 
 
 def test_golden_instances_span_the_edge_cases():
@@ -464,3 +667,68 @@ def test_price_total_beyond_int64_raises():
         sb.exact_shift_opt(inst)
     with pytest.raises(OverflowError, match="total of the largest prices"):
         sb.exact_cover_opt(inst, (1,))
+
+
+def test_micro_golden_instances_span_the_edge_cases():
+    cases = [micro_case(seed) for seed in MICRO_GOLDEN]
+    results = list(MICRO_GOLDEN.values())
+    assert any(m_inst.num_voters == 1 for m_inst, _ in cases)
+    assert any(m_inst.num_candidates == 1 for m_inst, _ in cases)
+    assert sum(flip_count(m_inst) > 16 for m_inst, _ in cases) >= 5
+    assert sum(r == NO_FLIPS for r in results) >= 10
+    assert sum(r != NO_FLIPS and r[0] == 0 and any(r[1]) for r in results) >= 5
+    assert sum(r != NO_FLIPS and not any(r[1]) for r in results) >= 5
+    assert any(0 in fc.costs.values() for m_inst, _ in cases for fc in m_inst.flip_costs)
+    cyclic = 0
+    for m_inst, _ in cases:
+        m = m_inst.num_candidates
+        cyclic += any(
+            t[a][b] == t[b][c] == t[c][a] == 1
+            for t in m_inst.tables
+            for a in range(m)
+            for b in range(m)
+            for c in range(m)
+        )
+    assert cyclic >= 20
+
+
+def test_exact_micro_opt_golden():
+    mismatched = [
+        seed
+        for seed, expected in MICRO_GOLDEN.items()
+        if micro_outcome(sb.exact_micro_opt, seed) != expected
+    ]
+    assert mismatched == []
+
+
+def test_micro_golden_witnesses_win_at_their_cost():
+    for seed, expected in MICRO_GOLDEN.items():
+        if expected == NO_FLIPS:
+            continue
+        m_inst, alpha = micro_case(seed)
+        assert flips_win(m_inst, alpha, expected[1]), seed
+        assert sb.flip_set_cost(m_inst, sb.FlipSet(expected[1])) == expected[0], seed
+
+
+def test_solve_copeland_micro_matches_micro_golden():
+    """The polynomial solver finds the pinned optimum, with a witness of its
+    own that wins at that cost."""
+    for seed, expected in MICRO_GOLDEN.items():
+        m_inst, alpha = micro_case(seed)
+        if expected == NO_FLIPS:
+            with pytest.raises(sb.Infeasible):
+                sb.solve_copeland_micro(m_inst, alpha)
+            continue
+        cost, flips = sb.solve_copeland_micro(m_inst, alpha)
+        assert cost == sb.flip_set_cost(m_inst, flips) == expected[0], seed
+        assert flips_win(m_inst, alpha, flips.flips), seed
+
+
+def test_micro_witness_is_the_smallest_bitmask():
+    # three voters prefer the rival and any two flips win; voters 0 and 1
+    # hold the two lowest bits
+    table = ((0, -1), (1, 0))
+    costs = tuple(sb.FlipCostFunction({1: 1}) for _ in range(3))
+    m_inst = sb.MicrobriberyInstance((table,) * 3, costs)
+    cost, flips = sb.exact_micro_opt(m_inst, sb.CopelandAlpha(0, 1))
+    assert (cost, flips.flips) == (2, (frozenset({1}), frozenset({1}), frozenset()))

@@ -4,11 +4,13 @@ Enumeration sizes are guarded by hard errors: a truncated oracle would be
 worse than none.  Witnesses are tie-broken lexicographically so repeated
 runs are identical.
 
-The shift-vector oracles enumerate blocks of lexicographically consecutive
-vectors from the per-voter table of prices and score (or pairwise-row)
-deltas that the scoring solvers share (``bribery.ShiftTable``), with one
-vectorized winner test per block; ``_cheapest`` explains why the witness
-is still the one a vector-by-vector scan returns.
+All three oracles run one exhaustive search, ``_cheapest``: it enumerates
+blocks of lexicographically consecutive vectors from per-voter rows of
+prices and row deltas, with one vectorized winner test per block, and
+explains why the witness is still the one a vector-by-vector scan returns.
+The shift-vector oracles pass the rows of the table the scoring solvers
+share (``bribery.ShiftTable``); the microbribery oracle passes one two-row
+"voter" per available flip and the Copeland test of that table.
 """
 
 from itertools import product
@@ -16,14 +18,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bribery import ShiftAction, ShiftBriberyInstance, ShiftTable
-from .condorcet_solvers import FlipSet, MicrobriberyInstance, _copeland_inputs, _micro_tally
-from .elections import CopelandAlpha
+from .bribery import CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable, _pairwise_wins
+from .condorcet_solvers import FlipSet, MicrobriberyInstance, _micro_tally
+from .elections import CopelandAlpha, _check_i64
 from .errors import GuardExceeded, Infeasible, env_guard
 
 DEFAULT_ENUM_GUARD = 10**7
-DEFAULT_MICRO_SLOT_GUARD = 20
-# Most shift vectors combined into one block of the exhaustive search.
+# Most vectors combined into one block of the exhaustive search.
 _BLOCK = 4096
 
 
@@ -36,32 +37,32 @@ def _check_enumeration(inst: ShiftBriberyInstance):
             raise GuardExceeded(f"exhaustive search needs more than {guard} shift vectors")
 
 
-def _cheapest(table: ShiftTable, accept) -> Optional[Tuple[int, tuple]]:
-    """Lexicographically first of the cheapest shift vectors whose shifted
-    row ``table.base`` plus the sum of deltas passes ``accept``, or None.
+def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[Tuple[int, tuple]]:
+    """Lexicographically first of the cheapest vectors t, one option per
+    voter, whose row ``base`` plus the sum of ``deltas[i][t[i]]`` passes
+    ``accept``, or None; t costs the sum of ``prices[i][t[i]]``.
 
     The voters split into a head and a tail, the longest suffix with at most
-    ``_BLOCK`` shift vectors.  The tail's costs and rows are combined once,
+    ``_BLOCK`` vectors.  The tail's costs and rows are combined once,
     in lexicographic order; each head combination, taken in ``product``
     order, adds its cost and delta to them and tests, in one batch, the rows
     cheaper than the best found so far.  Lexicographic order is head-major,
     then tail index, and a later block replaces the best only when strictly
     cheaper, so the witness is the one a vector-by-vector scan keeps.
     """
-    rows = list(zip(table.prices, table.deltas))
-    base = table.base
+    rows = list(zip(prices, deltas))
     split = len(rows)
     tail_cost = np.zeros(1, dtype=np.int64)
     tail_delta = base[None, :]
     while split and len(tail_cost) * len(rows[split - 1][0]) <= _BLOCK:
         split -= 1
-        prices, delta = rows[split]
-        tail_cost = (prices[:, None] + tail_cost[None, :]).ravel()
+        price, delta = rows[split]
+        tail_cost = (price[:, None] + tail_cost[None, :]).ravel()
         tail_delta = (delta[:, None, :] + tail_delta[None, :, :]).reshape(-1, len(base))
-    tail_shape = [len(prices) for prices, _ in rows[split:]]
+    tail_shape = [len(price) for price, _ in rows[split:]]
     head = rows[:split]
     best = None
-    for combo in product(*(range(len(prices)) for prices, _ in head)):
+    for combo in product(*(range(len(price)) for price, _ in head)):
         cost = tail_cost + sum(int(head[i][0][t]) for i, t in enumerate(combo))
         if best is None:
             keep = np.arange(len(cost))
@@ -90,7 +91,7 @@ def exact_shift_opt(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """
     _check_enumeration(inst)
     table = ShiftTable(inst)
-    found = _cheapest(table, table.wins)
+    found = _cheapest(table.prices, table.deltas, table.base, table.wins)
     if found is None:
         raise Infeasible("no successful shift action exists")
     return found[0], ShiftAction(found[1])
@@ -109,7 +110,8 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     required = np.zeros(m, dtype=np.int64)
     for c in range(1, m):
         required[c] = min(int(table.base[c]) + targets[c - 1], e.total_weight)
-    found = _cheapest(table, lambda rows: (rows >= required).all(axis=1))
+    accept = lambda rows: (rows >= required).all(axis=1)
+    found = _cheapest(table.prices, table.deltas, table.base, accept)
     if found is None:
         raise Infeasible("no shift action meets the targets")
     return found[0], ShiftAction(found[1])
@@ -118,53 +120,42 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
 def exact_micro_opt(m_inst: MicrobriberyInstance, alpha: CopelandAlpha) -> Tuple[int, FlipSet]:
     """Optimal microbribery by enumerating every subset of available flips.
 
-    All subsets of the finitely priced flips are evaluated in a vectorized
-    pass; at most 2**20 subsets (``DEFAULT_MICRO_SLOT_GUARD`` flip slots)
-    are allowed, unless ``SHIFTBRIBE_GUARD`` sets another count.  The
-    witness is the subset with the smallest bitmask in (voter, rival) slot
-    order among the minimum-cost successful ones.
+    Each finitely priced flip (voter i, rival c) is one voter of
+    ``_cheapest`` with two options, priced 0 and the flip price; the flip
+    moves the preferred candidate's pairwise row of the tables' tally by one
+    against c, and the rows get the Copeland test of the shift oracles.  A
+    subset is a 0/1 vector, so the enumeration guard (10**7 vectors, unless
+    ``SHIFTBRIBE_GUARD`` sets another count) bounds the 2**k subsets.  The
+    flips go in reverse (voter, rival) order, so the witness, the
+    lexicographically first cheapest winning vector, is the subset with the
+    smallest bitmask in (voter, rival) order.
     """
-    subsets_guard = env_guard(1 << DEFAULT_MICRO_SLOT_GUARD)
-    n, m = m_inst.num_voters, m_inst.num_candidates
-    slots = []
-    for i in range(n):
-        for c in range(1, m):
-            if m_inst.flip_costs[i].price(c) is not None:
-                slots.append((i, c))
-    if 1 << len(slots) > subsets_guard:
+    m = m_inst.num_candidates
+    slots = [
+        (i, c, fc.price(c))
+        for i, fc in enumerate(m_inst.flip_costs)
+        for c in range(1, m)
+        if fc.price(c) is not None
+    ][::-1]
+    guard = env_guard(DEFAULT_ENUM_GUARD)
+    if 1 << len(slots) > guard:
         raise GuardExceeded(
-            f"microbribery enumeration needs 2**{len(slots)} subsets "
-            f"(guard {subsets_guard})"
+            f"microbribery enumeration needs 2**{len(slots)} subsets (guard {guard})"
         )
-    num, den = alpha.numerator, alpha.denominator
-    margins, base = _copeland_inputs(_micro_tally(m_inst), alpha)
-
-    costs = np.zeros(1, dtype=np.int64)
-    margin_delta = {c: np.zeros(1, dtype=np.int64) for c in range(1, m)}
-    for i, c in slots:
-        price = m_inst.flip_costs[i].price(c)
-        costs = np.concatenate([costs, costs + price])
-        step = -2 if m_inst.tables[i][c][0] == 1 else 2
-        for r in range(1, m):
-            arr = margin_delta[r]
-            margin_delta[r] = np.concatenate([arr, arr + (step if r == c else 0)])
-
-    size = 1 << len(slots)
-    p_scaled = np.zeros(size, dtype=np.int64)
-    top_rival = np.full(size, -1, dtype=np.int64)
-    for c in range(1, m):
-        margin = margins[c] + margin_delta[c]
-        p_scaled += np.where(margin < 0, den, np.where(margin == 0, num, 0))
-        rival = base[c] + np.where(margin > 0, den, np.where(margin == 0, num, 0))
-        np.maximum(top_rival, rival, out=top_rival)
-    winning = p_scaled >= top_rival
-    if not winning.any():
+    _check_i64(sum(p for _, _, p in slots), "total of the flip prices")
+    prices, deltas = [], []
+    for i, c, p in slots:
+        prices.append(np.array([0, p], dtype=np.int64))
+        delta = np.zeros((2, m), dtype=np.int64)
+        delta[1, c] = m_inst.tables[i][c][0]  # +1 when the voter prefers c
+        deltas.append(delta)
+    tally = _micro_tally(m_inst)
+    base = np.array(tally.n_matrix[0], dtype=np.int64)
+    found = _cheapest(prices, deltas, base, _pairwise_wins(tally, CopelandRule(alpha)))
+    if found is None:
         raise Infeasible("no flip subset makes the preferred candidate a winner")
-    win_costs = np.where(winning, costs, np.iinfo(np.int64).max)
-    best_cost = int(win_costs.min())
-    mask = int(np.nonzero(win_costs == best_cost)[0][0])
-    flips = [set() for _ in range(n)]
-    for bit, (i, c) in enumerate(slots):
-        if mask & (1 << bit):
+    flips = [set() for _ in range(m_inst.num_voters)]
+    for (i, c, _), flipped in zip(slots, found[1]):
+        if flipped:
             flips[i].add(c)
-    return best_cost, FlipSet(tuple(frozenset(s) for s in flips))
+    return found[0], FlipSet(tuple(flips))

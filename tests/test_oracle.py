@@ -6,7 +6,7 @@ import random
 import pytest
 
 import shiftbribe as sb
-from conftest import gen_random_micro
+from conftest import flips_win, gen_random_micro
 
 
 class TestExactShiftOpt:
@@ -215,6 +215,36 @@ class TestExactMicroOpt:
         with pytest.raises(sb.GuardExceeded, match=r"2\*\*3 subsets \(guard 7\)"):
             sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
 
+
+    def test_scaled_copeland_beyond_int64_raises(self):
+        # one voter ranks the rivals 1 > 2 > 3 > 4 above the preferred
+        # candidate, and flipping rival c costs c.  4 * den leaves int64;
+        # an unchecked scaled test wraps and picks a flip set that does not
+        # win.  One voter makes no pairwise ties, so every alpha has the
+        # winners of alpha 0, and the cheapest winning flip set costs 6.
+        order = (1, 2, 3, 4, 0)
+        table = tuple(
+            tuple(0 if a == b else 1 if order.index(a) < order.index(b) else -1 for b in range(5))
+            for a in range(5)
+        )
+        m_inst = sb.MicrobriberyInstance((table,), (sb.FlipCostFunction({1: 1, 2: 2, 3: 3, 4: 4}),))
+        alpha = sb.CopelandAlpha(1, (1 << 63) // 3 - 1)
+        with pytest.raises(OverflowError, match="scaled Copeland maximum"):
+            sb.exact_micro_opt(m_inst, alpha)
+        winning = [
+            sum(rivals)
+            for k in range(5)
+            for rivals in itertools.combinations(range(1, 5), k)
+            if flips_win(m_inst, sb.CopelandAlpha(0, 1), (rivals,))
+        ]
+        assert min(winning) == 6 == sb.solve_copeland_micro(m_inst, alpha)[0]
+
+    def test_flip_price_total_beyond_int64_raises(self):
+        table = ((0, -1), (1, 0))
+        costs = (sb.FlipCostFunction({1: 1 << 62}),) * 2
+        m_inst = sb.MicrobriberyInstance((table,) * 2, costs)
+        with pytest.raises(OverflowError, match="total of the flip prices"):
+            sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
 
 class TestExactCoverOpt:
     def test_matches_exhaustive_definition(self):

@@ -165,15 +165,6 @@ def _micro_tally(m_inst: MicrobriberyInstance) -> PairwiseTally:
     return PairwiseTally(rows, n)
 
 
-def _copeland_inputs(tally: PairwiseTally, alpha: CopelandAlpha) -> Tuple[list, list]:
-    """Per rival c (entry 0 unused): the margin, the weight preferring c
-    minus the weight preferring candidate 0, and the scaled Copeland score
-    c gets from rival-vs-rival pairs, which no flip changes."""
-    n_matrix = tally.n_matrix
-    margins = [n_matrix[c][0] - n_matrix[0][c] for c in range(len(n_matrix))]
-    return margins, [0] + copeland_scores(_rival_tally(tally), alpha)
-
-
 def _outcome_options(against: list, for_pref: list, margin: int) -> dict:
     """Outcome (win, tie, loss in that order) -> (cost, flips) of the
     cheapest (price, voter) flips forcing it, from the sorted flips of the
@@ -213,11 +204,15 @@ def _rival_dp(options: list, allowed) -> dict:
 
 
 def _solve_copeland(
-    margins: list, base: list, pools: list, alpha: CopelandAlpha
+    tally: PairwiseTally, pools: list, alpha: CopelandAlpha
 ) -> Tuple[int, Dict[int, set]]:
     """Cheapest flips making candidate 0 a Copeland-alpha winner, as (cost,
-    voter -> flipped rivals), from ``_copeland_inputs`` and per rival the
+    voter -> flipped rivals), from a pairwise tally and per rival the
     sorted (price, voter) flips (against, for-preferred).
+
+    Per rival c, the margin is the weight preferring c minus the weight
+    preferring candidate 0, and base[c] the scaled Copeland score c gets
+    from rival-vs-rival pairs, which no flip changes.
 
     Tries every pattern (i wins, j ties) for candidate 0 whose scaled score
     k = i*den + j*num lies between its current score and m - 1 (a lower one
@@ -228,7 +223,10 @@ def _solve_copeland(
     allows, so one program serves all k between two thresholds base[c] +
     gain.  The first pattern with the strictly lowest cost wins.
     """
-    m = len(margins)
+    n_matrix = tally.n_matrix
+    m = len(n_matrix)
+    margins = [n_matrix[c][0] - n_matrix[0][c] for c in range(m)]
+    base = [0] + copeland_scores(_rival_tally(tally), alpha)
     den, num = alpha.denominator, alpha.numerator
     gain = {_WIN: 0, _TIE: num, _LOSS: den}  # the rival's score gain
     current = sum(den if d < 0 else num if d == 0 else 0 for d in margins[1:])
@@ -270,7 +268,7 @@ def solve_copeland_micro(
             if p is not None:
                 sides[table[c][0] == -1].append((p, i))
         pools.append((sorted(sides[0]), sorted(sides[1])))
-    cost, flips = _solve_copeland(*_copeland_inputs(_micro_tally(m_inst), alpha), pools, alpha)
+    cost, flips = _solve_copeland(_micro_tally(m_inst), pools, alpha)
     return cost, FlipSet(tuple(flips.get(i, ()) for i in range(m_inst.num_voters)))
 
 
@@ -358,8 +356,7 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
         for rival, p in _flip_prices(inst, i).items():
             against[rival].append((p, i))
     pools = [(sorted(flips), []) for flips in against]
-    tally = pairwise_tally(inst.election)
-    _, flips = _solve_copeland(*_copeland_inputs(tally, alpha), pools, alpha)
+    _, flips = _solve_copeland(pairwise_tally(inst.election), pools, alpha)
     action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
     if not is_successful(inst, action):
         raise AssertionError("microbribery reduction produced an unsuccessful action")

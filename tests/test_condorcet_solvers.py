@@ -6,7 +6,7 @@ import random
 import pytest
 
 import shiftbribe as sb
-from conftest import gen_random_micro
+from conftest import flips_win, gen_random_micro
 
 ALPHAS = (sb.CopelandAlpha(0, 1), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1, 1))
 
@@ -88,21 +88,7 @@ class TestSolveCopelandMicro:
             m_inst = gen_random_micro(seed + 900, 3, 4, 4, infinite_prob=0.0)
             alpha = ALPHAS[seed % 3]
             _, flips = sb.solve_copeland_micro(m_inst, alpha)
-            cs = sb.condorcet_solvers
-            margins, base = cs._copeland_inputs(cs._micro_tally(m_inst), alpha)
-            for i, s in enumerate(flips.flips):
-                for c in s:
-                    margins[c] += -2 if m_inst.tables[i][c][0] == 1 else 2
-            den, num = alpha.denominator, alpha.numerator
-            p_score = sum(
-                den if margins[c] < 0 else num if margins[c] == 0 else 0
-                for c in range(1, m_inst.num_candidates)
-            )
-            for c in range(1, m_inst.num_candidates):
-                rival = base[c] + (
-                    den if margins[c] > 0 else num if margins[c] == 0 else 0
-                )
-                assert p_score >= rival
+            assert flips_win(m_inst, alpha, flips.flips), seed
 
 
 class TestShiftToMicro:

@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except (IncompatibleRule, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or unwritable paths
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Infeasible as exc:

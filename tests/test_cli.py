@@ -116,6 +116,12 @@ class TestSolve:
         bad.write_text("not an instance\n", encoding="utf-8")
         assert main(["solve", str(bad), "--algo", "A"]) == 3
 
+    @pytest.mark.parametrize("name", ["missing.sb", "."])
+    def test_unreadable_path_exits_3(self, tmp_path, capsys, name):
+        assert main(["solve", str(tmp_path / name), "--algo", "A"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_guard_exceeded_exits_4(self, thm6_file, monkeypatch):
         monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
         assert main(["solve", thm6_file, "--algo", "exact"]) == 4
@@ -203,6 +209,11 @@ class TestGen:
         assert main(args + ["-o", str(a)]) == 0
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        assert main(["gen", "--family", "theorem6", "--k", "1", "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_params_exit_2(self, tmp_path):
         assert main(["gen", "--family", "theorem6", "--k", "0"]) == 2

@@ -56,6 +56,8 @@ class CostFunction:
                 continue
             if seen_none:
                 raise ValueError("unreachable marks must form a suffix of the price table")
+            if not isinstance(p, int):
+                raise ValueError(f"price for shift {k} is not an integer: {p!r}")
             if p < 0:
                 raise ValueError(f"price for shift {k} is negative")
             if p < prev:

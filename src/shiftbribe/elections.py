@@ -69,7 +69,7 @@ class Election:
             if len(self.weights) != len(self.voters):
                 raise ValueError("weights must have one entry per voter")
             for i, w in enumerate(self.weights):
-                if w < 1:
+                if not isinstance(w, int) or w < 1:
                     raise ValueError(f"voter {i}: weight must be a positive integer")
 
     @property
@@ -96,7 +96,7 @@ class Election:
 
 @dataclass(frozen=True)
 class ScoringVector:
-    """A non-increasing vector of non-negative position scores.
+    """A non-increasing vector of non-negative integer position scores.
 
     ``scores[j]`` is the number of points awarded for (1-based) position
     ``j + 1``; the vector length must equal the number of candidates of the
@@ -110,6 +110,8 @@ class ScoringVector:
         if len(self.scores) < 1:
             raise ValueError("scoring vector must be non-empty")
         for s in self.scores:
+            if not isinstance(s, int):
+                raise ValueError(f"scoring vector entries must be integers, got {s!r}")
             if s < 0:
                 raise ValueError("scoring vector entries must be non-negative")
         for a, b in zip(self.scores, self.scores[1:]):

@@ -26,6 +26,12 @@ class TestCostFunction:
         with pytest.raises(ValueError, match="negative"):
             sb.CostFunction((-1,))
 
+    @pytest.mark.parametrize("price", [2.5, 2.0, "2"])
+    def test_non_integer_price_rejected(self, price):
+        # an int64 table would truncate 2.5 to 2 while total_cost says 2.5
+        with pytest.raises(ValueError, match="price for shift 2 is not an integer"):
+            sb.CostFunction((1, price))
+
     def test_unreachable_suffix_only(self):
         sb.CostFunction((1, 2, None, None))
         with pytest.raises(ValueError, match="suffix"):

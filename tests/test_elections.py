@@ -43,6 +43,12 @@ class TestElectionValidation:
         with pytest.raises(ValueError, match="per voter"):
             sb.Election(("a", "b"), ((0, 1),), (1, 1))
 
+    @pytest.mark.parametrize("weight", [1.5, 2.0])
+    def test_rejects_non_integer_weights(self, weight):
+        # the int64 tables would truncate a weight of 1.5 to 1
+        with pytest.raises(ValueError, match="voter 1: weight must be a positive integer"):
+            sb.Election(("a", "b"), ((0, 1), (1, 0)), (1, weight))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sb.Election((), ())
@@ -96,6 +102,11 @@ class TestScoringVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             sb.ScoringVector((1, -1))
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            sb.ScoringVector((2, entry, 0))
 
     def test_borda_and_kapproval(self):
         assert sb.borda(4).scores == (3, 2, 1, 0)

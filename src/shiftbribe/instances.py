@@ -142,8 +142,13 @@ def _format_rule(rule: Rule, m: int) -> str:
 
 
 def serialize_instance(inst: ShiftBriberyInstance) -> str:
-    """Render an instance in canonical ``shiftbribe v1`` form."""
+    """Render an instance in canonical ``shiftbribe v1`` form.  Candidate
+    names that would not parse back (empty, or holding whitespace or ``#``)
+    raise ``ValueError``."""
     e = inst.election
+    for name in e.candidates:
+        if not name or "#" in name or any(ch.isspace() for ch in name):
+            raise ValueError(f"candidate name {name!r} cannot be written (empty, space or '#')")
     lines = ["shiftbribe v1", _format_rule(inst.rule, e.num_candidates)]
     size = f"{e.num_candidates} {e.num_voters}"
     if e.weights is not None:

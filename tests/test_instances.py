@@ -94,6 +94,14 @@ class TestRoundTrip:
         assert sb.parse_instance(text) == inst
 
 
+    @pytest.mark.parametrize("name", ["a#b", "a b", ""])
+    def test_unwritable_candidate_name_rejected(self, name):
+        # "a#b" would parse back as "a"; "a b" and "" would not parse back
+        e = sb.Election(("p", name), ((1, 0),))
+        inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((1,)),), sb.ScoringRule(sb.borda(2)))
+        with pytest.raises(ValueError, match="cannot be written"):
+            sb.serialize_instance(inst)
+
 class TestParseDiagnostics:
     MINIMAL = "shiftbribe v1\nrule borda\n2 1\np c\norder: 1 0\nprices: 2\n"
 

@@ -208,11 +208,9 @@ def _solve_copeland(
 ) -> Tuple[int, Dict[int, set]]:
     """Cheapest flips making candidate 0 a Copeland-alpha winner, as (cost,
     voter -> flipped rivals), from a pairwise tally and per rival the
-    sorted (price, voter) flips (against, for-preferred).
-
-    Per rival c, the margin is the weight preferring c minus the weight
-    preferring candidate 0, and base[c] the scaled Copeland score c gets
-    from rival-vs-rival pairs, which no flip changes.
+    sorted (price, voter) flips (against, for-preferred).  A rival's margin
+    is the weight preferring it minus the weight preferring candidate 0;
+    its base score comes from rival-vs-rival pairs, which no flip changes.
 
     Tries every pattern (i wins, j ties) for candidate 0 whose scaled score
     k = i*den + j*num lies between its current score and m - 1 (a lower one

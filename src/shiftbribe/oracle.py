@@ -120,15 +120,13 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
 def exact_micro_opt(m_inst: MicrobriberyInstance, alpha: CopelandAlpha) -> Tuple[int, FlipSet]:
     """Optimal microbribery by enumerating every subset of available flips.
 
-    Each finitely priced flip (voter i, rival c) is one voter of
-    ``_cheapest`` with two options, priced 0 and the flip price; the flip
-    moves the preferred candidate's pairwise row of the tables' tally by one
-    against c, and the rows get the Copeland test of the shift oracles.  A
-    subset is a 0/1 vector, so the enumeration guard (10**7 vectors, unless
-    ``SHIFTBRIBE_GUARD`` sets another count) bounds the 2**k subsets.  The
-    flips go in reverse (voter, rival) order, so the witness, the
-    lexicographically first cheapest winning vector, is the subset with the
-    smallest bitmask in (voter, rival) order.
+    Each finitely priced flip (voter i, rival c) is a voter of ``_cheapest``
+    with two options, no flip (price 0) and the flip, which moves the
+    preferred candidate's pairwise row against c by one; the rows get the
+    shift oracles' Copeland test.  A subset is a 0/1 vector, so the
+    enumeration guard bounds the 2**k subsets.  The flips go in reverse
+    (voter, rival) order, so the lexicographically first cheapest winning
+    vector, the witness, is the subset with the smallest bitmask.
     """
     m = m_inst.num_candidates
     slots = [

@@ -59,8 +59,8 @@ class FlipCostFunction:
     """Prices for flipping one voter's table entries against the preferred
     candidate.
 
-    ``costs`` maps a rival candidate index to the price of flipping that
-    voter's (preferred, rival) entry; an absent rival means the flip is
+    ``costs`` maps a rival candidate index to the integer price of flipping
+    that voter's (preferred, rival) entry; an absent rival means the flip is
     unavailable (infinite price).  Flip prices are symmetric by definition,
     so one orientation is stored.  Flips between two non-preferred
     candidates are never available.
@@ -72,6 +72,8 @@ class FlipCostFunction:
         for c, price in self.costs.items():
             if c == 0:
                 raise ValueError("flips must involve a rival, not the preferred candidate")
+            if not isinstance(price, int):
+                raise ValueError(f"flip price against rival {c} is not an integer: {price!r}")
             if price < 0:
                 raise ValueError("flip prices must be non-negative")
 

@@ -31,6 +31,11 @@ class TestMicrobriberyInstance:
         with pytest.raises(ValueError, match="rival"):
             sb.FlipCostFunction({0: 1})
 
+    def test_rejects_non_integer_flip_price(self):
+        # the oracle's int64 rows would truncate 2.5 to 2
+        with pytest.raises(ValueError, match="rival 1 is not an integer"):
+            sb.FlipCostFunction({1: 2.5})
+
 
 class TestSolveCopelandMicro:
     def test_already_winner_costs_nothing(self):

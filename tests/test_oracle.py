@@ -216,6 +216,20 @@ class TestExactMicroOpt:
             sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
 
 
+    def test_default_guard_counts_subsets_as_vectors(self, monkeypatch):
+        # the enumeration guard's 10**7 vectors admit 2**21 subsets, not 2**24
+        monkeypatch.delenv("SHIFTBRIBE_GUARD", raising=False)
+        table = ((0, -1), (1, 0))
+
+        def rival_preferred(n):
+            costs = (sb.FlipCostFunction({1: 1}),) * n
+            return sb.MicrobriberyInstance((table,) * n, costs)
+
+        cost, flips = sb.exact_micro_opt(rival_preferred(21), sb.CopelandAlpha(1, 2))
+        assert (cost, flips.flips) == (11, (frozenset({1}),) * 11 + (frozenset(),) * 10)
+        with pytest.raises(sb.GuardExceeded, match=r"2\*\*24 subsets \(guard 10000000\)"):
+            sb.exact_micro_opt(rival_preferred(24), sb.CopelandAlpha(1, 2))
+
     def test_scaled_copeland_beyond_int64_raises(self):
         # one voter ranks the rivals 1 > 2 > 3 > 4 above the preferred
         # candidate, and flipping rival c costs c.  4 * den leaves int64;

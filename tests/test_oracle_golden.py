@@ -723,12 +723,3 @@ def test_solve_copeland_micro_matches_micro_golden():
         assert cost == sb.flip_set_cost(m_inst, flips) == expected[0], seed
         assert flips_win(m_inst, alpha, flips.flips), seed
 
-
-def test_micro_witness_is_the_smallest_bitmask():
-    # three voters prefer the rival and any two flips win; voters 0 and 1
-    # hold the two lowest bits
-    table = ((0, -1), (1, 0))
-    costs = tuple(sb.FlipCostFunction({1: 1}) for _ in range(3))
-    m_inst = sb.MicrobriberyInstance((table,) * 3, costs)
-    cost, flips = sb.exact_micro_opt(m_inst, sb.CopelandAlpha(0, 1))
-    assert (cost, flips.flips) == (2, (frozenset({1}), frozenset({1}), frozenset()))

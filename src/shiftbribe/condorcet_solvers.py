@@ -115,6 +115,10 @@ class MicrobriberyInstance:
                         raise ValueError(f"voter {i}: table is not antisymmetric +-1")
         if len(self.flip_costs) != len(self.tables):
             raise ValueError("need one flip cost function per voter")
+        for i, cf in enumerate(self.flip_costs):
+            for c in cf.costs:
+                if c not in range(1, m):
+                    raise ValueError(f"voter {i}: flip price for rival {c!r}, not in 1..{m - 1}")
 
     @property
     def num_voters(self) -> int:

@@ -27,6 +27,8 @@ exact oracle (``bribery.ShiftTable``), and tests whole batches of candidate
 actions against it.  The sweep of ``solve_two_pass`` serves ``A``, every
 ``Aeps`` round and every ``B`` guess: a round re-prices the (price, gain)
 option rows, and a guess slices one voter's rows and starts from the shift.
+Within one such sweep every voter suffix's frontier is built once and kept
+until the sweep returns, trading memory for time (see ``_BudgetSweep``).
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -54,6 +56,7 @@ DEFAULT_CELL_GUARD = 10**8
 DEFAULT_EXACT_THRESHOLD = 10**6
 
 _MAX_SAFE_GAIN = 1 << 50
+_EMPTY_SUFFIX = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))  # no voters: (0, 0)
 
 
 def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
@@ -91,7 +94,8 @@ def _option_rows(table: ShiftTable):
 
 class _BudgetSweep:
     """Pareto frontier of (cost, gain) over all actions spending at most
-    ``budget``.
+    ``budget`` on the option ``rows``, which start at (0, 0), with voter i's
+    row rebased at shift ``offsets[i]``.
 
     ``costs`` ascend and ``gains`` strictly ascend: point f is the cheapest
     action gaining ``gains[f]``, and no action of cost at most ``costs[f]``
@@ -100,52 +104,58 @@ class _BudgetSweep:
     j of the frontier of voters i+1..n-1; a stable lexsort by cost ascending
     and gain descending keeps ties in flat order k * width + j, so the first
     candidate of each (cost, gain) pair has the smallest shift.  Keeping the
-    candidates whose gain exceeds the running maximum then records, per
-    point, voter i's shift and a pointer into the next frontier.  Tracing a
-    point back yields the lexicographically smallest shift vector among the
-    actions of that exact cost and gain: every suffix of such an action is
-    itself a frontier point of its voters.
+    candidates whose gain exceeds the running maximum then records each
+    point's flat index: voter i's shift and a pointer into the next frontier.
+    Tracing a point back yields the lexicographically smallest shift vector
+    among the actions of that exact cost and gain: every suffix of such an
+    action is itself a frontier point of its voters.
+
+    Layer nodes (costs, gains, flat indices, width) are kept in ``memo``
+    under (offsets[i], id of the next node), so sweeps sharing a memo build
+    each suffix once.  A node built at budget B serves any B' <= B: cut at
+    cost B', it is the node built at B', pointers and tie-breaks included,
+    since prices are non-negative.  So the budget must never rise over one
+    memo, which keeps every node it was given until it is dropped.
     """
 
-    def __init__(self, rows, budget: int):
+    def __init__(self, rows, budget: int, offsets=None, memo=None):
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        costs = np.zeros(1, dtype=np.int64)
-        gains = np.zeros(1, dtype=np.int64)
-        choices = []
-        pointers = []
-        for prices, option_gains in reversed(rows):
-            width = len(costs)
-            cand_cost = (prices[:, None] + costs).ravel()
-            cand_gain = (option_gains[:, None] + gains).ravel()
-            flat = np.flatnonzero(cand_cost <= budget)
-            cand_cost = cand_cost[flat]
-            cand_gain = cand_gain[flat]
-            order = np.lexsort((-cand_gain, cand_cost))
-            ordered_gain = cand_gain[order]
-            keep = np.empty(len(order), dtype=bool)
-            keep[0] = True
-            np.greater(ordered_gain[1:], np.maximum.accumulate(ordered_gain)[:-1], out=keep[1:])
-            picked = order[keep]
-            choice, pointer = np.divmod(flat[picked], width)
-            choices.append(choice)
-            pointers.append(pointer)
-            costs = cand_cost[picked]
-            gains = cand_gain[picked]
-        choices.reverse()
-        pointers.reverse()
-        self.choices = choices
-        self.pointers = pointers
-        self.costs = costs
-        self.gains = gains
+        memo = {} if memo is None else memo
+        node = _EMPTY_SUFFIX
+        layers = []
+        for (prices, gains), t in zip(reversed(rows), reversed(offsets or [0] * len(rows))):
+            key = (t, id(node))
+            if key not in memo:
+                if t:
+                    prices, gains = prices[t:] - prices[t], gains[t:] - gains[t]
+                width = int(node[0].searchsorted(budget, "right"))
+                cand_cost = (prices[:, None] + node[0][:width]).ravel()
+                cand_gain = (gains[:, None] + node[1][:width]).ravel()
+                flat = (cand_cost <= budget).nonzero()[0]
+                cand_cost, cand_gain = cand_cost[flat], cand_gain[flat]
+                order = np.lexsort((-cand_gain, cand_cost))
+                ordered_gain = cand_gain[order]
+                running = np.maximum.accumulate(ordered_gain)
+                keep = np.empty(len(order), dtype=bool)
+                keep[0] = True
+                np.greater(ordered_gain[1:], running[:-1], out=keep[1:])
+                picked = order[keep]
+                memo[key] = (cand_cost[picked], cand_gain[picked], flat[picked], width)
+            node = memo[key]
+            layers.append(node)
+        layers.reverse()
+        self.layers = layers
+        cut = node[0].searchsorted(budget, "right")
+        self.costs = node[0][:cut]
+        self.gains = node[1][:cut]
 
     def trace(self, points) -> np.ndarray:
-        """Shift vectors of the given frontier points, one row each."""
+        """Shift vectors of the given points, one row each, counted from the offsets."""
         points = np.asarray(points)
-        shifts = np.empty((len(points), len(self.choices)), dtype=np.int64)
-        for i, (choice, pointer) in enumerate(zip(self.choices, self.pointers)):
-            shifts[:, i] = choice[points]
-            points = pointer[points]
+        shifts = np.empty((len(points), len(self.layers)), dtype=np.int64)
+        for i, (_, _, flat, width) in enumerate(self.layers):
+            shifts[:, i], points = np.divmod(flat[points], width)
         return shifts
 
     def iter_breakpoints(self):
@@ -173,15 +183,19 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
 def _two_pass(table: ShiftTable, rows: list, start, budget: int):
     """(cost, shifts) of ``solve_two_pass`` on the option ``rows``, one
     (prices, gains) pair per voter, for actions on top of ``start``: the
-    winner test runs on ``table`` at ``start`` plus the shifts returned."""
-    outer = _BudgetSweep(rows, budget)
+    winner test runs on ``table`` at ``start`` plus the shifts returned.
+    The call's sweeps share one memo, so the inner sweep of l1, offset at
+    l1's action, builds only the suffixes no earlier sweep built; inner
+    budgets never rise, as the memo requires."""
+    memo = {}
+    outer = _BudgetSweep(rows, budget, memo=memo)
     firsts = outer.trace(np.arange(len(outer.costs)))
     best = None
     for (l1, _), first in zip(outer.iter_breakpoints(), firsts):
         if best is not None and l1 >= best[0]:
             break
-        rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, first.tolist())]
-        inner = _BudgetSweep(rebased, budget if best is None else best[0] - l1 - 1)
+        inner_budget = budget if best is None else best[0] - l1 - 1
+        inner = _BudgetSweep(rows, inner_budget, tuple(first.tolist()), memo)
         shifts = start + first + inner.trace(np.arange(len(inner.costs)))
         won = np.flatnonzero(table.wins(table.rows_after(shifts)))
         if len(won):
@@ -204,11 +218,12 @@ def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 
     Only frontier points matter: l1 runs over the outer frontier in
     ascending cost, and for each l1 the inner frontier is built on the
-    rebased option rows, which are slices of the instance's rows, and is cut
-    at the best sum found so far.  All its points are traced back into one
-    matrix of shift vectors and checked in one batch against the score-delta
-    table of the original instance; the cheapest winner is taken.  The
-    result is identical to the full grid scan.
+    option rows rebased at l1's action, reusing the suffix frontiers already
+    built in the solve, and is cut at the best sum found so far.  All its
+    points are traced back into one matrix of shift vectors and checked in
+    one batch against the score-delta table of the original instance; the
+    cheapest winner is taken.  The result is identical to the full grid
+    scan.
 
     A frontier holds at most min(P, G) + 1 points, so the runtime is
     pseudo-polynomial in the smaller of the price total P and the gain
@@ -254,8 +269,9 @@ def _scaled_rounds(inst, table, start, eps):
 
     Each voter's options are rebased over its start shift s: prices
     ``p[s:] - p[s]``, gains ``g[s:] - g[s]``.  Every round re-prices them and
-    calls ``_two_pass`` on ``table``; when that is None, it is built after
-    the first round's checks.  The cost is under the rebased prices.
+    calls ``_two_pass`` on ``table``; the table, when None, and the rebased
+    gains are built once, after the first round's checks.  The cost is under
+    the rebased prices.
     """
     n = inst.num_voters
     num, den = eps.numerator, eps.denominator
@@ -272,12 +288,12 @@ def _scaled_rounds(inst, table, start, eps):
     ]
     if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
         pricings.append(prices)
-    best = None
+    best = gains = None
     for scaled in pricings:
         budget, rows = _price_rows(scaled)
-        if table is None:
-            table = ShiftTable(inst)
-        gains = [g[s:] - g[s] for g, s in zip(_gain_rows(table), start.tolist())]
+        if gains is None:
+            table = table or ShiftTable(inst)
+            gains = [g[s:] - g[s] for g, s in zip(_gain_rows(table), start.tolist())]
         _, shifts = _two_pass(table, list(zip(rows, gains)), start, budget)
         moved = (shifts - start).tolist()
         if scaled is prices or all(p[k] < big for p, k in zip(scaled, moved)):

@@ -1,9 +1,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 import shiftbribe as sb
 from shiftbribe import scoring_solvers
+
+# Every property test draws the same examples on every machine and run
+# (derandomize also turns off the example database), so a pass or a failure
+# of the suite repeats.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def gen_random_micro(seed, n, m, max_price, infinite_prob=0.15):

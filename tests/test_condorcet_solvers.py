@@ -36,6 +36,22 @@ class TestMicrobriberyInstance:
         with pytest.raises(ValueError, match="rival 1 is not an integer"):
             sb.FlipCostFunction({1: 2.5})
 
+    @pytest.mark.parametrize("rival", [7, 2, -1])
+    def test_rejects_flip_price_against_absent_rival(self, rival):
+        # on 2 candidates only rival 1 exists: the solvers would ignore the
+        # other price while flip_set_cost charged it
+        table = ((0, 1), (-1, 0))
+        want = f"voter 0: flip price for rival {rival}, not in 1..1"
+        with pytest.raises(ValueError, match=want):
+            sb.MicrobriberyInstance((table,), (sb.FlipCostFunction({1: 3, rival: 1}),))
+
+    def test_flip_set_cost_refuses_absent_rival(self):
+        table = ((0, 1), (-1, 0))
+        m_inst = sb.MicrobriberyInstance((table,), (sb.FlipCostFunction({1: 3}),))
+        assert sb.flip_set_cost(m_inst, sb.FlipSet(({1},))) == 3
+        with pytest.raises(ValueError, match="voter 0: flip against rival 7 is unavailable"):
+            sb.flip_set_cost(m_inst, sb.FlipSet(({7},)))
+
 
 class TestSolveCopelandMicro:
     def test_already_winner_costs_nothing(self):

@@ -10,6 +10,7 @@ import pytest
 import shiftbribe as sb
 from conftest import scaled_rounds_alone
 from scoring_reference import build_budget_dp, double_gain_check
+from shiftbribe import scoring_solvers
 from shiftbribe.bribery import ShiftTable
 from shiftbribe.scoring_solvers import _BudgetSweep, _max_budget, _option_rows
 
@@ -223,6 +224,85 @@ class TestSolveTwoPass:
         assert sb.scoring_scores(e, rule.vector) == [top - 2, top]
         with pytest.raises(OverflowError, match="64-bit integer range"):
             solver(inst)
+
+
+def memo_instance(seed):
+    """Seed-deterministic instance of family ``seed % 6``: Borda, k-approval,
+    Borda x100 (score gains above the price total), weighted Borda, Borda
+    with prices lowered by 2 so that some shifts are free, and theorem6
+    with k <= 4."""
+    family = seed % 6
+    if family == 5:
+        return sb.gen_theorem6(1 + seed // 6 % 4)
+    n, m = 3 + seed % 4, 3 + seed // 6 % 3
+    if family == 1:
+        rule = sb.ScoringRule(sb.k_approval(m, 1 + seed % (m - 1)))
+    elif family == 2:
+        rule = sb.ScoringRule(sb.ScoringVector(tuple(100 * (m - 1 - j) for j in range(m))))
+    else:
+        rule = sb.ScoringRule(sb.borda(m))
+    inst = sb.gen_random(seed, n, m, 8, weighted=family == 3, rule=rule)
+    if family == 4:
+        lowered = (sb.CostFunction(tuple(max(0, p - 2) for p in cf.prices)) for cf in inst.costs)
+        inst = sb.ShiftBriberyInstance(inst.election, tuple(lowered), inst.rule)
+    return inst
+
+
+def assert_same_sweep(sweep, fresh):
+    assert len(sweep.costs) == len(sweep.gains) == len(fresh.costs)
+    assert list(sweep.iter_breakpoints()) == list(fresh.iter_breakpoints())
+    points = np.arange(len(fresh.costs))
+    assert sweep.trace(points).tolist() == fresh.trace(points).tolist()
+
+
+class TestSuffixMemo:
+    def test_memo_sweeps_equal_fresh_sweeps(self, monkeypatch):
+        # Every sweep that A and the Aeps rounds build through a call's
+        # suffix memo equals a memo-less sweep on the rebased rows at the
+        # same budget: breakpoints and traced shift vectors alike.
+        built = []
+
+        class RecordingSweep(_BudgetSweep):
+            def __init__(self, rows, budget, offsets=None, memo=None):
+                super().__init__(rows, budget, offsets, memo)
+                built.append((rows, budget, offsets or (0,) * len(rows), memo, self))
+
+        monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
+        inner = cut = layers = nodes = 0
+        for seed in range(48):
+            inst = memo_instance(seed)
+            built.clear()
+            sb.solve_two_pass(inst)
+            sb.solve_two_pass_scaled(inst, Fraction(1, 4))
+            memos = {}  # memo id: (memo, budget of its outer sweep)
+            for rows, budget, offsets, memo, sweep in built:
+                assert memo is not None
+                rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, offsets)]
+                assert_same_sweep(sweep, _BudgetSweep(rebased, budget))
+                inner += any(offsets)
+                cut += budget < memos.setdefault(id(memo), (memo, budget))[1]
+                layers += len(rows)
+            nodes += sum(len(memo) for memo, _ in memos.values())
+        # the checks saw inner sweeps, cut budgets and shared suffixes: over
+        # a quarter of the layers were memo hits
+        assert inner >= 300 and cut >= 100
+        assert nodes < layers * 3 // 4
+
+    def test_node_cut_to_lower_budget_equals_sweep_built_there(self):
+        for seed in range(24):
+            inst = memo_instance(seed)
+            rows = _option_rows(ShiftTable(inst))
+            offsets = tuple(seed % 2 * (i % len(p)) for i, (p, _) in enumerate(rows))
+            top = _max_budget(inst)
+            for lower in sorted({0, 1, top // 3, top // 2, top - 1}.intersection(range(top))):
+                memo = {}
+                _BudgetSweep(rows, top, offsets, memo)
+                keys = set(memo)
+                cut = _BudgetSweep(rows, lower, offsets, memo)
+                assert set(memo) == keys  # every layer was a memo hit
+                rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, offsets)]
+                assert_same_sweep(cut, _BudgetSweep(rebased, lower))
+                assert_same_sweep(cut, _BudgetSweep(rows, lower, offsets))
 
 
 class TestSolveSinglePass:

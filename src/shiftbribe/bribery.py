@@ -142,6 +142,8 @@ Rule = Union[ScoringRule, CopelandRule, MaximinRule]
 
 MAXIMIN = MaximinRule()
 
+_MAX_SAFE_GAIN = 1 << 50
+
 
 @dataclass(frozen=True)
 class ShiftBriberyInstance:
@@ -258,12 +260,6 @@ def is_successful(inst: ShiftBriberyInstance, action: ShiftAction) -> bool:
     return 0 in winners(rule_scores(shifted, inst.rule))
 
 
-def _max_budget(inst: ShiftBriberyInstance) -> int:
-    """Sum over voters of the largest finite price (nothing more can ever be
-    spent usefully)."""
-    return sum(cf.price(cf.max_reachable) for cf in inst.costs)
-
-
 def _price_lists(inst: ShiftBriberyInstance) -> list:
     """Per voter, the prices of shifting by 0 .. max_reachable."""
     return [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
@@ -285,7 +281,8 @@ class ShiftTable:
     The 64-bit range of the rows is checked once, here: only the preferred
     candidate's score grows, so its fully shifted score bounds every scoring
     row; (m - 1) * den bounds every scaled Copeland score; pairwise rows
-    stay within the total weight.  The prices are checked when first read.
+    stay within the total weight.  The prices, and the gains that the
+    scoring solvers sweep over, are checked when first read.
     """
 
     def __init__(self, inst: ShiftBriberyInstance, pairwise: bool = False):
@@ -327,8 +324,19 @@ class ShiftTable:
         """Per voter, the int64 ``_price_lists``, built on first read after
         checking that the largest prices, which bound every sum of prices,
         sum within 64 bits."""
-        _check_i64(_max_budget(self._inst), "total of the largest prices")
-        return [np.array(p, dtype=np.int64) for p in _price_lists(self._inst)]
+        prices = _price_lists(self._inst)
+        _check_i64(sum(p[-1] for p in prices), "total of the largest prices")
+        return [np.array(p, dtype=np.int64) for p in prices]
+
+    @cached_property
+    def gains(self) -> list:
+        """Per voter, the preferred candidate's score gains of shifting by
+        t = 0 .. max_reachable (scoring tables), checked on first read to
+        sum below ``_MAX_SAFE_GAIN``."""
+        gains = [delta[:, 0] for delta in self.deltas]
+        if sum(int(g[-1]) for g in gains) >= _MAX_SAFE_GAIN:
+            raise OverflowError("score gains too large for the budget sweep")
+        return gains
 
     def rows_after(self, shifts: np.ndarray) -> np.ndarray:
         """The rows after each shift vector, one vector per row of

@@ -13,11 +13,17 @@ import sys
 import time
 from fractions import Fraction
 
-from .bribery import CopelandRule, ScoringRule, ShiftBriberyInstance, is_successful
+from .bribery import ShiftBriberyInstance, is_successful
 from .condorcet_solvers import solve_copeland_shift, solve_maximin_shift
-from .elections import CopelandAlpha
 from .errors import GuardExceeded, IncompatibleRule, Infeasible
-from .instances import ParseError, gen_random, gen_theorem6, parse_instance, serialize_instance
+from .instances import (
+    ParseError,
+    _build_rule,
+    gen_random,
+    gen_theorem6,
+    parse_instance,
+    serialize_instance,
+)
 from .oracle import exact_shift_opt
 from .scoring_solvers import (
     solve_bootstrap,
@@ -146,7 +152,7 @@ def cmd_gen(args) -> int:
         ]
         if missing:
             raise ValueError(f"--family random requires {', '.join(missing)}")
-        rule = _parse_gen_rule(args.rule, args.m)
+        rule = _build_rule((args.rule or "borda").split(":", 1), args.m)
         inst = gen_random(
             args.seed, args.n, args.m, args.max_price, weighted=args.weighted, rule=rule
         )
@@ -159,24 +165,6 @@ def cmd_gen(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
-
-
-def _parse_gen_rule(token, m: int):
-    from .elections import ScoringVector, borda, k_approval
-    from .bribery import MAXIMIN
-
-    if token is None or token == "borda":
-        return ScoringRule(borda(m))
-    if token == "maximin":
-        return MAXIMIN
-    if token.startswith("copeland:"):
-        return CopelandRule(CopelandAlpha.parse(token.split(":", 1)[1]))
-    if token.startswith("kapproval:"):
-        return ScoringRule(k_approval(m, int(token.split(":", 1)[1])))
-    if token.startswith("scoring:"):
-        scores = tuple(int(s) for s in token.split(":", 1)[1].split(","))
-        return ScoringRule(ScoringVector(scores))
-    raise ValueError(f"unknown rule '{token}'")
 
 
 def cmd_bench(args) -> int:

@@ -147,6 +147,9 @@ class CopelandAlpha:
     denominator: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.numerator, int) and isinstance(self.denominator, int)):
+            got = f"{self.numerator!r}/{self.denominator!r}"
+            raise ValueError(f"alpha must be a ratio of integers, got {got}")
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
         if not 0 <= self.numerator <= self.denominator:

@@ -189,30 +189,40 @@ class _Lines:
         return self.pos >= len(self.items)
 
 
+def _build_rule(tokens: list, m: int) -> Rule:
+    """The rule for ``m`` candidates that ``tokens`` name: a kind, then its
+    argument if it takes one.  A file's rule line gives them after its
+    ``rule`` keyword, ``gen --rule`` joins them with ``:``.  Raises
+    ``ValueError`` for an unknown rule, a malformed argument or a scoring
+    vector without m entries."""
+    kind, *args = tokens or [""]
+    try:
+        if kind == "borda" and not args:
+            return ScoringRule(borda(m))
+        if kind == "kapproval" and len(args) == 1:
+            return ScoringRule(k_approval(m, int(args[0])))
+        if kind == "scoring" and len(args) == 1:
+            scores = tuple(int(s) for s in args[0].split(","))
+            if len(scores) != m:
+                raise ValueError(f"scoring vector needs {m} entries")
+            return ScoringRule(ScoringVector(scores))
+        if kind == "copeland" and len(args) == 1:
+            return CopelandRule(CopelandAlpha.parse(args[0]))
+        if kind == "maximin" and not args:
+            return MaximinRule()
+    except ValueError as exc:
+        raise ValueError(f"malformed rule ({exc})") from exc
+    raise ValueError(f"unknown rule '{' '.join(tokens)}'")
+
+
 def _parse_rule(text: str, m: int, line: int) -> Rule:
     parts = text.split()
     if not parts or parts[0] != "rule":
         raise ParseError("expected a rule line", line)
-    kind = parts[1] if len(parts) > 1 else ""
     try:
-        if kind == "borda" and len(parts) == 2:
-            return ScoringRule(borda(m))
-        if kind == "kapproval" and len(parts) == 3:
-            return ScoringRule(k_approval(m, int(parts[2])))
-        if kind == "scoring" and len(parts) == 3:
-            scores = tuple(int(s) for s in parts[2].split(","))
-            if len(scores) != m:
-                raise ParseError(f"scoring vector needs {m} entries", line)
-            return ScoringRule(ScoringVector(scores))
-        if kind == "copeland" and len(parts) == 3:
-            return CopelandRule(CopelandAlpha.parse(parts[2]))
-        if kind == "maximin" and len(parts) == 2:
-            return MaximinRule()
-    except ParseError:
-        raise
+        return _build_rule(parts[1:], m)
     except ValueError as exc:
-        raise ParseError(f"malformed rule ({exc})", line) from exc
-    raise ParseError(f"unknown rule '{text}'", line)
+        raise ParseError(str(exc), line) from exc
 
 
 def parse_instance(text: str) -> ShiftBriberyInstance:
@@ -237,13 +247,14 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
         raise ParseError("malformed size line, expected integers", no)
     if m < 1 or n < 1:
         raise ParseError("m and n must be at least 1", no)
-    rule = _parse_rule(rule_text, m, rule_no)
     no, names_line = lines.next("candidate names")
     names = tuple(names_line.split())
     if len(names) != m:
         raise ParseError(f"expected {m} candidate names", no)
     if len(set(names)) != m:
         raise ParseError("duplicate candidate name", no)
+    # only now, with m names read, is an m-entry rule vector bounded by the input
+    rule = _parse_rule(rule_text, m, rule_no)
 
     voters = []
     weights = [] if weighted else None

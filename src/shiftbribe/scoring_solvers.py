@@ -22,9 +22,9 @@ builds
 * ``solve_single_pass``: the single-loop greedy sweep, provided for
   comparison only; it carries no approximation guarantee (CLI name ``G``).
 
-Each solve builds one per-voter table of score deltas, shared with the
-exact oracle (``bribery.ShiftTable``), and tests whole batches of candidate
-actions against it.  The sweep of ``solve_two_pass`` serves ``A``, every
+Each solve first builds one per-voter table of score deltas, shared with
+the exact oracle (``bribery.ShiftTable``), reads the gain rows of its
+sweeps from it, and tests whole batches of candidate actions against it.  The sweep of ``solve_two_pass`` serves ``A``, every
 ``Aeps`` round and every ``B`` guess: a round re-prices the (price, gain)
 option rows, and a guess slices one voter's rows and starts from the shift.
 Within one such sweep every voter suffix's frontier is built once and kept
@@ -45,7 +45,6 @@ from .bribery import (
     ShiftAction,
     ShiftBriberyInstance,
     ShiftTable,
-    _max_budget,
     _price_lists,
     is_successful,
 )
@@ -55,7 +54,6 @@ from .errors import GuardExceeded, IncompatibleRule, Infeasible, env_guard
 DEFAULT_CELL_GUARD = 10**8
 DEFAULT_EXACT_THRESHOLD = 10**6
 
-_MAX_SAFE_GAIN = 1 << 50
 _EMPTY_SUFFIX = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))  # no voters: (0, 0)
 
 
@@ -65,31 +63,19 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
     return inst.rule
 
 
-def _price_rows(prices: list, hint: str = ""):
-    """(P, int64 rows) of per-voter price lists whose largest prices sum to
-    P, after checking (n + 1)(P + 1) against the cell guard and then P
-    against the 64-bit range, so that no sum of frontier costs can wrap."""
+def _sweep_rows(prices: list, gains: list, hint: str = ""):
+    """(P, option rows) of per-voter price lists, whose largest prices sum
+    to P, and gain rows, whose largest gains sum to G.  A frontier holds at
+    most min(P, G) + 1 points, so (n + 1)(min(P, G) + 1) is checked against
+    the cell guard first, and then P against the 64-bit range, so that no
+    sum of frontier costs can wrap."""
     total = sum(p[-1] for p in prices)
     guard = env_guard(DEFAULT_CELL_GUARD)
-    cells = (len(prices) + 1) * (total + 1)
+    cells = (len(prices) + 1) * (min(total, sum(int(g[-1]) for g in gains)) + 1)
     if cells > guard:
         raise GuardExceeded(f"budget DP needs {cells} cells (guard {guard}){hint}")
     _check_i64(total, "total of the largest prices")
-    return total, [np.array(p, dtype=np.int64) for p in prices]
-
-
-def _gain_rows(table: ShiftTable) -> list:
-    """Per voter, the int64 score gains of shifting by 0, 1, ... up to the
-    largest reachable amount."""
-    gains = [delta[:, 0] for delta in table.deltas]
-    if sum(int(g[-1]) for g in gains) >= _MAX_SAFE_GAIN:
-        raise OverflowError("score gains too large for the budget sweep")
-    return gains
-
-
-def _option_rows(table: ShiftTable):
-    """Per voter, the (prices, gains) int64 arrays of the table."""
-    return list(zip(table.prices, _gain_rows(table)))
+    return total, [(np.array(p, dtype=np.int64), g) for p, g in zip(prices, gains)]
 
 
 class _BudgetSweep:
@@ -172,10 +158,9 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     shift vector.  Returns the action and its score gain.
     """
     _require_scoring(inst)
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    budget = min(budget, _max_budget(inst))
-    sweep = _BudgetSweep(_option_rows(ShiftTable(inst)), budget)
+    table = ShiftTable(inst)
+    total = sum(int(p[-1]) for p in table.prices)
+    sweep = _BudgetSweep(list(zip(table.prices, table.gains)), min(budget, total))
     last = len(sweep.costs) - 1  # every point is within budget; the last gains most
     return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
 
@@ -228,16 +213,18 @@ def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     A frontier holds at most min(P, G) + 1 points, so the runtime is
     pseudo-polynomial in the smaller of the price total P and the gain
     total G; for Borda or k-approval it is polynomial whatever the prices.
-    The guard counts the cells of an exact-spend table: when (n + 1)(P + 1)
-    exceeds ``DEFAULT_CELL_GUARD`` (10**8, overridable via the
-    ``SHIFTBRIBE_GUARD`` environment variable) a ``GuardExceeded`` is raised
-    and the caller should switch to ``solve_two_pass_scaled``.
+    The guard counts the frontier points of every voter suffix: when
+    (n + 1)(min(P, G) + 1) exceeds ``DEFAULT_CELL_GUARD`` (10**8,
+    overridable via the ``SHIFTBRIBE_GUARD`` environment variable) a
+    ``GuardExceeded`` is raised and the caller should switch to
+    ``solve_two_pass_scaled``.  The shift table is built, and its score
+    and gain bounds checked, before the guard is consulted.
     """
     _require_scoring(inst)
-    hint = "; use solve_two_pass_scaled instead"
-    budget, prices = _price_rows(_price_lists(inst), hint)
     table = ShiftTable(inst)
-    cost, shifts = _two_pass(table, list(zip(prices, _gain_rows(table))), 0, budget)
+    hint = "; use solve_two_pass_scaled instead"
+    budget, rows = _sweep_rows(_price_lists(inst), table.gains, hint)
+    cost, shifts = _two_pass(table, rows, 0, budget)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
@@ -249,12 +236,12 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     (take l2 = 0), so this never returns a cheaper solution; it carries no
     approximation guarantee of its own and exists for experimental
     comparison.  All frontier points are checked in one batch, and the guard
-    is the same (n + 1)(P + 1) cell count as in ``solve_two_pass``.
+    is the same (n + 1)(min(P, G) + 1) cell count as in ``solve_two_pass``.
     """
     _require_scoring(inst)
-    budget, prices = _price_rows(_price_lists(inst))
     table = ShiftTable(inst)
-    sweep = _BudgetSweep(list(zip(prices, _gain_rows(table))), budget)
+    budget, rows = _sweep_rows(_price_lists(inst), table.gains)
+    sweep = _BudgetSweep(rows, budget)
     shifts = sweep.trace(np.arange(len(sweep.costs)))
     won = np.flatnonzero(table.wins(table.rows_after(shifts)))
     if not len(won):
@@ -264,19 +251,19 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 
 
 def _scaled_rounds(inst, table, start, eps):
-    """(cost, shifts, table) of the rounds of ``solve_two_pass_scaled``, with
+    """(cost, shifts) of the rounds of ``solve_two_pass_scaled``, with
     internal ``eps``, for actions on top of ``start``.
 
     Each voter's options are rebased over its start shift s: prices
-    ``p[s:] - p[s]``, gains ``g[s:] - g[s]``.  Every round re-prices them and
-    calls ``_two_pass`` on ``table``; the table, when None, and the rebased
-    gains are built once, after the first round's checks.  The cost is under
-    the rebased prices.
+    ``p[s:] - p[s]``, gains ``g[s:] - g[s]`` of the instance's ``table``.
+    Every round re-prices them and calls ``_two_pass`` on ``table``.  The
+    cost is under the rebased prices.
     """
     n = inst.num_voters
     num, den = eps.numerator, eps.denominator
     big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
     prices = [[q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start.tolist())]
+    gains = [g[s:] - g[s] for g, s in zip(table.gains, start.tolist())]
     top = max(p[-1] for p in prices)
     rhos = [1]  # doubled up to the first value at least the largest price
     while rhos[-1] < top:
@@ -288,19 +275,16 @@ def _scaled_rounds(inst, table, start, eps):
     ]
     if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
         pricings.append(prices)
-    best = gains = None
+    best = None
     for scaled in pricings:
-        budget, rows = _price_rows(scaled)
-        if gains is None:
-            table = table or ShiftTable(inst)
-            gains = [g[s:] - g[s] for g, s in zip(_gain_rows(table), start.tolist())]
-        _, shifts = _two_pass(table, list(zip(rows, gains)), start, budget)
+        budget, rows = _sweep_rows(scaled, gains)
+        _, shifts = _two_pass(table, rows, start, budget)
         moved = (shifts - start).tolist()
         if scaled is prices or all(p[k] < big for p, k in zip(scaled, moved)):
             cost = _check_i64(sum(p[k] for p, k in zip(prices, moved)), "total bribery cost")
             if best is None or cost < best[0]:
                 best = (cost, shifts)
-    return best + (table,)
+    return best
 
 
 def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAction]:
@@ -320,14 +304,16 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
     (2 + eps).  Whenever the unscaled DP is small (cell count
     (n + 1)(P + 1) at most ``DEFAULT_EXACT_THRESHOLD``, 10**6), the exact
     ``solve_two_pass`` run is included as one more candidate, making the
-    answer exact at desk scale.
+    answer exact at desk scale.  Every round is guarded like
+    ``solve_two_pass``, with P its re-priced total: (n + 1)(min(P, G) + 1)
+    frontier cells at most ``DEFAULT_CELL_GUARD``.
     """
     _require_scoring(inst)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    cost, shifts, _ = _scaled_rounds(inst, None, zero, eps / 4)
+    cost, shifts = _scaled_rounds(inst, ShiftTable(inst), zero, eps / 4)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
@@ -351,8 +337,8 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
         return 0, ShiftAction.zero(n)
     eps = Fraction(1, 4 * n)  # internal eps of 1/n
     zero = np.zeros(n, dtype=np.int64)
-    cost, shifts, table = _scaled_rounds(inst, None, zero, eps)
-    best = (cost, shifts)
+    table = ShiftTable(inst)
+    best = _scaled_rounds(inst, table, zero, eps)
     for i, p in enumerate(_price_lists(inst)):
         for t in range(1, len(p)):
             if p[t] >= best[0]:
@@ -362,7 +348,7 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
             if table.wins(table.rows_after(guess[None]))[0]:
                 cand = (p[t], guess)
             else:
-                rest_cost, shifts, _ = _scaled_rounds(inst, table, guess, eps)
+                rest_cost, shifts = _scaled_rounds(inst, table, guess, eps)
                 cand = (p[t] + rest_cost, shifts)
             if cand[0] < best[0]:
                 best = cand

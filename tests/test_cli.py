@@ -127,11 +127,20 @@ class TestSolve:
         assert main(["solve", thm6_file, "--algo", "exact"]) == 4
 
     @pytest.mark.parametrize("algo", ["Aeps:1/100000000000000000000", "B"])
-    def test_guard_hint_names_no_solver_already_run(self, thm6_file, monkeypatch, capsys, algo):
+    def test_guard_hint_names_no_solver_already_run(
+        self, thm6_file, tmp_path, monkeypatch, capsys, algo
+    ):
         # Only A suggests solve_two_pass_scaled; Aeps and B already are it.
+        # The guard counts min(P, G), so a tiny eps trips it only where the
+        # gain total G is large too, as with weights up to 10**6.
+        path = thm6_file
         if algo == "B":
             monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
-        assert main(["solve", thm6_file, "--algo", algo]) == 4
+        else:
+            path = tmp_path / "heavy.sb"
+            inst = sb.gen_random(1, 20, 8, 10**6, weighted=True)
+            path.write_text(sb.serialize_instance(inst), encoding="utf-8")
+        assert main(["solve", str(path), "--algo", algo]) == 4
         err = capsys.readouterr().err
         assert err.startswith("guard exceeded: budget DP needs ") and err.count("\n") == 1
         assert "solve_two_pass_scaled" not in err
@@ -228,6 +237,39 @@ class TestGen:
         ) == 0
         inst = sb.parse_instance(out.read_text(encoding="utf-8"))
         assert inst.rule == sb.CopelandRule(sb.CopelandAlpha(1, 2))
+
+    @pytest.mark.parametrize(
+        "token,rule",
+        [
+            ("borda", sb.ScoringRule(sb.borda(3))),
+            ("maximin", sb.MAXIMIN),
+            ("kapproval:2", sb.ScoringRule(sb.k_approval(3, 2))),
+            ("scoring:5,1,0", sb.ScoringRule(sb.ScoringVector((5, 1, 0)))),
+        ],
+    )
+    def test_rule_tokens_follow_the_file_grammar(self, tmp_path, token, rule):
+        out = tmp_path / "r.sb"
+        args = ["gen", "--family", "random", "--n", "3", "--m", "3", "--rule", token]
+        assert main(args + ["-o", str(out)]) == 0
+        assert sb.parse_instance(out.read_text(encoding="utf-8")).rule == rule
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("kapproval:x", "malformed rule (invalid literal"),
+            ("kapproval", "unknown rule 'kapproval'"),
+            ("scoring:2,1", "malformed rule (scoring vector needs 3 entries)"),
+            ("copeland:1/2.5", "malformed rule ("),
+            ("veto", "unknown rule 'veto'"),
+        ],
+    )
+    def test_malformed_rule_token_exits_2(self, tmp_path, capsys, token, message):
+        out = tmp_path / "r.sb"
+        args = ["gen", "--family", "random", "--n", "3", "--m", "3", "--rule", token]
+        assert main(args + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBench:

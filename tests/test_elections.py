@@ -246,6 +246,14 @@ class TestCopelandScores:
             sb.CopelandAlpha(1, 0)
         assert sb.CopelandAlpha(5, 10) == sb.CopelandAlpha(1, 2)
 
+    @pytest.mark.parametrize(
+        "num,den", [(0.5, 1), (Fraction(1, 2), 1), (1, 2.0), (1, Fraction(2))]
+    )
+    def test_alpha_rejects_non_integers(self, num, den):
+        # a ValueError (CLI exit 2), like prices, weights and scoring entries
+        with pytest.raises(ValueError, match="alpha must be a ratio of integers"):
+            sb.CopelandAlpha(num, den)
+
 
 class TestMaximinScores:
     def test_single_voter(self):

@@ -1,5 +1,7 @@
 """Generators and the shiftbribe v1 text format."""
 
+import tracemalloc
+
 import pytest
 
 import shiftbribe as sb
@@ -192,6 +194,29 @@ class TestParseDiagnostics:
         with pytest.raises(sb.ParseError, match="unknown rule") as err:
             sb.parse_instance(bad)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("rule", ["borda", "kapproval 1"])
+    def test_claimed_candidates_checked_before_the_rule_vector(self, rule):
+        # The size line claims 10**6 candidates but two names follow: the
+        # names line is refused before an m-entry Borda or k-approval vector
+        # is built, so memory follows the file, not the claim (the vector
+        # alone would take ~16-48 MB here).
+        text = f"shiftbribe v1\nrule {rule}\n1000000 1\np c\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(sb.ParseError, match="^expected 1000000 candidate names at line 4$"):
+                sb.parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_bad_names_line_reported_before_bad_rule(self):
+        bad = "shiftbribe v1\nrule veto\n2 1\np\norder: 1 0\nprices: 2\n"
+        with pytest.raises(sb.ParseError, match="^expected 2 candidate names at line 4$"):
+            sb.parse_instance(bad)
+        with pytest.raises(sb.ParseError, match="^unknown rule 'veto' at line 2$"):
+            sb.parse_instance(bad.replace("\np\n", "\np c\n"))
 
     def test_trailing_content(self):
         bad = self.MINIMAL + "order: 0 1\n"

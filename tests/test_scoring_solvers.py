@@ -12,7 +12,18 @@ from conftest import scaled_rounds_alone
 from scoring_reference import build_budget_dp, double_gain_check
 from shiftbribe import scoring_solvers
 from shiftbribe.bribery import ShiftTable
-from shiftbribe.scoring_solvers import _BudgetSweep, _max_budget, _option_rows
+from shiftbribe.scoring_solvers import _BudgetSweep
+
+
+def price_total(inst):
+    """Sum over voters of the largest finite price."""
+    return sum(cf.price(cf.max_reachable) for cf in inst.costs)
+
+
+def option_rows(inst):
+    """Per voter, the (prices, gains) rows of the instance's shift table."""
+    table = ShiftTable(inst)
+    return list(zip(table.prices, table.gains))
 
 
 def caps_product(inst):
@@ -68,7 +79,7 @@ class TestBuy:
     def test_matches_exhaustive_enumeration(self):
         for seed in range(30):
             inst = sb.gen_random(seed, 3, 4, 4)
-            top = _max_budget(inst)
+            top = price_total(inst)
             for budget in range(top + 2):
                 action, g = sb.buy(inst, budget)
                 want_gain, want_cost, want_t = exhaustive_best_buy(inst, budget)
@@ -102,7 +113,7 @@ class TestBudgetDpTable:
     def test_recurrence_consistency(self):
         for seed in (1, 2, 3):
             inst = sb.gen_random(seed, 3, 4, 4)
-            budget = _max_budget(inst)
+            budget = price_total(inst)
             table = build_budget_dp(inst, budget)
             for i in range(1, inst.num_voters + 1):
                 cf = inst.costs[i - 1]
@@ -122,7 +133,7 @@ class TestBudgetDpTable:
 
     def test_buy_agrees_with_table(self):
         inst = sb.gen_random(9, 3, 4, 5)
-        budget = _max_budget(inst)
+        budget = price_total(inst)
         table = build_budget_dp(inst, budget)
         for b in range(budget + 1):
             action, g = sb.buy(inst, b)
@@ -136,13 +147,13 @@ class TestBudgetDpTable:
     def test_frontier_is_the_breakpoints_of_the_exact_spend_table(self):
         for seed in range(20):
             inst = sb.gen_random(seed, 4, 4, 5, weighted=seed % 2 == 1)
-            budget = _max_budget(inst)
+            budget = price_total(inst)
             exact = build_budget_dp(inst, budget).rows[-1]
             breakpoints = []
             for j, g in enumerate(exact):
                 if g is not None and (not breakpoints or g > breakpoints[-1][1]):
                     breakpoints.append((j, g))
-            sweep = _BudgetSweep(_option_rows(ShiftTable(inst)), budget)
+            sweep = _BudgetSweep(option_rows(inst), budget)
             assert list(sweep.iter_breakpoints()) == breakpoints
             total_gain = sum(sb.gain(inst, i, cf.max_reachable) for i, cf in enumerate(inst.costs))
             assert len(breakpoints) <= min(budget, total_gain) + 1
@@ -203,12 +214,34 @@ class TestSolveTwoPass:
             sb.solve_two_pass(thm6_k1)
 
     def test_guard_boundary(self, thm6_k1, monkeypatch):
-        # (n + 1)(P + 1) = 7 * 15 cells: 6 voters, largest prices summing to 14
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "105")
+        # (n + 1)(min(P, G) + 1) = 7 * 10 cells: 6 voters, largest prices
+        # summing to P = 14 and largest gains to G = 9
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "70")
         assert sb.solve_two_pass(thm6_k1) == (4, sb.ShiftAction((0, 0, 1, 1, 0, 0)))
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "104")
-        with pytest.raises(sb.GuardExceeded, match=r"needs 105 cells \(guard 104\)"):
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "69")
+        with pytest.raises(sb.GuardExceeded, match=r"needs 70 cells \(guard 69\)"):
             sb.solve_two_pass(thm6_k1)
+
+    @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass])
+    def test_guard_boundary_at_price_total_below_gain_total(self, solver, monkeypatch):
+        # P = 12 < G = 400: the frontier holds at most P + 1 points, so the
+        # guard counts (n + 1)(P + 1) = 4 * 13 cells
+        e = sb.Election(("p", "c1", "c2"), ((1, 2, 0), (2, 0, 1), (1, 0, 2)))
+        costs = (sb.CostFunction((2, 3)), sb.CostFunction((4,)), sb.CostFunction((5,)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.ScoringVector((200, 100, 0))))
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "52")
+        assert solver(inst) == (3, sb.ShiftAction((2, 0, 0)))
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", "51")
+        with pytest.raises(sb.GuardExceeded, match=r"needs 52 cells \(guard 51\)"):
+            solver(inst)
+
+    @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass])
+    def test_guard_trips_at_large_price_and_gain_totals(self, solver):
+        # weights up to 10**6: P = 39424967 and G = 35941415, so a frontier
+        # may hold 21 * 35941416 cells over the 21 voter suffixes
+        inst = sb.gen_random(1, 20, 8, 10**6, weighted=True)
+        with pytest.raises(sb.GuardExceeded, match=r"needs 754769736 cells \(guard 100000000\)"):
+            solver(inst)
 
     @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass])
     def test_fully_shifted_score_outside_int64_raises(self, solver):
@@ -291,9 +324,9 @@ class TestSuffixMemo:
     def test_node_cut_to_lower_budget_equals_sweep_built_there(self):
         for seed in range(24):
             inst = memo_instance(seed)
-            rows = _option_rows(ShiftTable(inst))
+            rows = option_rows(inst)
             offsets = tuple(seed % 2 * (i % len(p)) for i, (p, _) in enumerate(rows))
-            top = _max_budget(inst)
+            top = price_total(inst)
             for lower in sorted({0, 1, top // 3, top // 2, top - 1}.intersection(range(top))):
                 memo = {}
                 _BudgetSweep(rows, top, offsets, memo)
@@ -471,8 +504,9 @@ def test_prices_beyond_int64_still_answer(solver, prices, want):
     ids=["A", "G", "Aeps"],
 )
 def test_cell_guard_before_score_checks(solver, monkeypatch):
-    # The fully shifted score leaves int64 (see TestSolveTwoPass), but the
-    # cell guard trips first.
+    # The fully shifted score leaves int64 (see TestSolveTwoPass) and the
+    # cell guard is set to trip: the shift table, which every scoring solve
+    # builds before it consults the guard, reports the score first.
     top = (1 << 63) - 1
     x = (top - 4) // 3
     e = sb.Election(("p", "c"), ((1, 0), (1, 0), (0, 1)))
@@ -480,8 +514,27 @@ def test_cell_guard_before_score_checks(solver, monkeypatch):
     costs = (sb.CostFunction((1,)), sb.CostFunction((1,)), sb.CostFunction(()))
     inst = sb.ShiftBriberyInstance(e, costs, rule)
     monkeypatch.setenv("SHIFTBRIBE_GUARD", "1")
-    with pytest.raises(sb.GuardExceeded):
+    with pytest.raises(OverflowError, match="fully shifted score"):
         solver(inst)
+
+
+@pytest.mark.parametrize(
+    "solver,inst,want",
+    [
+        (sb.solve_bootstrap, sb.gen_random(1, 30, 4, 5), 4),
+        (lambda inst: sb.solve_two_pass_scaled(inst, Fraction(1, 4)), sb.gen_random(2, 50, 5, 5), 0),
+        (sb.solve_two_pass, sb.gen_random(1, 10, 6, 10**9), 823242659),
+    ],
+    ids=["B", "Aeps", "A"],
+)
+def test_small_gain_totals_pass_the_guard(solver, inst, want):
+    # The old (n + 1)(P + 1) count refused these (140767342, 151150638 and
+    # 117837104682 cells); a frontier never holds more than G + 1 points,
+    # and G stays small under Borda, whatever the (re-priced) prices.
+    cost, action = solver(inst)
+    assert cost == want
+    assert sb.is_successful(inst, action)
+    assert sb.total_cost(inst, action) <= cost
 
 
 @pytest.mark.parametrize(

@@ -24,9 +24,11 @@ builds
 
 Each solve first builds one per-voter table of score deltas, shared with
 the exact oracle (``bribery.ShiftTable``), reads the gain rows of its
-sweeps from it, and tests whole batches of candidate actions against it.  The sweep of ``solve_two_pass`` serves ``A``, every
-``Aeps`` round and every ``B`` guess: a round re-prices the (price, gain)
-option rows, and a guess slices one voter's rows and starts from the shift.
+sweeps from it, and tests whole batches of candidate actions against it.
+The sweep of ``solve_two_pass`` serves ``A``, ``Aeps`` and every ``B``
+guess: a guess slices one voter's rows and starts from the shift.  Where
+the unscaled sweep is admitted it runs alone; elsewhere every price-scaling
+round re-prices the (price, gain) option rows and runs it.
 Within one such sweep every voter suffix's frontier is built once and kept
 until the sweep returns, trading memory for time (see ``_BudgetSweep``).
 
@@ -251,36 +253,34 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 
 
 def _scaled_rounds(inst, table, start, eps):
-    """(cost, shifts) of the rounds of ``solve_two_pass_scaled``, with
-    internal ``eps``, for actions on top of ``start``.
-
-    Each voter's options are rebased over its start shift s: prices
-    ``p[s:] - p[s]``, gains ``g[s:] - g[s]`` of the instance's ``table``.
-    Every round re-prices them and calls ``_two_pass`` on ``table``.  The
-    cost is under the rebased prices.
+    """(cost, shifts) of ``solve_two_pass_scaled``, with internal ``eps``,
+    for actions on top of ``start``.  Each voter's options are rebased over
+    its start shift s: prices ``p[s:] - p[s]``, gains ``g[s:] - g[s]`` of
+    ``table``.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``, with P the
+    rebased price total, one ``_two_pass`` on these rows runs alone;
+    otherwise every round re-prices them and calls ``_two_pass`` on
+    ``table``.  The cost is under the rebased prices.
     """
     n = inst.num_voters
-    num, den = eps.numerator, eps.denominator
-    big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
     prices = [[q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start.tolist())]
     gains = [g[s:] - g[s] for g, s in zip(table.gains, start.tolist())]
+    if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
+        budget, rows = _sweep_rows(prices, gains)
+        return _two_pass(table, rows, start, budget)
+    num, den = eps.numerator, eps.denominator
+    big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
     top = max(p[-1] for p in prices)
     rhos = [1]  # doubled up to the first value at least the largest price
     while rhos[-1] < top:
         rhos.append(2 * rhos[-1])
-    # ceil(price / K), exactly, with K = rho*eps/n for prices at most rho
-    pricings = [
-        [[-(-q * n * den // (rho * num)) if q <= rho else big for q in p] for p in prices]
-        for rho in rhos
-    ]
-    if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
-        pricings.append(prices)
     best = None
-    for scaled in pricings:
+    for rho in rhos:
+        # ceil(price / K), exactly, with K = rho*eps/n for prices at most rho
+        scaled = [[-(-q * n * den // (rho * num)) if q <= rho else big for q in p] for p in prices]
         budget, rows = _sweep_rows(scaled, gains)
         _, shifts = _two_pass(table, rows, start, budget)
         moved = (shifts - start).tolist()
-        if scaled is prices or all(p[k] < big for p, k in zip(scaled, moved)):
+        if all(p[k] < big for p, k in zip(scaled, moved)):
             cost = _check_i64(sum(p[k] for p, k in zip(prices, moved)), "total bribery cost")
             if best is None or cost < best[0]:
                 best = (cost, shifts)
@@ -301,12 +301,11 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
 
     The per-round analysis delivers a (2 + 4*eps') bound, so internally
     eps' = eps/4 and the advertised guarantee is the caller-facing
-    (2 + eps).  Whenever the unscaled DP is small (cell count
-    (n + 1)(P + 1) at most ``DEFAULT_EXACT_THRESHOLD``, 10**6), the exact
-    ``solve_two_pass`` run is included as one more candidate, making the
-    answer exact at desk scale.  Every round is guarded like
-    ``solve_two_pass``, with P its re-priced total: (n + 1)(min(P, G) + 1)
-    frontier cells at most ``DEFAULT_CELL_GUARD``.
+    (2 + eps).  Whenever the unscaled sweep is small ((n + 1)(P + 1) at
+    most ``DEFAULT_EXACT_THRESHOLD``, 10**6), it runs alone instead of the
+    rounds and the answer is that of ``solve_two_pass``, a 2-approximation.
+    Every round is guarded like ``solve_two_pass``, with P its re-priced
+    total: (n + 1)(min(P, G) + 1) frontier cells at most ``DEFAULT_CELL_GUARD``.
     """
     _require_scoring(inst)
     eps = Fraction(eps)
@@ -322,14 +321,15 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 
     Some coordinate of an optimal action carries at least a 1/n fraction of
     its cost, and there are only n * m candidate (voter, amount) guesses.
-    For every guess the remainder is solved by the rounds of
-    ``solve_two_pass_scaled`` with eps = 1/n, started from the guess: the
-    guessed voter's option rows are sliced at the guessed shift, and the
-    winner test runs on the instance's one shift table.  This makes the
-    combined cost at most twice the optimum for the correct guess.  A
-    no-guess run is included as the baseline, and a candidate that already
-    wins yields cost 0 before any guard is consulted.  Returns the cheapest
-    successful combination found.
+    For every guess the remainder is solved by ``solve_two_pass_scaled``
+    with eps = 1/n, started from the guess: the guessed voter's option rows
+    are sliced at the guessed shift, and the winner test runs on the
+    instance's one shift table.  Where that remainder's unscaled sweep is
+    admitted it runs alone, at most twice the optimal remainder, so the
+    correct guess costs at most twice the optimum either way.  The no-guess
+    run (``solve_two_pass`` where admitted) is the baseline, and a candidate
+    that already wins yields cost 0 before any guard is consulted.  Returns
+    the cheapest successful combination found.
     """
     _require_scoring(inst)
     n = inst.num_voters

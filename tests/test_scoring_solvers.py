@@ -292,7 +292,8 @@ class TestSuffixMemo:
     def test_memo_sweeps_equal_fresh_sweeps(self, monkeypatch):
         # Every sweep that A and the Aeps rounds build through a call's
         # suffix memo equals a memo-less sweep on the rebased rows at the
-        # same budget: breakpoints and traced shift vectors alike.
+        # same budget: breakpoints and traced shift vectors alike.  These
+        # instances admit the exact sweep, so the rounds are driven alone.
         built = []
 
         class RecordingSweep(_BudgetSweep):
@@ -306,7 +307,7 @@ class TestSuffixMemo:
             inst = memo_instance(seed)
             built.clear()
             sb.solve_two_pass(inst)
-            sb.solve_two_pass_scaled(inst, Fraction(1, 4))
+            scaled_rounds_alone(inst, Fraction(1, 4))
             memos = {}  # memo id: (memo, budget of its outer sweep)
             for rows, budget, offsets, memo, sweep in built:
                 assert memo is not None
@@ -358,7 +359,37 @@ class TestSolveSinglePass:
             assert sb.solve_single_pass(inst)[0] >= sb.solve_two_pass(inst)[0]
 
 
+def admitted_instance(seed):
+    """Seeded Borda, k-approval or weighted Borda instance (by seed % 3),
+    n <= 4 and m <= 4, that the preferred candidate does not already win;
+    small enough for the exact sweep to be admitted."""
+    n, m = 1 + seed % 4, 2 + seed // 3 % 3
+    if seed % 3 == 1:
+        rule = sb.ScoringRule(sb.k_approval(m, 1 + seed // 9 % (m - 1)))
+    else:
+        rule = sb.ScoringRule(sb.borda(m))
+    draw = seed
+    while True:
+        inst = sb.gen_random(draw, n, m, 8, weighted=seed % 3 == 2, rule=rule)
+        if 0 not in sb.winners(sb.rule_scores(inst.election, inst.rule)):
+            break
+        draw += 1000
+    assert (n + 1) * (price_total(inst) + 1) <= scoring_solvers.DEFAULT_EXACT_THRESHOLD
+    return inst
+
+
+ADMITTED_SEEDS = range(36)
+
+
 class TestSolveTwoPassScaled:
+    def test_equals_two_pass_when_admitted(self):
+        # the exact sweep runs alone: A's cost and witness, byte for byte
+        for seed in ADMITTED_SEEDS:
+            inst = admitted_instance(seed)
+            want = repr(sb.solve_two_pass(inst))
+            for eps in (1, Fraction(1, 4), Fraction(1, 100)):
+                assert repr(sb.solve_two_pass_scaled(inst, eps)) == want, (seed, eps)
+
     def test_already_winner(self):
         e = sb.Election(("p", "c"), ((0, 1),))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction(()),), sb.ScoringRule(sb.borda(2)))
@@ -397,31 +428,35 @@ class TestSolveTwoPassScaled:
         # eps 1/10**20 lifts the first round's big price beyond 2**63; with
         # the cell guard out of the way, the 64-bit check on the scaled total
         # must refuse it before any int64 array of those prices is built.
+        # The instance admits the exact sweep, so the rounds are driven alone.
         monkeypatch.setenv("SHIFTBRIBE_GUARD", str(10**40))
         with pytest.raises(
             OverflowError,
             match="^total of the largest prices exceeds the checked 64-bit integer range",
         ):
-            sb.solve_two_pass_scaled(thm6_k1, Fraction(1, 10**20))
+            scaled_rounds_alone(thm6_k1, Fraction(1, 10**20))
 
     def test_rounds_keep_only_shifts_priced_below_big(self):
         # Some round's sweep buys a shift priced at the big value; keeping
-        # that action would return A's witness (0, 4, 2) instead.
+        # that action would return A's witness (0, 4, 2) instead.  Aeps and
+        # B as called run the admitted exact sweep alone and return A's.
         e = sb.Election(
             ("p", "c1", "c2", "c3", "c4"), ((1, 4, 3, 0, 2), (3, 1, 4, 2, 0), (1, 2, 0, 3, 4))
         )
         costs = tuple(sb.CostFunction(p) for p in ((1, 2, 3), (1, 2, 2, 3), (0, 0)))
         inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(5)))
+        cost, action = scaled_rounds_alone(inst, 1)
+        assert (cost, action.shifts) == (3, (1, 3, 2))
         for cost, action in (
+            sb.solve_two_pass(inst),
             sb.solve_two_pass_scaled(inst, Fraction(1, 4)),
-            scaled_rounds_alone(inst, 1),
             sb.solve_bootstrap(inst),
         ):
-            assert (cost, action.shifts) == (3, (1, 3, 2))
+            assert (cost, action.shifts) == (3, (0, 4, 2))
 
     def test_exact_candidate_kept_at_prices_above_big(self):
-        # eps = 3 puts the big value at 31, below both prices; the exact A
-        # candidate (399) is kept anyway and beats the rounds' 402.
+        # eps = 3 puts the big value at 31, below both prices; the admitted
+        # exact A sweep runs alone and returns 399, the rounds alone 402.
         e = sb.Election(("p", "c1", "c2"), ((0, 2, 1), (1, 0, 2), (2, 0, 1)), (798, 918, 127))
         costs = (sb.CostFunction(()), sb.CostFunction((402,)), sb.CostFunction((399,)))
         inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.k_approval(3, 1)))
@@ -440,6 +475,20 @@ class TestSolveTwoPassScaled:
 
 
 class TestSolveBootstrap:
+    def test_within_two_pass_and_twice_optimal_when_admitted(self):
+        # A's answer is the no-guess baseline, and the right guess pays its
+        # price plus at most twice the optimal remainder
+        for seed in ADMITTED_SEEDS:
+            inst = admitted_instance(seed)
+            bound = min(sb.solve_two_pass(inst)[0], 2 * sb.exact_shift_opt(inst)[0])
+            solvers = [sb.solve_bootstrap]
+            if inst.election.weights is not None:
+                solvers.append(sb.solve_bootstrap_weighted)
+            for solve in solvers:
+                cost, action = solve(inst)
+                assert cost <= bound, (seed, solve.__name__, cost, bound)
+                assert sb.is_successful(inst, action)
+
     def test_already_winner(self):
         e = sb.Election(("p", "c"), ((0, 1),))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction(()),), sb.ScoringRule(sb.borda(2)))
@@ -463,7 +512,7 @@ class TestSolveBootstrap:
     def test_already_winner_before_any_check(self, monkeypatch):
         # The candidate already wins, so B answers 0 before the cell guard
         # and before the fully shifted score (2**63 here) is range-checked;
-        # Aeps runs its rounds and refuses the instance.
+        # Aeps builds the shift table and refuses the instance.
         x = (1 << 62) - 2
         e = sb.Election(("p", "c"), ((0, 1), (1, 0)))
         rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
@@ -486,7 +535,8 @@ class TestSolveBootstrap:
 )
 def test_prices_beyond_int64_still_answer(solver, prices, want):
     # Aeps and B price their rounds as Python ints: an original price or
-    # price total beyond 2**63 does not stop them, while A exits on its guard.
+    # price total beyond 2**63 does not stop them, while A raises
+    # OverflowError on its 64-bit price-total check (CLI exit 2).
     e = sb.Election(("p", "c"), ((1, 0), (1, 0), (0, 1)))
     costs = tuple(sb.CostFunction((p,)) for p in prices) + (sb.CostFunction(()),)
     inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))

@@ -16,8 +16,8 @@ solved greedily within a logarithmic factor (``cover_targets_greedy``,
 ``solve_maximin_shift``).  The per-voter move lists (prices from the
 instance's ``bribery.ShiftTable``, rivals above the preferred candidate) are
 built once per instance and shared by every k; each greedy run is lazy,
-re-evaluating only the voter at the top of its heap, and the runs' actions
-are checked with one batched winner test on the same table.
+re-evaluating only the voter at the top of its heap, and a k whose per-rival
+price floor reaches the cheapest successful action so far is not run at all.
 
 Weighted instances are rejected by all solvers in this module; weighted
 microbribery is inapproximable in general and the covering bound is stated
@@ -26,6 +26,7 @@ for unit weights.
 
 import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -443,6 +444,16 @@ def _move_lists(inst: ShiftBriberyInstance, table: ShiftTable):
     return prices, above
 
 
+def _pass_floors(prices: list, above: list, m: int) -> list:
+    """Per rival c, ``floors[c][d]`` <= the price of passing c in d voters: the
+    sum of the d cheapest ``prices[i][depth of c]`` over voters that can."""
+    passing: List[list] = [[] for _ in range(m)]
+    for p, a in zip(prices, above):
+        for t in range(1, len(p)):
+            passing[a[t - 1]].append(p[t])
+    return [list(itertools.accumulate(sorted(ps), initial=0)) for ps in passing]
+
+
 def cover_targets_greedy(
     inst: ShiftBriberyInstance, targets: Sequence
 ) -> ShiftAction:
@@ -461,8 +472,8 @@ def cover_targets_greedy(
     n, m = inst.num_voters, inst.num_candidates
     if len(targets) != m - 1:
         raise ValueError("need one target per rival")
-    if any(k < 0 for k in targets):
-        raise ValueError("targets must be non-negative")
+    if any(not isinstance(k, int) or k < 0 for k in targets):
+        raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
     table = ShiftTable(inst, pairwise=True)
     support = table.base.tolist()
     deficits = [0] + [
@@ -479,9 +490,11 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     against every rival, and at least n - k against every rival currently
     scoring above k (which caps that rival's score at k).  Each k yields a
     covering problem solved by the greedy of ``cover_targets_greedy``, on
-    per-voter move lists built once from the instance's ``ShiftTable``; all
-    the greedy actions are checked in one batch, and the first cheapest
-    successful one is returned.
+    per-voter move lists built once from the instance's ``ShiftTable``.  A
+    k runs only if every rival's price floor (``_pass_floors``) at its
+    deficit exists and lies below the cheapest successful cost so far, and
+    its action gets the winner test only if cheaper still; so the first
+    cheapest successful action is returned, as if every k ran.
     """
     if not isinstance(inst.rule, MaximinRule):
         raise IncompatibleRule("solve_maximin_shift requires the maximin rule")
@@ -489,24 +502,20 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     n, m = inst.num_voters, inst.num_candidates
     table = ShiftTable(inst)
     prices, above = _move_lists(inst, table)
+    floors = _pass_floors(prices, above, m)
     scores = maximin_scores(table.tally)
     support = table.tally.n_matrix[0]
-    actions = []
+    best: Tuple[float, Optional[list]] = (math.inf, None)
     for k in range(scores[0], n + 1):
         deficits = [0] + [
             max(0, (max(k, n - k) if scores[c] > k else k) - support[c]) for c in range(1, m)
         ]
-        try:
-            actions.append(_cover(prices, above, deficits))
-        except Infeasible:
+        if max(f[d] if d < len(f) else math.inf for d, f in zip(deficits, floors)) >= best[0]:
             continue
-    best: Optional[Tuple[int, list]] = None
-    if actions:
-        won = table.wins(table.rows_after(np.array(actions, dtype=np.int64)))
-        for shifts, ok in zip(actions, won):
-            cost = sum(p[t] for p, t in zip(prices, shifts))
-            if ok and (best is None or cost < best[0]):
-                best = (cost, shifts)
-    if best is None:
+        shifts = _cover(prices, above, deficits)
+        cost = sum(p[t] for p, t in zip(prices, shifts))
+        if cost < best[0] and table.wins(table.rows_after(np.array([shifts], dtype=np.int64)))[0]:
+            best = (cost, shifts)
+    if best[1] is None:
         raise Infeasible("no successful shift action exists")
     return best[0], ShiftAction(tuple(best[1]))

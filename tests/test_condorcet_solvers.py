@@ -312,6 +312,15 @@ class TestCoverTargetsGreedy:
         with pytest.raises(sb.Infeasible):
             sb.cover_targets_greedy(inst, (1,))
 
+    @pytest.mark.parametrize("targets", [(0.5, 0), (1.0, 0), (1, 0.0)])
+    def test_rejects_non_integer_targets(self, targets):
+        # a float deficit of 0.5 drops to -0.5 and never reads as met
+        e = sb.Election(("p", "c1", "c2"), ((1, 0, 2),))
+        inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((1,)),), sb.MAXIMIN)
+        assert tuple(sb.cover_targets_greedy(inst, (1, 0)).shifts) == (1,)
+        with pytest.raises(ValueError, match="integers"):
+            sb.cover_targets_greedy(inst, targets)
+
     def test_postcondition_on_random_instances(self):
         for seed in range(80):
             rng = random.Random(seed + 1300)

@@ -1,0 +1,130 @@
+"""The per-rival price floors that let ``solve_maximin_shift`` skip target
+scores, and the solver against the reference loop that runs every one."""
+
+import random
+
+import pytest
+
+import shiftbribe as sb
+from maximin_reference import solve_maximin_all_targets, target_deficits
+from shiftbribe import condorcet_solvers
+from shiftbribe.bribery import ShiftTable
+from shiftbribe.condorcet_solvers import _cover, _move_lists, _pass_floors
+
+
+def edge_instance(seed):
+    """Seeded unweighted maximin instance with 1-60 voters and 2-10
+    candidates that the preferred candidate does not already win; some
+    voters' prices are zeroed, cut to an unreachable suffix, or unreachable
+    throughout, so some targets cannot be met."""
+    rng = random.Random(seed * 7727 + 3)
+    n, m = rng.randint(1, 60), rng.randint(2, 10)
+    max_price = rng.choice((1, 5, 50))
+    draw = seed
+    inst = sb.gen_random(draw, n, m, max_price, rule=sb.MAXIMIN)
+    while 0 in sb.winners(sb.rule_scores(inst.election, inst.rule)):
+        draw += 1000
+        inst = sb.gen_random(draw, n, m, max_price, rule=sb.MAXIMIN)
+    costs = []
+    for cf in inst.costs:
+        prices = list(cf.prices)
+        edit = rng.random()
+        if prices and edit < 0.04:
+            prices = [0] * len(prices)
+        elif prices and edit < 0.35:
+            cut = rng.randint(0, len(prices) - 1)
+            prices = prices[:cut] + [None] * (len(prices) - cut)
+        costs.append(sb.CostFunction(tuple(prices)))
+    return sb.ShiftBriberyInstance(inst.election, tuple(costs), inst.rule)
+
+
+def outcome(solve, inst):
+    try:
+        cost, action = solve(inst)
+    except sb.Infeasible as exc:
+        return repr(exc)
+    return cost, tuple(action.shifts)
+
+
+def cover_runs(inst):
+    """Per target score: the deficits, the floors, and the greedy's cost
+    or None where it raised ``Infeasible``."""
+    table = ShiftTable(inst)
+    prices, above = _move_lists(inst, table)
+    floors = _pass_floors(prices, above, inst.num_candidates)
+    for deficits in target_deficits(table, inst.num_voters):
+        try:
+            shifts = _cover(prices, above, list(deficits))
+        except sb.Infeasible:
+            yield deficits, floors, None
+            continue
+        yield deficits, floors, sum(p[t] for p, t in zip(prices, shifts))
+
+
+def test_matches_all_targets_loop():
+    outcomes = [
+        (outcome(sb.solve_maximin_shift, inst), outcome(solve_maximin_all_targets, inst))
+        for inst in map(edge_instance, range(150))
+    ]
+    assert [seed for seed, (got, want) in enumerate(outcomes) if got != want] == []
+    assert any(isinstance(want, str) for _, want in outcomes)
+    assert sum(want[0] > 0 for _, want in outcomes if not isinstance(want, str)) >= 30
+
+
+def test_matches_all_targets_loop_on_the_ladder():
+    inst = sb.gen_random(1, 200, 20, 50, rule=sb.MAXIMIN)
+    assert sb.solve_maximin_shift(inst) == solve_maximin_all_targets(inst)
+
+
+@pytest.mark.parametrize(
+    "args, runs, targets", [((1, 200, 20, 50), 12, 110), ((2, 100, 12, 50), 2, 53)]
+)
+def test_priced_out_targets_are_not_run(monkeypatch, args, runs, targets):
+    # The counts pin the floor itself: a weaker floor runs more targets.
+    inst = sb.gen_random(*args, rule=sb.MAXIMIN)
+    calls = []
+
+    def counted(*cover_args):
+        calls.append(cover_args)
+        return _cover(*cover_args)
+
+    monkeypatch.setattr(condorcet_solvers, "_cover", counted)
+    sb.solve_maximin_shift(inst)
+    assert sum(1 for _ in target_deficits(ShiftTable(inst), inst.num_voters)) == targets
+    assert len(calls) == runs
+
+
+def test_greedy_cost_is_at_least_every_floor():
+    checked = 0
+    for inst in map(edge_instance, range(40)):
+        for deficits, floors, cost in cover_runs(inst):
+            if cost is not None:
+                assert all(cost >= f[d] for d, f in zip(deficits, floors))
+                checked += 1
+    assert checked >= 300
+
+
+def test_greedy_infeasible_exactly_when_a_floor_is_missing():
+    seen = set()
+    for inst in map(edge_instance, range(40)):
+        for deficits, floors, cost in cover_runs(inst):
+            missing = any(d >= len(f) for d, f in zip(deficits, floors))
+            assert missing == (cost is None)
+            seen.add(missing)
+    assert seen == {False, True}
+
+
+def test_floor_is_the_greedy_cost_with_one_rival():
+    # With one rival every move removes at most one unit, so the greedy
+    # buys the d cheapest passes, which is the floor itself.
+    checked = 0
+    for seed in range(200):
+        inst = edge_instance(seed)
+        if inst.num_candidates != 2:
+            continue
+        for deficits, floors, cost in cover_runs(inst):
+            if cost is not None:
+                assert cost == floors[1][deficits[1]]
+                checked += 1
+    assert checked >= 50
+

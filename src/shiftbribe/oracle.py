@@ -106,6 +106,8 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     m = e.num_candidates
     if len(targets) != m - 1:
         raise ValueError("need one target per rival")
+    if any(not isinstance(k, int) or k < 0 for k in targets):
+        raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
     table = ShiftTable(inst, pairwise=True)
     required = np.zeros(m, dtype=np.int64)
     for c in range(1, m):

@@ -2,11 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
+from shiftbribe.bribery import ShiftTable
 
 
 def borda_instance(orders, prices, weights=None):
@@ -191,3 +193,21 @@ class TestIsSuccessful:
                         bigger = list(t)
                         bigger[i] += 1
                         assert sb.is_successful(inst, sb.ShiftAction(tuple(bigger)))
+
+
+class TestShiftTableRange:
+    def test_weighted_step_beyond_int64_raises(self):
+        # weight 2**62 times the Borda steps 1 + 1 lifts the preferred
+        # candidate by 2**63: refused, not wrapped
+        inst = borda_instance([(1, 2, 0), (0, 1, 2)], [(1, 2), ()], weights=(1 << 62, 1))
+        with pytest.raises(OverflowError, match="exceeds the checked 64-bit integer range"):
+            ShiftTable(inst)
+
+    def test_weights_beyond_the_int64_bound_still_tabulate(self):
+        # total weight times the top score entry passes 2**63, but no score
+        # or reachable shift does
+        inst = borda_instance([(0, 1), (1, 0)], [(), (None,)], weights=(1 << 62, 1 << 62))
+        table = ShiftTable(inst)
+        assert table.base.tolist() == [1 << 62, 1 << 62]
+        assert [d.tolist() for d in table.deltas] == [[[0, 0]], [[0, 0]]]
+        assert table.rows_after(np.zeros((1, 2), dtype=np.int64)).tolist() == [[1 << 62] * 2]

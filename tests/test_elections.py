@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
+from loop_reference import loop_tally
 from shiftbribe.elections import _check_i64
 
 
@@ -48,6 +49,17 @@ class TestElectionValidation:
         # the int64 tables would truncate a weight of 1.5 to 1
         with pytest.raises(ValueError, match="voter 1: weight must be a positive integer"):
             sb.Election(("a", "b"), ((0, 1), (1, 0)), (1, weight))
+
+    def test_weight_beyond_int64_builds(self):
+        # only the sums that need the weight refuse it
+        e = sb.Election(("a", "b"), ((0, 1), (1, 0)), (1 << 64, 1))
+        assert e.rank_of(0, 1) == 2 and e.rank_of(1, 0) == 2
+        assert sb.apply_shift(e, (0, 1)).voters == ((0, 1), (0, 1))
+        assert sb.scoring_scores(e, sb.ScoringVector((0, 0))) == [0, 0]
+        with pytest.raises(OverflowError, match="score of candidate 0"):
+            sb.scoring_scores(e, sb.borda(2))
+        with pytest.raises(OverflowError, match="total voter weight"):
+            sb.pairwise_tally(e)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -142,18 +154,6 @@ class TestPairwiseTally:
                     1 for order in e.voters if order.index(i) < order.index(j)
                 )
                 assert t.n_matrix[i][j] == count
-
-
-def loop_tally(election):
-    """Reference pairwise tally: one weighted count per voter and ordered
-    pair, in Python integers."""
-    m = election.num_candidates
-    n_matrix = [[0] * m for _ in range(m)]
-    for i, order in enumerate(election.voters):
-        for a_pos, a in enumerate(order):
-            for b in order[a_pos + 1 :]:
-                n_matrix[a][b] += election.weight(i)
-    return tuple(tuple(row) for row in n_matrix)
 
 
 class TestPairwiseTallyReference:

@@ -218,6 +218,54 @@ class TestParseDiagnostics:
         with pytest.raises(sb.ParseError, match="^unknown rule 'veto' at line 2$"):
             sb.parse_instance(bad.replace("\np\n", "\np c\n"))
 
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            # an order fault before a malformed price of a later voter
+            (
+                "order: 1 1 0\nprices: 1,2\norder: 2 0 1\nprices: x,3\n",
+                "order is not a permutation of the candidates at line 5",
+            ),
+            # a decreasing price table before a missing keyword of a later voter
+            (
+                "order: 1 2 0\nprices: 5,3\nordr: 2 0 1\nprices: 1,3\n",
+                "price table decreases at shift 2 at line 6",
+            ),
+            # a malformed order line before a later voter's order fault
+            (
+                "order: 1 2 x\nprices: 5,6\norder: 0 0 1\nprices:\n",
+                "order entries must be integers at line 5",
+            ),
+        ],
+    )
+    def test_earliest_fault_of_two_voters_is_reported(self, blocks, message):
+        bad = "shiftbribe v1\nrule borda\n3 2\np a b\n" + blocks
+        with pytest.raises(sb.ParseError, match=f"^{message}$"):
+            sb.parse_instance(bad)
+
+    def test_weight_fault_before_later_order_fault(self):
+        bad = (
+            "shiftbribe v1\nrule borda\n3 2 weighted\np a b\n"
+            "order: 1 0 2\nweight: 0\nprices: 1\n"
+            "order: 0 0 1\nweight: 1\nprices:\n"
+        )
+        with pytest.raises(sb.ParseError, match="^weight must be positive at line 6$"):
+            sb.parse_instance(bad)
+
+    def test_claimed_voters_checked_against_the_blocks_read(self):
+        # The size line claims 10**9 voters but one block follows: nothing
+        # is sized by the claim, so memory follows the file.
+        text = "shiftbribe v1\nrule borda\n2 1000000000\np c\norder: 1 0\nprices: 2\n"
+        message = "^unexpected end of file, expected order of voter 1 at line 7$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(sb.ParseError, match=message):
+                sb.parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_trailing_content(self):
         bad = self.MINIMAL + "order: 0 1\n"
         with pytest.raises(sb.ParseError, match="trailing"):

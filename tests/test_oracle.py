@@ -274,3 +274,13 @@ class TestExactCoverOpt:
                 req = min(before.n_matrix[0][c] + targets[c - 1], n)
                 assert after.n_matrix[0][c] >= req
             assert sb.total_cost(inst, action) == cost
+
+    @pytest.mark.parametrize("targets", [(0.5, 0), (1.7, 0), (-1, 0)])
+    def test_rejects_non_integer_or_negative_targets(self, targets):
+        # an int64 target array truncated 0.5 to 0 and 1.7 to 1
+        e = sb.Election(("p", "a", "b"), ((1, 0, 2),))
+        inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((3,)),), sb.MAXIMIN)
+        with pytest.raises(ValueError, match="targets must be non-negative integers"):
+            sb.exact_cover_opt(inst, targets)
+        with pytest.raises(ValueError, match="targets must be non-negative integers"):
+            sb.cover_targets_greedy(inst, targets)

@@ -4,8 +4,9 @@ A shift-bribery instance couples an election (candidate 0 is the preferred
 candidate) with one monotone price function per voter: the price of shifting
 the preferred candidate upwards by a given number of positions in that vote.
 The goal of all solvers is a cheapest shift action after which candidate 0
-is a winner under the instance's voting rule.  ``ShiftTable`` answers "does
-candidate 0 win after these shifts" for whole batches of shift vectors; the
+is a winner under the instance's voting rule.  ``ShiftTable``, built in one
+pass over the election's positions, answers "does candidate 0 win after
+these shifts" for whole batches of shift vectors with one gather; the
 batched scoring solvers and the exact oracles share it, and
 ``is_successful`` stays the independent reference it is checked against.
 """
@@ -23,6 +24,8 @@ from .elections import (
     PairwiseTally,
     ScoringVector,
     _check_i64,
+    _shifted,
+    _sum_dtype,
     apply_shift,
     copeland_scores,
     maximin_scores,
@@ -72,12 +75,7 @@ class CostFunction:
     @property
     def max_reachable(self) -> int:
         """Largest shift amount with a finite price."""
-        k = 0
-        for p in self.prices:
-            if p is None:
-                break
-            k += 1
-        return k
+        return (self.prices + (None,)).index(None)
 
     def price(self, k: int) -> Optional[int]:
         """Price of shifting by ``k`` (clamped to the cap); ``None`` if
@@ -143,6 +141,7 @@ Rule = Union[ScoringRule, CopelandRule, MaximinRule]
 MAXIMIN = MaximinRule()
 
 _MAX_SAFE_GAIN = 1 << 50
+_GATHER_BLOCK = 1 << 16  # delta-row entries one gather of rows_after reads
 
 
 @dataclass(frozen=True)
@@ -161,16 +160,14 @@ class ShiftBriberyInstance:
         object.__setattr__(self, "costs", tuple(self.costs))
         if len(self.costs) != self.election.num_voters:
             raise ValueError("need exactly one cost function per voter")
-        for i, cf in enumerate(self.costs):
-            expected_cap = self.election.rank_of(i, 0) - 1
-            if cf.cap != expected_cap:
+        for i, (cf, cap) in enumerate(zip(self.costs, self.election.positions[:, 0].tolist())):
+            if cf.cap != cap:
                 raise ValueError(
                     f"voter {i}: cost function covers {cf.cap} shifts but the "
-                    f"preferred candidate is at rank {expected_cap + 1}"
+                    f"preferred candidate is at rank {cap + 1}"
                 )
-        if isinstance(self.rule, ScoringRule):
-            if len(self.rule.vector) != self.election.num_candidates:
-                raise ValueError("scoring vector length must match the number of candidates")
+        if isinstance(self.rule, ScoringRule) and len(self.rule.vector) != self.num_candidates:
+            raise ValueError("scoring vector length must match the number of candidates")
 
     @property
     def num_voters(self) -> int:
@@ -226,10 +223,7 @@ def rebase(inst: ShiftBriberyInstance, action: ShiftAction) -> ShiftBriberyInsta
         paid = cf.price(t)
         if paid is None:
             raise ValueError(f"voter {i}: cannot rebase over unreachable shift {t}")
-        new_prices = tuple(
-            None if cf.prices[t + k] is None else cf.prices[t + k] - paid
-            for k in range(cf.cap - t)
-        )
+        new_prices = tuple(None if p is None else p - paid for p in cf.prices[t:])
         new_costs.append(CostFunction(new_prices))
     return ShiftBriberyInstance(new_election, tuple(new_costs), inst.rule)
 
@@ -245,11 +239,9 @@ def gain(inst: ShiftBriberyInstance, voter: int, k: int) -> int:
         raise IncompatibleRule("gain is defined for scoring rules only")
     if k < 0:
         raise ValueError("shift amounts must be non-negative")
-    alpha = inst.rule.vector
-    r = inst.election.rank_of(voter, 0)
-    kk = min(k, r - 1)
+    alpha, p = inst.rule.vector, inst.election.rank_of(voter, 0) - 1
     w = inst.election.weight(voter)
-    return _check_i64(w * (alpha[r - kk - 1] - alpha[r - 1]), "score gain")
+    return _check_i64(w * (alpha[p - min(k, p)] - alpha[p]), "score gain")
 
 
 def is_successful(inst: ShiftBriberyInstance, action: ShiftAction) -> bool:
@@ -276,7 +268,9 @@ class ShiftTable:
     maximin or when ``pairwise`` is set (else ``tally`` is None).  ``base``
     is the unshifted row, and ``wins`` maps a (K x m) array of rows to
     whether the preferred candidate wins after each (None for the pairwise
-    rows of a scoring rule).
+    rows of a scoring rule).  All rows are built at once from the positions
+    shifted by t for each (voter, t), into one flat array, voter i's from
+    ``starts[i]`` on; ``deltas`` holds per-voter views of it.
 
     The 64-bit range of the rows is checked once, here: only the preferred
     candidate's score grows, so its fully shifted score bounds every scoring
@@ -289,35 +283,38 @@ class ShiftTable:
         e = inst.election
         self._inst = inst
         scoring = isinstance(inst.rule, ScoringRule) and not pairwise
-        self.tally = None if scoring else pairwise_tally(e)
+        self.tally = None if scoring else pairwise_tally(e)  # checks the total weight
+        counts = np.array([cf.max_reachable + 1 for cf in inst.costs], dtype=np.int64)
+        self._ends = counts.cumsum()
+        self.starts = self._ends - counts
+        voter = np.arange(len(counts)).repeat(counts)
+        before = e.positions[voter]
+        after = _shifted(before, np.arange(len(voter)) - self.starts[voter])
         if scoring:
             self.base = np.array(scoring_scores(e, inst.rule.vector), dtype=np.int64)
             self.wins = lambda s: s[:, 0] == s.max(axis=1)
+            # int64 only where total weight * alpha[0] bounds every sum of steps
+            dtype = _sum_dtype(e, inst.rule.vector[0])
+            alpha = np.array(inst.rule.vector.scores, dtype=dtype)
+            rows = alpha[after] - alpha[before]
         else:
             self.base = np.array(self.tally.n_matrix[0], dtype=np.int64)
             self.wins = _pairwise_wins(self.tally, inst.rule)
-        self.deltas = []
-        for i, cf in enumerate(inst.costs):
-            order = e.voters[i]
-            pos = order.index(0)
-            w = e.weight(i)
-            delta = [[0] * e.num_candidates]
-            for t in range(1, cf.max_reachable + 1):
-                row = list(delta[-1])
-                passed = order[pos - t]
-                if scoring:
-                    step = w * (inst.rule.vector[pos - t] - inst.rule.vector[pos - t + 1])
-                    row[0] += step
-                    row[passed] -= step
-                else:
-                    row[passed] += w
-                delta.append(row)
-            self.deltas.append(np.array(delta, dtype=np.int64))
-        if scoring:
+            dtype = np.int64
+            rows = (after > before).astype(dtype)  # the rivals passed
+        if e.weights is not None:
+            rows *= np.array(e.weights, dtype=dtype)[voter, None]
+        if dtype is object:
             _check_i64(
-                int(self.base[0]) + sum(int(d[-1, 0]) for d in self.deltas),
+                int(self.base[0]) + int(rows[self._ends - 1, 0].sum()),
                 "fully shifted score of the preferred candidate",
             )
+        self.flat = rows.astype(np.int64, copy=False)
+
+    @cached_property
+    def deltas(self) -> list:
+        """Per voter, the view of its rows t = 0 .. max_reachable."""
+        return [self.flat[a:b] for a, b in zip(self.starts.tolist(), self._ends.tolist())]
 
     @cached_property
     def prices(self) -> list:
@@ -333,18 +330,19 @@ class ShiftTable:
         """Per voter, the preferred candidate's score gains of shifting by
         t = 0 .. max_reachable (scoring tables), checked on first read to
         sum below ``_MAX_SAFE_GAIN``."""
-        gains = [delta[:, 0] for delta in self.deltas]
-        if sum(int(g[-1]) for g in gains) >= _MAX_SAFE_GAIN:
+        if int(self.flat[self._ends - 1, 0].sum()) >= _MAX_SAFE_GAIN:
             raise OverflowError("score gains too large for the budget sweep")
-        return gains
+        return [delta[:, 0] for delta in self.deltas]
 
     def rows_after(self, shifts: np.ndarray) -> np.ndarray:
-        """The rows after each shift vector, one vector per row of
-        ``shifts``."""
-        rows = np.tile(self.base, (len(shifts), 1))
-        for i, delta in enumerate(self.deltas):
-            if len(delta) > 1:
-                rows += delta[shifts[:, i]]
+        """The rows after each row of ``shifts`` (entry i at most voter i's
+        max_reachable): the voters' delta rows gathered at once and summed,
+        for blocks of vectors that gather at most ``_GATHER_BLOCK`` entries."""
+        rows = np.empty((len(shifts), len(self.base)), dtype=np.int64)
+        block = max(1, _GATHER_BLOCK // rows.shape[1] // len(self.starts))
+        for lo in range(0, len(shifts), block):
+            index = (self.starts + shifts[lo : lo + block]).T
+            rows[lo : lo + block] = self.base + self.flat[index].sum(axis=0)
         return rows
 
 

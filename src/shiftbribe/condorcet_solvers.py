@@ -7,7 +7,8 @@ With all finite flip prices restricted to pairs involving the preferred
 candidate, optimal microbribery is polynomial (``solve_copeland_micro``),
 and translating a shift-bribery instance through it loses at most a factor
 m in cost (``solve_copeland_shift``).  Both feed one core a pairwise tally
-(of the tables, or of the election) and each rival's sorted flip prices.
+(of the tables, or of the election) and each rival's sorted flip prices;
+the election's positions give each voter's rivals above candidate 0.
 
 Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
@@ -166,10 +167,8 @@ def _micro_tally(m_inst: MicrobriberyInstance) -> PairwiseTally:
     """The tables' pairwise tally: (n + sum of the +-1 entries) / 2 voters
     prefer a to b."""
     n, m = m_inst.num_voters, m_inst.num_candidates
-    rows = [[(n + sum(t[a][b] for t in m_inst.tables)) // 2 for b in range(m)] for a in range(m)]
-    for a in range(m):
-        rows[a][a] = 0
-    return PairwiseTally(rows, n)
+    rows = (n + np.array(m_inst.tables).sum(axis=0)) // 2 * (1 - np.eye(m, dtype=np.int64))
+    return PairwiseTally(rows.tolist(), n)
 
 
 def _outcome_options(against: list, for_pref: list, margin: int) -> dict:
@@ -277,40 +276,27 @@ def solve_copeland_micro(
     return cost, FlipSet(tuple(flips.get(i, ()) for i in range(m_inst.num_voters)))
 
 
-def _candidates_above(inst: ShiftBriberyInstance, voter: int) -> list:
-    """Rivals ranked above the preferred candidate, nearest first."""
-    order = inst.election.voters[voter]
-    idx = order.index(0)
-    return [order[idx - 1 - d] for d in range(idx)]
-
-
-def _flip_prices(inst: ShiftBriberyInstance, voter: int) -> dict:
-    """Rival -> price of flipping the voter's entry against it: passing the
-    d-th rival above the preferred candidate costs a shift by d."""
-    prices = zip(_candidates_above(inst, voter), inst.costs[voter].prices)
-    return {rival: p for rival, p in prices if p is not None}
+def _candidates_above(inst: ShiftBriberyInstance) -> list:
+    """Per voter, the rivals ranked above the preferred candidate, nearest first."""
+    e = inst.election
+    return [o[p - 1 :: -1] if p else () for o, p in zip(e.voters, e.positions[:, 0].tolist())]
 
 
 def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
     """Translate a shift-bribery instance into microbribery.
 
-    Orders become preference tables.  For each voter, flipping the entry
-    against the d-th candidate above the preferred one (nearest first) is
-    priced like shifting up by d positions; all other flips are
-    unavailable.
+    Orders become preference tables: entry (a, b) is the sign of b's
+    position minus a's.  For each voter, flipping the entry against the
+    d-th candidate above the preferred one (nearest first) is priced like
+    shifting up by d positions; all other flips are unavailable.
     """
-    m = inst.num_candidates
-    tables = []
-    costs = []
-    for i, order in enumerate(inst.election.voters):
-        position = {c: pos for pos, c in enumerate(order)}
-        table = [
-            [0 if a == b else (1 if position[a] < position[b] else -1) for b in range(m)]
-            for a in range(m)
-        ]
-        tables.append(tuple(tuple(row) for row in table))
-        costs.append(FlipCostFunction(_flip_prices(inst, i)))
-    return MicrobriberyInstance(tuple(tables), tuple(costs))
+    pos = inst.election.positions
+    tables = np.sign(pos[:, None, :] - pos[:, :, None]).tolist()
+    costs = tuple(
+        FlipCostFunction({rival: p for rival, p in zip(above, cf.prices) if p is not None})
+        for above, cf in zip(_candidates_above(inst), inst.costs)
+    )
+    return MicrobriberyInstance(tables, costs)
 
 
 def micro_to_shift(inst: ShiftBriberyInstance, flips: FlipSet) -> ShiftAction:
@@ -319,18 +305,15 @@ def micro_to_shift(inst: ShiftBriberyInstance, flips: FlipSet) -> ShiftAction:
     if len(flips) != inst.num_voters:
         raise ValueError("flip set length must equal the number of voters")
     shifts = []
-    for i in range(inst.num_voters):
-        s = 0
-        if flips[i]:
-            depth = {c: d for d, c in enumerate(_candidates_above(inst, i), start=1)}
+    for i, above in enumerate(_candidates_above(inst)):
+        depth = {c: d for d, c in enumerate(above, start=1)} if flips[i] else {}
         for c in flips[i]:
             if c not in depth:
                 raise ValueError(
                     f"voter {i}: flip against rival {c}, who is not above the "
                     "preferred candidate"
                 )
-            s = max(s, depth[c])
-        shifts.append(s)
+        shifts.append(max((depth[c] for c in flips[i]), default=0))
     return ShiftAction(tuple(shifts))
 
 
@@ -357,8 +340,8 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     _require_unweighted(inst, "solve_copeland_shift")
     n, alpha = inst.num_voters, inst.rule.alpha
     against: List[list] = [[] for _ in range(inst.num_candidates)]
-    for i in range(n):
-        for rival, p in _flip_prices(inst, i).items():
+    for i, (above, cf) in enumerate(zip(_candidates_above(inst), inst.costs)):
+        for rival, p in zip(above, cf.prices[: cf.max_reachable]):
             against[rival].append((p, i))
     pools = [(sorted(flips), []) for flips in against]
     _, flips = _solve_copeland(pairwise_tally(inst.election), pools, alpha)
@@ -439,9 +422,7 @@ def _cover(prices: list, above: list, deficits: list) -> list:
 def _move_lists(inst: ShiftBriberyInstance, table: ShiftTable):
     """Per voter: the prices over shifts 0..max_reachable, and the rivals
     above the preferred candidate, nearest first."""
-    prices = [p.tolist() for p in table.prices]
-    above = [_candidates_above(inst, i) for i in range(inst.num_voters)]
-    return prices, above
+    return [p.tolist() for p in table.prices], _candidates_above(inst)
 
 
 def _pass_floors(prices: list, above: list, m: int) -> list:

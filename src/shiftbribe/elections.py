@@ -6,6 +6,9 @@ positional (scoring-rule) scores, pairwise tallies, Copeland scores for any
 rational tie value alpha, and maximin scores, and applies upward shifts of a
 designated candidate to a profile.
 
+The orders are kept as the tuple ``voters`` and as int64 arrays ``orders``
+and ``positions``, which ranks, shifts, scores and tallies read.
+
 All values are immutable and all operations are pure functions, so they can
 be shared freely across threads.  Scores and tallies use exact integer
 arithmetic; any value that leaves the signed 64-bit range is a hard error
@@ -13,7 +16,9 @@ rather than a silent wraparound.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +32,13 @@ def _check_i64(value: int, what: str) -> int:
     if value < _I64_MIN or value > _I64_MAX:
         raise OverflowError(f"{what} exceeds the checked 64-bit integer range: {value}")
     return value
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` (frozen dataclass) of ``fields`` the caller checked; no ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class Election:
         first, given as a permutation of ``range(len(candidates))``.
     weights : tuple of int, optional
         Positive integer weight per voter; ``None`` means all weights are 1.
+
+    Built from ``voters``: read-only int64 arrays ``orders`` and ``positions``
+    (candidate c's 0-based position in voter i's order is ``positions[i, c]``).
     """
 
     candidates: tuple
@@ -51,7 +66,7 @@ class Election:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "voters", tuple(tuple(v) for v in self.voters))
+        object.__setattr__(self, "voters", tuple(map(tuple, self.voters)))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(self.weights))
         m = len(self.candidates)
@@ -61,10 +76,17 @@ class Election:
             raise ValueError("candidate identifiers must be distinct")
         if len(self.voters) < 1:
             raise ValueError("an election needs at least one voter")
-        expected = set(range(m))
-        for i, order in enumerate(self.voters):
-            if set(order) != expected or len(order) != m:
-                raise ValueError(f"voter {i}: order is not a permutation of 0..{m - 1}")
+        try:  # one array check of all orders
+            orders = np.array(self.voters)
+        except ValueError:  # ragged
+            orders = np.zeros(0)
+        ok = orders.shape == (len(self.voters), m) and orders.dtype.kind in "iu"
+        if not (ok and np.count_nonzero(np.sort(orders, axis=1) - np.arange(m)) == 0):
+            for i, order in enumerate(self.voters):  # name the first voter at fault
+                if len(order) != m or set(order) != set(range(m)):
+                    raise ValueError(f"voter {i}: order is not a permutation of 0..{m - 1}")
+            orders = np.array(self.voters)  # entries equal to ints, such as 1.0
+        self._keep(orders.astype(np.int64, copy=False))
         if self.weights is not None:
             if len(self.weights) != len(self.voters):
                 raise ValueError("weights must have one entry per voter")
@@ -85,13 +107,20 @@ class Election:
 
     @property
     def total_weight(self) -> int:
-        if self.weights is None:
-            return len(self.voters)
-        return sum(self.weights)
+        return len(self.voters) if self.weights is None else sum(self.weights)
+
+    def _keep(self, orders=None, positions=None) -> "Election":
+        """Store checked ``orders`` (default: ``voters``) and inverse, read-only."""
+        if orders is None:  # voters of ints
+            orders = np.fromiter(chain(*self.voters), np.int64).reshape(self.num_voters, -1)
+        positions = orders.argsort(axis=1) if positions is None else positions
+        orders.flags.writeable = positions.flags.writeable = False
+        self.__dict__.update(orders=orders, positions=positions)
+        return self
 
     def rank_of(self, voter: int, candidate: int) -> int:
         """1-based rank of ``candidate`` in ``voter``'s order."""
-        return self.voters[voter].index(candidate) + 1
+        return int(self.positions[voter, candidate]) + 1
 
 
 @dataclass(frozen=True)
@@ -189,22 +218,27 @@ class PairwiseTally:
         object.__setattr__(self, "n_matrix", tuple(tuple(row) for row in self.n_matrix))
 
 
+def _sum_dtype(election: Election, top: int):
+    """int64 where total weight * max(top, 1) fits in 64 bits, else Python ints."""
+    return np.int64 if election.total_weight * max(top, 1) <= _I64_MAX else object
+
+
 def scoring_scores(election: Election, alpha: ScoringVector) -> list:
     """Per-candidate scores under the scoring rule ``alpha``.
 
     Every voter awards ``alpha[j]`` points (times the voter's weight) to the
-    candidate they rank in position ``j + 1``.
+    candidate they rank in position ``j + 1``: ``alpha`` at the positions.
     """
     m = election.num_candidates
     if len(alpha) != m:
         raise ValueError(
             f"scoring vector length {len(alpha)} does not match {m} candidates"
         )
-    scores = [0] * m
-    for i, order in enumerate(election.voters):
-        w = election.weight(i)
-        for pos, cand in enumerate(order):
-            scores[cand] += w * alpha[pos]
+    dtype = _sum_dtype(election, alpha[0])
+    points = np.array(alpha.scores, dtype=dtype)[election.positions]
+    if election.weights is not None:
+        points = points * np.array(election.weights, dtype=dtype)[:, None]
+    scores = points.sum(axis=0).tolist()
     for c, s in enumerate(scores):
         _check_i64(s, f"score of candidate {c}")
     return scores
@@ -217,12 +251,11 @@ def pairwise_tally(election: Election) -> PairwiseTally:
     """
     total = _check_i64(election.total_weight, "total voter weight")
     n, m = election.num_voters, election.num_candidates
-    pos = np.argsort(np.array(election.voters, dtype=np.int64), axis=1)
     weights = np.array(election.weights or (1,) * n, dtype=np.int64)
     n_matrix = np.zeros(m * m, dtype=np.int64)
     block = max(1, _TALLY_BLOCK // (m * m))
     for lo in range(0, n, block):
-        p = pos[lo : lo + block]
+        p = election.positions[lo : lo + block]
         n_matrix += weights[lo : lo + block] @ (p[:, :, None] < p[:, None, :]).reshape(len(p), -1)
     return PairwiseTally(n_matrix.reshape(m, m).tolist(), total)
 
@@ -234,25 +267,14 @@ def copeland_scores(tally: PairwiseTally, alpha: CopelandAlpha) -> list:
     per pairwise tie, so comparing the returned integers is equivalent to
     comparing the exact rational Copeland scores.
     """
-    n_matrix = tally.n_matrix
-    m = len(n_matrix)
-    scores = []
-    for i in range(m):
-        wins = ties = 0
-        for j in range(m):
-            if j == i:
-                continue
-            if n_matrix[i][j] > n_matrix[j][i]:
-                wins += 1
-            elif n_matrix[i][j] == n_matrix[j][i]:
-                ties += 1
-        scores.append(
-            _check_i64(
-                wins * alpha.denominator + ties * alpha.numerator,
-                f"Copeland score of candidate {i}",
-            )
-        )
-    return scores
+    m = len(tally.n_matrix)
+    n_matrix = np.array(tally.n_matrix).reshape(m, m)
+    wins = (n_matrix > n_matrix.T).sum(axis=1).tolist()
+    ties = ((n_matrix == n_matrix.T).sum(axis=1) - 1).tolist()  # not against itself
+    return [
+        _check_i64(w * alpha.denominator + t * alpha.numerator, f"Copeland score of candidate {i}")
+        for i, (w, t) in enumerate(zip(wins, ties))
+    ]
 
 
 def maximin_scores(tally: PairwiseTally) -> list:
@@ -277,26 +299,32 @@ def winners(scores: Sequence) -> set:
     return {c for c, s in enumerate(scores) if s == top}
 
 
+def _shifted(positions: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``positions`` (one row per vote) after candidate 0 moves up by
+    ``shifts`` places, at most its position: every candidate it passes
+    moves down one place."""
+    top = positions[:, :1]
+    new_top = top - shifts[:, None]
+    after = positions + ((positions >= new_top) & (positions < top))
+    after[:, 0] = new_top[:, 0]
+    return after
+
+
 def apply_shift(election: Election, shifts: Sequence) -> Election:
     """Shift candidate 0 upwards by ``shifts[i]`` positions in each vote.
 
     A shift larger than the candidate's current rank minus one simply places
     the candidate on top of that vote.  The relative order of all other
-    candidates is unchanged, and the input election is not mutated.
+    candidates is unchanged, and the input election is not mutated.  All
+    votes move at once, as positions; the orders are their inverse.
     """
     if len(shifts) != election.num_voters:
         raise ValueError("shift vector length must equal the number of voters")
-    new_voters = []
-    for order, t in zip(election.voters, shifts):
-        if t < 0:
-            raise ValueError("shift amounts must be non-negative")
-        if t == 0:
-            new_voters.append(order)
-            continue
-        idx = order.index(0)
-        new_idx = max(0, idx - t)
-        rearranged = list(order)
-        del rearranged[idx]
-        rearranged.insert(new_idx, 0)
-        new_voters.append(tuple(rearranged))
-    return Election(election.candidates, tuple(new_voters), election.weights)
+    amounts = [min(index(t), election.num_candidates) for t in shifts]
+    if min(amounts) < 0:
+        raise ValueError("shift amounts must be non-negative")
+    positions = _shifted(election.positions, np.minimum(amounts, election.positions[:, 0]))
+    orders = positions.argsort(axis=1)
+    voters = tuple(map(tuple, orders.tolist()))
+    fields = dict(candidates=election.candidates, voters=voters, weights=election.weights)
+    return _unchecked(Election, **fields)._keep(orders, positions)

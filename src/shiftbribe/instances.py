@@ -28,6 +28,7 @@ from .bribery import (
     ShiftBriberyInstance,
 )
 from .elections import _I64_MAX, CopelandAlpha, Election, ScoringVector, borda, k_approval
+from .elections import _unchecked
 
 
 class ParseError(ValueError):
@@ -95,9 +96,9 @@ def gen_random(
 ) -> ShiftBriberyInstance:
     """Seed-deterministic random instance.
 
-    Uniform random preference orders; per-voter non-decreasing price tables
-    built from increments drawn uniformly from 0..max_price; weights drawn
-    from 1..max_price when ``weighted``.  The rule defaults to Borda.
+    Uniform random preference orders (shuffles: the election is not checked);
+    per-voter non-decreasing price tables of increments drawn uniformly from
+    0..max_price; weights from 1..max_price when ``weighted``.  Borda by default.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
@@ -121,8 +122,8 @@ def gen_random(
     weights = tuple(rng.randint(1, max_price) for _ in range(n)) if weighted else None
     if rule is None:
         rule = ScoringRule(borda(m))
-    election = Election(candidates, tuple(voters), weights)
-    return ShiftBriberyInstance(election, tuple(costs), rule)
+    election = _unchecked(Election, candidates=candidates, voters=tuple(voters), weights=weights)
+    return ShiftBriberyInstance(election._keep(), tuple(costs), rule)
 
 
 def _format_rule(rule: Rule, m: int) -> str:
@@ -176,7 +177,7 @@ class _Lines:
             if stripped:
                 self.items.append((no, stripped))
         self.pos = 0
-        self.last_no = len(text.split("\n"))
+        self.last_no = text.count("\n") + 1
 
     def next(self, what: str):
         if self.pos >= len(self.items):
@@ -184,9 +185,6 @@ class _Lines:
         item = self.items[self.pos]
         self.pos += 1
         return item
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
 
 
 def _build_rule(tokens: list, m: int) -> Rule:
@@ -227,7 +225,8 @@ def _parse_rule(text: str, m: int, line: int) -> Rule:
 
 def parse_instance(text: str) -> ShiftBriberyInstance:
     """Parse ``shiftbribe v1`` text; every malformation is reported with its
-    line number."""
+    line number, the earliest one first.  Each line is checked as it is
+    read, and the election and instance are built without checking again."""
     lines = _Lines(text)
     no, header = lines.next("header")
     if header != "shiftbribe v1":
@@ -259,15 +258,16 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
     voters = []
     weights = [] if weighted else None
     costs = []
+    permutation = list(range(m))
     for v in range(n):
         no, line = lines.next(f"order of voter {v}")
         if not line.startswith("order:"):
             raise ParseError(f"expected 'order:' for voter {v}", no)
         try:
-            order = tuple(int(tok) for tok in line[len("order:"):].split())
+            order = tuple(map(int, line[len("order:"):].split()))
         except ValueError:
             raise ParseError("order entries must be integers", no)
-        if sorted(order) != list(range(m)):
+        if sorted(order) != permutation:
             raise ParseError("order is not a permutation of the candidates", no)
         voters.append(order)
         if weighted:
@@ -288,16 +288,12 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
             raise ParseError(f"expected 'prices:' for voter {v}", no)
         body = line[len("prices:"):].strip()
         prices = []
-        if body:
-            for tok in body.split(","):
-                tok = tok.strip()
-                if tok == "inf":
-                    prices.append(None)
-                    continue
-                try:
-                    prices.append(int(tok))
-                except ValueError:
-                    raise ParseError(f"malformed price '{tok}'", no)
+        for tok in body.split(",") if body else ():
+            tok = tok.strip()
+            try:
+                prices.append(None if tok == "inf" else int(tok))
+            except ValueError:
+                raise ParseError(f"malformed price '{tok}'", no)
         cap = order.index(0)
         if len(prices) != cap:
             raise ParseError(
@@ -309,11 +305,8 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
             costs.append(CostFunction(tuple(prices)))
         except ValueError as exc:
             raise ParseError(str(exc), no) from exc
-    if not lines.exhausted():
-        no, _ = lines.next("")
-        raise ParseError("unexpected trailing content", no)
-    election = Election(names, tuple(voters), tuple(weights) if weighted else None)
-    try:
-        return ShiftBriberyInstance(election, tuple(costs), rule)
-    except ValueError as exc:
-        raise ParseError(f"inconsistent instance ({exc})", no)
+    if lines.pos < len(lines.items):
+        raise ParseError("unexpected trailing content", lines.items[lines.pos][0])
+    weights, costs = (tuple(weights) if weighted else None), tuple(costs)
+    election = _unchecked(Election, candidates=names, voters=tuple(voters), weights=weights)
+    return _unchecked(ShiftBriberyInstance, election=election._keep(), costs=costs, rule=rule)

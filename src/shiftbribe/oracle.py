@@ -102,16 +102,14 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     demands (ground truth for the greedy multicover), enumerated in blocks
     like ``exact_shift_opt``."""
     _check_enumeration(inst)
-    e = inst.election
-    m = e.num_candidates
+    m = inst.num_candidates
     if len(targets) != m - 1:
         raise ValueError("need one target per rival")
     if any(not isinstance(k, int) or k < 0 for k in targets):
         raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
     table = ShiftTable(inst, pairwise=True)
-    required = np.zeros(m, dtype=np.int64)
-    for c in range(1, m):
-        required[c] = min(int(table.base[c]) + targets[c - 1], e.total_weight)
+    support, total = table.base.tolist(), inst.election.total_weight
+    required = np.array([0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)])
     accept = lambda rows: (rows >= required).all(axis=1)
     found = _cheapest(table.prices, table.deltas, table.base, accept)
     if found is None:

@@ -131,3 +131,25 @@ def test_election_arrays_match_loops(inst, data):
 def test_shift_table_matches_loops(inst, data):
     vectors = shift_vectors(data.draw, inst, data.draw(st.integers(2, 6)))
     check_table(inst, vectors)
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_rows_after_in_gather_blocks(monkeypatch, block):
+    # blocks of one, of part of one, and of several shift vectors
+    monkeypatch.setattr(sb.bribery, "_GATHER_BLOCK", block)
+    for inst in (sb.gen_random(3, 6, 5, 9), sb.gen_random(4, 5, 4, 9, rule=sb.MAXIMIN)):
+        tops = [cf.max_reachable + 1 for cf in inst.costs]
+        vectors = [[(7 * i + k) % top for i, top in enumerate(tops)] for k in range(11)]
+        check_table(inst, vectors)
+        none = np.zeros((0, inst.num_voters), dtype=np.int64)
+        assert ShiftTable(inst).rows_after(none).shape == (0, inst.num_candidates)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_tables_tally_like_the_election(inst):
+    # shift_to_micro's tables hold the election's preferences, so their
+    # tally (zero diagonal included) is the unweighted election's
+    micro = sb.shift_to_micro(inst)
+    tally = sb.condorcet_solvers._micro_tally(micro)
+    assert tally.n_matrix == loop_tally(sb.Election(inst.election.candidates, inst.election.voters))

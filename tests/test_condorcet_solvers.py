@@ -206,7 +206,7 @@ class TestSolveCopelandShift:
             opt, witness = sb.exact_shift_opt(inst)
             induced = []
             for i in range(n):
-                above = sb.condorcet_solvers._candidates_above(inst, i)
+                above = sb.condorcet_solvers._candidates_above(inst)[i]
                 t = min(witness[i], len(above))
                 induced.append(frozenset(above[:t]))
             induced_cost = sb.flip_set_cost(micro, sb.FlipSet(tuple(induced)))

@@ -277,7 +277,7 @@ class TestExactCoverOpt:
 
     @pytest.mark.parametrize("targets", [(0.5, 0), (1.7, 0), (-1, 0)])
     def test_rejects_non_integer_or_negative_targets(self, targets):
-        # an int64 target array truncated 0.5 to 0 and 1.7 to 1
+        # an int64 row of required support would truncate 0.5 to 0 and 1.7 to 1
         e = sb.Election(("p", "a", "b"), ((1, 0, 2),))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((3,)),), sb.MAXIMIN)
         with pytest.raises(ValueError, match="targets must be non-negative integers"):

@@ -111,11 +111,6 @@ class ShiftAction:
     def __iter__(self):
         return iter(self.shifts)
 
-    def __add__(self, other: "ShiftAction") -> "ShiftAction":
-        if len(self.shifts) != len(other.shifts):
-            raise ValueError("cannot add shift actions of different lengths")
-        return ShiftAction(tuple(a + b for a, b in zip(self.shifts, other.shifts)))
-
     @classmethod
     def zero(cls, n: int) -> "ShiftAction":
         return cls((0,) * n)

@@ -1,9 +1,8 @@
 """Command-line front end: solve, gen, and bench subcommands.
 
 Exit codes: 0 success, 2 incompatible algorithm/rule, invalid parameters
-(including a non-integer ``SHIFTBRIBE_GUARD``) or a value outside the
-checked 64-bit integer range (also a weight or price in the input file),
-3 parse error, 4 enumeration or table guard exceeded.
+or a value outside the checked 64-bit integer range (also a weight or
+price in the input file), 3 parse error, 4 enumeration or table guard exceeded.
 """
 
 import argparse

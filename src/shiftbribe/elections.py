@@ -85,7 +85,8 @@ class Election:
             for i, order in enumerate(self.voters):  # name the first voter at fault
                 if len(order) != m or set(order) != set(range(m)):
                     raise ValueError(f"voter {i}: order is not a permutation of 0..{m - 1}")
-            orders = np.array(self.voters)  # entries equal to ints, such as 1.0
+            orders = np.array(self.voters, dtype=np.int64)  # entries equal to ints, such as 1.0
+            object.__setattr__(self, "voters", tuple(map(tuple, orders.tolist())))
         self._keep(orders.astype(np.int64, copy=False))
         if self.weights is not None:
             if len(self.weights) != len(self.voters):

@@ -1,26 +1,12 @@
-"""Shared exception types and the guard override."""
-
-import os
-
-
-def env_guard(default: int) -> int:
-    """A guard limit: the ``SHIFTBRIBE_GUARD`` environment variable when it
-    is set, else ``default``."""
-    raw = os.environ.get("SHIFTBRIBE_GUARD")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SHIFTBRIBE_GUARD must be an integer, got {raw!r}") from None
+"""Shared exception types."""
 
 
 class GuardExceeded(RuntimeError):
     """An enumeration or table-size guard would be exceeded.
 
     Raised instead of silently truncating a search or letting a
-    pseudo-polynomial loop blow up.  The guards can be overridden via the
-    ``SHIFTBRIBE_GUARD`` environment variable.
+    pseudo-polynomial loop blow up.  The limits are the module constants
+    ``scoring_solvers.DEFAULT_CELL_GUARD`` and ``oracle.DEFAULT_ENUM_GUARD``.
     """
 
 

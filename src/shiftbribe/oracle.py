@@ -21,7 +21,7 @@ import numpy as np
 from .bribery import CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable, _pairwise_wins
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _micro_tally
 from .elections import CopelandAlpha, _check_i64
-from .errors import GuardExceeded, Infeasible, env_guard
+from .errors import GuardExceeded, Infeasible
 
 DEFAULT_ENUM_GUARD = 10**7
 # Most vectors combined into one block of the exhaustive search.
@@ -29,12 +29,13 @@ _BLOCK = 4096
 
 
 def _check_enumeration(inst: ShiftBriberyInstance):
-    guard = env_guard(DEFAULT_ENUM_GUARD)
     count = 1
     for cf in inst.costs:
         count *= cf.max_reachable + 1
-        if count > guard:
-            raise GuardExceeded(f"exhaustive search needs more than {guard} shift vectors")
+        if count > DEFAULT_ENUM_GUARD:
+            raise GuardExceeded(
+                f"exhaustive search needs more than {DEFAULT_ENUM_GUARD} shift vectors"
+            )
 
 
 def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[Tuple[int, tuple]]:
@@ -135,10 +136,10 @@ def exact_micro_opt(m_inst: MicrobriberyInstance, alpha: CopelandAlpha) -> Tuple
         for c in range(1, m)
         if fc.price(c) is not None
     ][::-1]
-    guard = env_guard(DEFAULT_ENUM_GUARD)
-    if 1 << len(slots) > guard:
+    if 1 << len(slots) > DEFAULT_ENUM_GUARD:
         raise GuardExceeded(
-            f"microbribery enumeration needs 2**{len(slots)} subsets (guard {guard})"
+            f"microbribery enumeration needs 2**{len(slots)} subsets"
+            f" (guard {DEFAULT_ENUM_GUARD})"
         )
     _check_i64(sum(p for _, _, p in slots), "total of the flip prices")
     prices, deltas = [], []

@@ -51,7 +51,7 @@ from .bribery import (
     is_successful,
 )
 from .elections import _check_i64
-from .errors import GuardExceeded, IncompatibleRule, Infeasible, env_guard
+from .errors import GuardExceeded, IncompatibleRule, Infeasible
 
 DEFAULT_CELL_GUARD = 10**8
 DEFAULT_EXACT_THRESHOLD = 10**6
@@ -72,10 +72,9 @@ def _sweep_rows(prices: list, gains: list, hint: str = ""):
     the cell guard first, and then P against the 64-bit range, so that no
     sum of frontier costs can wrap."""
     total = sum(p[-1] for p in prices)
-    guard = env_guard(DEFAULT_CELL_GUARD)
     cells = (len(prices) + 1) * (min(total, sum(int(g[-1]) for g in gains)) + 1)
-    if cells > guard:
-        raise GuardExceeded(f"budget DP needs {cells} cells (guard {guard}){hint}")
+    if cells > DEFAULT_CELL_GUARD:
+        raise GuardExceeded(f"budget DP needs {cells} cells (guard {DEFAULT_CELL_GUARD}){hint}")
     _check_i64(total, "total of the largest prices")
     return total, [(np.array(p, dtype=np.int64), g) for p, g in zip(prices, gains)]
 
@@ -216,8 +215,7 @@ def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     pseudo-polynomial in the smaller of the price total P and the gain
     total G; for Borda or k-approval it is polynomial whatever the prices.
     The guard counts the frontier points of every voter suffix: when
-    (n + 1)(min(P, G) + 1) exceeds ``DEFAULT_CELL_GUARD`` (10**8,
-    overridable via the ``SHIFTBRIBE_GUARD`` environment variable) a
+    (n + 1)(min(P, G) + 1) exceeds ``DEFAULT_CELL_GUARD`` (10**8) a
     ``GuardExceeded`` is raised and the caller should switch to
     ``solve_two_pass_scaled``.  The shift table is built, and its score
     and gain bounds checked, before the guard is consulted.

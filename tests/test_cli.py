@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import shiftbribe as sb
-from shiftbribe import cli
+from shiftbribe import cli, oracle, scoring_solvers
 from shiftbribe.cli import main
 
 
@@ -123,7 +123,7 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_guard_exceeded_exits_4(self, thm6_file, monkeypatch):
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 10)
         assert main(["solve", thm6_file, "--algo", "exact"]) == 4
 
     @pytest.mark.parametrize("algo", ["Aeps:1/100000000000000000000", "B"])
@@ -135,7 +135,7 @@ class TestSolve:
         # gain total G is large too, as with weights up to 10**6.
         path = thm6_file
         if algo == "B":
-            monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
+            monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 10)
         else:
             path = tmp_path / "heavy.sb"
             inst = sb.gen_random(1, 20, 8, 10**6, weighted=True)
@@ -145,11 +145,15 @@ class TestSolve:
         assert err.startswith("guard exceeded: budget DP needs ") and err.count("\n") == 1
         assert "solve_two_pass_scaled" not in err
 
-    def test_non_integer_guard_exits_2(self, thm6_file, monkeypatch, capsys):
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "abc")
-        assert main(["solve", thm6_file, "--algo", "exact"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: SHIFTBRIBE_GUARD must be an integer, got 'abc'\n"
+    @pytest.mark.parametrize("value", ["1", "abc"])
+    def test_guard_environment_variable_is_ignored(self, thm6_file, monkeypatch, value):
+        # the guards are module constants: no environment variable lowers
+        # them or makes a solve fail
+        inst = sb.gen_theorem6(1)
+        want = sb.solve_two_pass(inst), sb.exact_shift_opt(inst)
+        monkeypatch.setenv("SHIFTBRIBE_GUARD", value)
+        assert (sb.solve_two_pass(inst), sb.exact_shift_opt(inst)) == want
+        assert main(["solve", thm6_file, "--algo", "exact"]) == 0
 
     @pytest.mark.parametrize("algo", ["A", "G", "Aeps", "B", "Bw"])
     def test_int64_overflow_exits_2(self, tmp_path, capsys, algo):

@@ -354,3 +354,23 @@ class TestApplyShift:
         for c in range(e.num_candidates):
             if c not in (0, displaced):
                 assert before[c] == after[c]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orders_equal_to_ints_are_stored_as_ints(seed):
+    # Entries such as 1.0 pass the permutation check; the election keeps
+    # them as ints, so the instance round-trips through the file format and
+    # the Condorcet solvers, which index by them, answer as for int orders.
+    for rule in (sb.CopelandRule(sb.CopelandAlpha(1, 2)), sb.MaximinRule()):
+        inst = sb.gen_random(seed, 6, 4, 5, rule=rule)
+        e = inst.election
+        floats = sb.Election(e.candidates, [[float(c) for c in order] for order in e.voters])
+        assert floats.voters == e.voters
+        assert all(type(c) is int for order in floats.voters for c in order)
+        twin = sb.ShiftBriberyInstance(floats, inst.costs, rule)
+        text = sb.serialize_instance(twin)
+        assert text == sb.serialize_instance(inst)
+        assert sb.serialize_instance(sb.parse_instance(text)) == text
+        solve = sb.solve_maximin_shift if rule == sb.MaximinRule() else sb.solve_copeland_shift
+        assert solve(twin) == solve(inst)
+        assert sb.cover_targets_greedy(twin, (1, 2, 3)) == sb.cover_targets_greedy(inst, (1, 2, 3))

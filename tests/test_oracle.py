@@ -7,6 +7,7 @@ import pytest
 
 import shiftbribe as sb
 from conftest import flips_win, gen_random_micro
+from shiftbribe import oracle
 
 
 class TestExactShiftOpt:
@@ -31,7 +32,7 @@ class TestExactShiftOpt:
 
     def test_guard(self, monkeypatch):
         inst = sb.gen_random(0, 4, 4, 6)
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "3")
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 3)
         with pytest.raises(sb.GuardExceeded):
             sb.exact_shift_opt(inst)
 
@@ -200,7 +201,7 @@ class TestExactMicroOpt:
 
     def test_slot_guard(self, monkeypatch):
         m_inst = gen_random_micro(1, 4, 4, 3, infinite_prob=0.0)
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**4))
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 2**4)
         with pytest.raises(sb.GuardExceeded):
             sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
 
@@ -209,16 +210,15 @@ class TestExactMicroOpt:
         table = ((0, -1), (1, 0))
         costs = tuple(sb.FlipCostFunction({1: 1}) for _ in range(3))
         m_inst = sb.MicrobriberyInstance((table,) * 3, costs)
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**3))
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 2**3)
         assert sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))[0] == 2
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**3 - 1))
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 2**3 - 1)
         with pytest.raises(sb.GuardExceeded, match=r"2\*\*3 subsets \(guard 7\)"):
             sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
 
 
-    def test_default_guard_counts_subsets_as_vectors(self, monkeypatch):
+    def test_default_guard_counts_subsets_as_vectors(self):
         # the enumeration guard's 10**7 vectors admit 2**21 subsets, not 2**24
-        monkeypatch.delenv("SHIFTBRIBE_GUARD", raising=False)
         table = ((0, -1), (1, 0))
 
         def rival_preferred(n):

@@ -645,10 +645,10 @@ def test_later_block_wins_only_when_strictly_cheaper():
 
 def test_guard_boundary(monkeypatch):
     inst = unanimous_runner_up((1,) * 14)
-    monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**14))
+    monkeypatch.setattr("shiftbribe.oracle.DEFAULT_ENUM_GUARD", 2**14)
     assert sb.exact_shift_opt(inst)[0] == 7
     assert sb.exact_cover_opt(inst, (7,))[0] == 7
-    monkeypatch.setenv("SHIFTBRIBE_GUARD", str(2**14 - 1))
+    monkeypatch.setattr("shiftbribe.oracle.DEFAULT_ENUM_GUARD", 2**14 - 1)
     with pytest.raises(sb.GuardExceeded):
         sb.exact_shift_opt(inst)
     with pytest.raises(sb.GuardExceeded):

@@ -209,16 +209,16 @@ class TestSolveTwoPass:
             assert sb.is_successful(inst, action)
 
     def test_guard(self, thm6_k1, monkeypatch):
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "10")
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 10)
         with pytest.raises(sb.GuardExceeded, match="solve_two_pass_scaled"):
             sb.solve_two_pass(thm6_k1)
 
     def test_guard_boundary(self, thm6_k1, monkeypatch):
         # (n + 1)(min(P, G) + 1) = 7 * 10 cells: 6 voters, largest prices
         # summing to P = 14 and largest gains to G = 9
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "70")
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 70)
         assert sb.solve_two_pass(thm6_k1) == (4, sb.ShiftAction((0, 0, 1, 1, 0, 0)))
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "69")
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 69)
         with pytest.raises(sb.GuardExceeded, match=r"needs 70 cells \(guard 69\)"):
             sb.solve_two_pass(thm6_k1)
 
@@ -229,9 +229,9 @@ class TestSolveTwoPass:
         e = sb.Election(("p", "c1", "c2"), ((1, 2, 0), (2, 0, 1), (1, 0, 2)))
         costs = (sb.CostFunction((2, 3)), sb.CostFunction((4,)), sb.CostFunction((5,)))
         inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.ScoringVector((200, 100, 0))))
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "52")
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 52)
         assert solver(inst) == (3, sb.ShiftAction((2, 0, 0)))
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "51")
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 51)
         with pytest.raises(sb.GuardExceeded, match=r"needs 52 cells \(guard 51\)"):
             solver(inst)
 
@@ -429,7 +429,7 @@ class TestSolveTwoPassScaled:
         # the cell guard out of the way, the 64-bit check on the scaled total
         # must refuse it before any int64 array of those prices is built.
         # The instance admits the exact sweep, so the rounds are driven alone.
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", str(10**40))
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 10**40)
         with pytest.raises(
             OverflowError,
             match="^total of the largest prices exceeds the checked 64-bit integer range",
@@ -517,9 +517,9 @@ class TestSolveBootstrap:
         e = sb.Election(("p", "c"), ((0, 1), (1, 0)))
         rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction(()), sb.CostFunction((1,))), rule)
-        monkeypatch.setenv("SHIFTBRIBE_GUARD", "1")
-        assert sb.solve_bootstrap(inst) == (0, sb.ShiftAction((0, 0)))
-        monkeypatch.delenv("SHIFTBRIBE_GUARD")
+        with monkeypatch.context() as mp:
+            mp.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 1)
+            assert sb.solve_bootstrap(inst) == (0, sb.ShiftAction((0, 0)))
         with pytest.raises(OverflowError, match="fully shifted score"):
             sb.solve_two_pass_scaled(inst, Fraction(1, 4))
 
@@ -563,7 +563,7 @@ def test_cell_guard_before_score_checks(solver, monkeypatch):
     rule = sb.ScoringRule(sb.ScoringVector((x + 2, x)))
     costs = (sb.CostFunction((1,)), sb.CostFunction((1,)), sb.CostFunction(()))
     inst = sb.ShiftBriberyInstance(e, costs, rule)
-    monkeypatch.setenv("SHIFTBRIBE_GUARD", "1")
+    monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 1)
     with pytest.raises(OverflowError, match="fully shifted score"):
         solver(inst)
 
@@ -690,7 +690,7 @@ class TestDoubleGainCheck:
                     break
             if candidate is None:
                 continue
-            doubled = candidate + candidate
+            doubled = sb.ShiftAction(tuple(2 * t for t in candidate))
             assert double_gain_check(inst, candidate, doubled)
             assert sb.is_successful(inst, doubled)
             return

@@ -59,7 +59,7 @@ class CostFunction:
                 continue
             if seen_none:
                 raise ValueError("unreachable marks must form a suffix of the price table")
-            if not isinstance(p, int):
+            if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
                 raise ValueError(f"price for shift {k} is not an integer: {p!r}")
             if p < 0:
                 raise ValueError(f"price for shift {k} is negative")

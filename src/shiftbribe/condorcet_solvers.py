@@ -40,13 +40,14 @@ from .bribery import (
     ShiftAction,
     ShiftBriberyInstance,
     ShiftTable,
+    _pairwise_wins,
     _rival_tally,
-    is_successful,
     total_cost,
 )
 from .elections import (
     CopelandAlpha,
     PairwiseTally,
+    _shifted,
     copeland_scores,
     maximin_scores,
     pairwise_tally,
@@ -301,25 +302,39 @@ def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
 
 def micro_to_shift(inst: ShiftBriberyInstance, flips: FlipSet) -> ShiftAction:
     """Smallest shift action dominating a flip set from ``shift_to_micro``:
-    shift each voter far enough to pass every flipped rival."""
+    shift each voter up to the position of its highest flipped rival."""
     if len(flips) != inst.num_voters:
         raise ValueError("flip set length must equal the number of voters")
-    shifts = []
-    for i, above in enumerate(_candidates_above(inst)):
-        depth = {c: d for d, c in enumerate(above, start=1)} if flips[i] else {}
-        for c in flips[i]:
-            if c not in depth:
+    positions, m = inst.election.positions, inst.num_candidates
+    shifts = [0] * len(flips)
+    for i, rivals in enumerate(flips.flips):
+        if not rivals:
+            continue
+        row = positions[i].tolist()
+        for c in rivals:
+            if c not in range(m) or row[c] >= row[0]:
                 raise ValueError(
                     f"voter {i}: flip against rival {c}, who is not above the "
                     "preferred candidate"
                 )
-        shifts.append(max((depth[c] for c in flips[i]), default=0))
+        shifts[i] = row[0] - min(row[c] for c in rivals)
     return ShiftAction(tuple(shifts))
 
 
 def _require_unweighted(inst: ShiftBriberyInstance, what: str):
     if inst.election.weights is not None and any(w != 1 for w in inst.election.weights):
         raise IncompatibleRule(f"{what} supports unweighted voters only")
+
+
+def _wins_after(inst: ShiftBriberyInstance, tally: PairwiseTally, shifts: tuple) -> bool:
+    """Whether the preferred candidate wins after ``shifts`` in an unweighted
+    instance of pairwise ``tally``: the batched winner test on one row, the
+    tally's preferred-candidate row plus, per rival, the voters whose shift
+    passes it."""
+    positions = inst.election.positions
+    shifts = np.minimum(np.array(shifts, dtype=np.int64), positions[:, 0])
+    passed = (_shifted(positions, shifts) > positions).sum(axis=0)
+    return bool(_pairwise_wins(tally, inst.rule)(np.array([tally.n_matrix[0]]) + passed)[0])
 
 
 def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -332,8 +347,8 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     times that action; hence the factor m.
 
     The tables are never built: the core (``_solve_copeland``) reads one
-    pairwise tally and the flip prices.  The action is checked with
-    ``is_successful``.
+    pairwise tally and the flip prices, and the action is checked on that
+    tally (``_wins_after``).
     """
     if not isinstance(inst.rule, CopelandRule):
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
@@ -344,9 +359,10 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
         for rival, p in zip(above, cf.prices[: cf.max_reachable]):
             against[rival].append((p, i))
     pools = [(sorted(flips), []) for flips in against]
-    _, flips = _solve_copeland(pairwise_tally(inst.election), pools, alpha)
+    tally = pairwise_tally(inst.election)
+    _, flips = _solve_copeland(tally, pools, alpha)
     action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
-    if not is_successful(inst, action):
+    if not _wins_after(inst, tally, action.shifts):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
     return total_cost(inst, action), action
 

@@ -34,6 +34,11 @@ def _check_i64(value: int, what: str) -> int:
     return value
 
 
+def _are_permutations(orders: np.ndarray) -> bool:
+    """Whether every row of the (n x m) integer array is a permutation of 0..m-1."""
+    return not np.count_nonzero(np.sort(orders, axis=1) - np.arange(orders.shape[1]))
+
+
 def _unchecked(cls, **fields):
     """A ``cls`` (frozen dataclass) of ``fields`` the caller checked; no ``__post_init__``."""
     obj = object.__new__(cls)
@@ -81,7 +86,7 @@ class Election:
         except ValueError:  # ragged
             orders = np.zeros(0)
         ok = orders.shape == (len(self.voters), m) and orders.dtype.kind in "iu"
-        if not (ok and np.count_nonzero(np.sort(orders, axis=1) - np.arange(m)) == 0):
+        if not (ok and _are_permutations(orders)):
             for i, order in enumerate(self.voters):  # name the first voter at fault
                 if len(order) != m or set(order) != set(range(m)):
                     raise ValueError(f"voter {i}: order is not a permutation of 0..{m - 1}")
@@ -92,7 +97,7 @@ class Election:
             if len(self.weights) != len(self.voters):
                 raise ValueError("weights must have one entry per voter")
             for i, w in enumerate(self.weights):
-                if not isinstance(w, int) or w < 1:
+                if isinstance(w, bool) or not isinstance(w, int) or w < 1:
                     raise ValueError(f"voter {i}: weight must be a positive integer")
 
     @property
@@ -140,7 +145,7 @@ class ScoringVector:
         if len(self.scores) < 1:
             raise ValueError("scoring vector must be non-empty")
         for s in self.scores:
-            if not isinstance(s, int):
+            if isinstance(s, bool) or not isinstance(s, int):
                 raise ValueError(f"scoring vector entries must be integers, got {s!r}")
             if s < 0:
                 raise ValueError("scoring vector entries must be non-negative")

@@ -17,7 +17,11 @@ file reproduces it byte for byte.
 """
 
 import random
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, itemgetter, le
 from typing import Optional
+
+import numpy as np
 
 from .bribery import (
     CostFunction,
@@ -28,7 +32,7 @@ from .bribery import (
     ShiftBriberyInstance,
 )
 from .elections import _I64_MAX, CopelandAlpha, Election, ScoringVector, borda, k_approval
-from .elections import _unchecked
+from .elections import _are_permutations, _unchecked
 
 
 class ParseError(ValueError):
@@ -168,23 +172,24 @@ def serialize_instance(inst: ShiftBriberyInstance) -> str:
 
 
 class _Lines:
-    """Comment-stripped, non-empty lines with their original numbers."""
+    """Comment-stripped, non-empty lines (``texts``) and their original
+    numbers, split in bulk; ``next`` reads them one by one."""
 
     def __init__(self, text: str):
-        self.items = []
-        for no, raw in enumerate(text.split("\n"), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                self.items.append((no, stripped))
+        raw = text.split("\n")
+        if "#" in text:
+            raw = map(itemgetter(0), map(str.partition, raw, repeat("#")))
+        stripped = list(map(str.strip, raw))
+        self.texts = list(filter(None, stripped))
+        self.numbers = list(compress(count(1), stripped))
         self.pos = 0
-        self.last_no = text.count("\n") + 1
+        self.last_no = len(stripped)
 
     def next(self, what: str):
-        if self.pos >= len(self.items):
+        if self.pos >= len(self.texts):
             raise ParseError(f"unexpected end of file, expected {what}", self.last_no)
-        item = self.items[self.pos]
         self.pos += 1
-        return item
+        return self.numbers[self.pos - 1], self.texts[self.pos - 1]
 
 
 def _build_rule(tokens: list, m: int) -> Rule:
@@ -223,10 +228,134 @@ def _parse_rule(text: str, m: int, line: int) -> Rule:
         raise ParseError(str(exc), line) from exc
 
 
+def _after(lines: list, key: str) -> list:
+    """What follows ``key`` on each line, stripped; ``ValueError`` if a line
+    does not start with it."""
+    if not all(map(str.startswith, lines, repeat(key))):
+        raise ValueError(f"a line without '{key}'")
+    return list(map(str.strip, map(itemgetter(slice(len(key), None)), lines)))
+
+
+def _rising(prices: tuple) -> bool:
+    return all(map(le, prices, prices[1:]))
+
+
+def _price_tables(bodies: list, caps: list) -> list:
+    """Per voter the price tuple of its ``prices:`` body, ``None`` for
+    ``inf``; all tokens are converted at once.  Raises ``ValueError`` if
+    any voter's table is at fault."""
+    # c prices hold c - 1 commas, an empty body none
+    if list(map(add, map(str.count, bodies, repeat(",")), map(bool, bodies))) != caps:
+        raise ValueError("a price count that is not the cap")
+    joined = ",".join(filter(None, bodies))
+    tokens = joined.split(",") if joined else []
+    try:  # int() takes the blanks around a token, but for \x1c-\x1f
+        values, marks = list(map(int, tokens)), False
+    except ValueError:  # unreachable marks, such blanks, or a malformed price
+        values = [None if t == "inf" else int(t) for t in map(str.strip, tokens)]
+        marks = None in values
+    ends = list(accumulate(caps))
+    tables = finite = list(map(tuple(values).__getitem__, map(slice, [0, *ends], ends)))
+    if marks:  # which must end their tables
+        finite = [ps[: len(ps) - ps.count(None)] for ps in tables]
+        values = list(chain.from_iterable(finite))
+        if None in values:
+            raise ValueError("a price after an unreachable mark")
+    if values and not 0 <= min(values) <= max(values) <= _I64_MAX:
+        raise ValueError("a price out of range")
+    if not all(map(_rising, finite)):
+        raise ValueError("a decreasing price table")
+    return tables
+
+
+def _read_blocks(
+    body: list, names: tuple, rule: Rule, n: int, weighted: bool
+) -> ShiftBriberyInstance:
+    """The instance of the voter blocks ``body`` (the lines after the head),
+    read and checked in bulk.  Raises ``ValueError`` or ``OverflowError``
+    on any fault, without naming it."""
+    m, size = len(names), 2 + weighted
+    if len(body) != n * size:
+        raise ValueError("not n voter blocks")
+    rows = list(map(str.split, _after(body[0::size], "order:")))
+    if set(map(len, rows)) != {m}:
+        raise ValueError("an order without m entries")
+    orders = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, n * m).reshape(n, m)
+    if not _are_permutations(orders):
+        raise ValueError("an order that is not a permutation")
+    weights = tuple(map(int, _after(body[1::size], "weight:"))) if weighted else ()
+    if weights and not 1 <= min(weights) <= max(weights) <= _I64_MAX:
+        raise ValueError("a weight out of range")
+    positions = orders.argsort(axis=1)
+    tables = _price_tables(_after(body[size - 1 :: size], "prices:"), positions[:, 0].tolist())
+    costs = tuple(map(object.__new__, repeat(CostFunction, n)))
+    for cf, prices in zip(costs, tables):  # unchecked; no __dict__, so each stays compact
+        object.__setattr__(cf, "prices", prices)
+    voters = tuple(map(tuple, orders.tolist()))
+    election = _unchecked(Election, candidates=names, voters=voters, weights=weights or None)
+    return _unchecked(
+        ShiftBriberyInstance, election=election._keep(orders, positions), costs=costs, rule=rule
+    )
+
+
+def _name_fault(lines: _Lines, m: int, n: int, weighted: bool):
+    """Raise the ``ParseError`` of the earliest fault in the voter blocks,
+    reading them line by line from ``lines.pos``."""
+    permutation = list(range(m))
+    for v in range(n):
+        no, line = lines.next(f"order of voter {v}")
+        if not line.startswith("order:"):
+            raise ParseError(f"expected 'order:' for voter {v}", no)
+        try:
+            order = tuple(map(int, line[len("order:"):].split()))
+        except ValueError:
+            raise ParseError("order entries must be integers", no)
+        if sorted(order) != permutation:
+            raise ParseError("order is not a permutation of the candidates", no)
+        if weighted:
+            no, line = lines.next(f"weight of voter {v}")
+            if not line.startswith("weight:"):
+                raise ParseError(f"expected 'weight:' for voter {v}", no)
+            try:
+                w = int(line[len("weight:"):].strip())
+            except ValueError:
+                raise ParseError("weight must be an integer", no)
+            if w < 1:
+                raise ParseError("weight must be positive", no)
+            if w > _I64_MAX:
+                raise _RangeError("weight exceeds the 64-bit integer range", no)
+        no, line = lines.next(f"prices of voter {v}")
+        if not line.startswith("prices:"):
+            raise ParseError(f"expected 'prices:' for voter {v}", no)
+        body = line[len("prices:"):].strip()
+        prices = []
+        for tok in body.split(",") if body else ():
+            tok = tok.strip()
+            try:
+                prices.append(None if tok == "inf" else int(tok))
+            except ValueError:
+                raise ParseError(f"malformed price '{tok}'", no)
+        cap = order.index(0)
+        if len(prices) != cap:
+            raise ParseError(
+                f"expected {cap} prices for a rank-{cap + 1} preferred candidate", no
+            )
+        if any(p is not None and p > _I64_MAX for p in prices):
+            raise _RangeError("price exceeds the 64-bit integer range", no)
+        try:
+            CostFunction(tuple(prices))
+        except ValueError as exc:
+            raise ParseError(str(exc), no) from exc
+    if lines.pos < len(lines.texts):
+        raise ParseError("unexpected trailing content", lines.numbers[lines.pos])
+    raise AssertionError("the bulk reader refused voter blocks the line reader accepts")
+
+
 def parse_instance(text: str) -> ShiftBriberyInstance:
     """Parse ``shiftbribe v1`` text; every malformation is reported with its
-    line number, the earliest one first.  Each line is checked as it is
-    read, and the election and instance are built without checking again."""
+    line number, the earliest one first.  The head is read line by line, the
+    voter blocks in bulk (``_read_blocks``); only if they hold a fault are
+    they read again line by line, to name the earliest one (``_name_fault``)."""
     lines = _Lines(text)
     no, header = lines.next("header")
     if header != "shiftbribe v1":
@@ -254,59 +383,8 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
         raise ParseError("duplicate candidate name", no)
     # only now, with m names read, is an m-entry rule vector bounded by the input
     rule = _parse_rule(rule_text, m, rule_no)
-
-    voters = []
-    weights = [] if weighted else None
-    costs = []
-    permutation = list(range(m))
-    for v in range(n):
-        no, line = lines.next(f"order of voter {v}")
-        if not line.startswith("order:"):
-            raise ParseError(f"expected 'order:' for voter {v}", no)
-        try:
-            order = tuple(map(int, line[len("order:"):].split()))
-        except ValueError:
-            raise ParseError("order entries must be integers", no)
-        if sorted(order) != permutation:
-            raise ParseError("order is not a permutation of the candidates", no)
-        voters.append(order)
-        if weighted:
-            no, line = lines.next(f"weight of voter {v}")
-            if not line.startswith("weight:"):
-                raise ParseError(f"expected 'weight:' for voter {v}", no)
-            try:
-                w = int(line[len("weight:"):].strip())
-            except ValueError:
-                raise ParseError("weight must be an integer", no)
-            if w < 1:
-                raise ParseError("weight must be positive", no)
-            if w > _I64_MAX:
-                raise _RangeError("weight exceeds the 64-bit integer range", no)
-            weights.append(w)
-        no, line = lines.next(f"prices of voter {v}")
-        if not line.startswith("prices:"):
-            raise ParseError(f"expected 'prices:' for voter {v}", no)
-        body = line[len("prices:"):].strip()
-        prices = []
-        for tok in body.split(",") if body else ():
-            tok = tok.strip()
-            try:
-                prices.append(None if tok == "inf" else int(tok))
-            except ValueError:
-                raise ParseError(f"malformed price '{tok}'", no)
-        cap = order.index(0)
-        if len(prices) != cap:
-            raise ParseError(
-                f"expected {cap} prices for a rank-{cap + 1} preferred candidate", no
-            )
-        if any(p is not None and p > _I64_MAX for p in prices):
-            raise _RangeError("price exceeds the 64-bit integer range", no)
-        try:
-            costs.append(CostFunction(tuple(prices)))
-        except ValueError as exc:
-            raise ParseError(str(exc), no) from exc
-    if lines.pos < len(lines.items):
-        raise ParseError("unexpected trailing content", lines.items[lines.pos][0])
-    weights, costs = (tuple(weights) if weighted else None), tuple(costs)
-    election = _unchecked(Election, candidates=names, voters=tuple(voters), weights=weights)
-    return _unchecked(ShiftBriberyInstance, election=election._keep(), costs=costs, rule=rule)
+    try:
+        return _read_blocks(lines.texts[lines.pos :], names, rule, n, weighted)
+    except (ValueError, OverflowError):
+        pass
+    _name_fault(lines, m, n, weighted)

@@ -28,7 +28,7 @@ class TestCostFunction:
         with pytest.raises(ValueError, match="negative"):
             sb.CostFunction((-1,))
 
-    @pytest.mark.parametrize("price", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("price", [2.5, 2.0, "2", True])
     def test_non_integer_price_rejected(self, price):
         # an int64 table would truncate 2.5 to 2 while total_cost says 2.5
         with pytest.raises(ValueError, match="price for shift 2 is not an integer"):

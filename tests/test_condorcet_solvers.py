@@ -266,8 +266,8 @@ class TestCopelandCore:
 
 
 def test_one_pairwise_tally_per_solve(monkeypatch):
-    """Maximin reads its scores off the shift table's tally; Copeland takes
-    one tally for the core and one more inside ``is_successful``."""
+    """Maximin reads its scores off the shift table's tally; Copeland's core
+    and its success check share one tally."""
     original = sb.pairwise_tally
     calls = []
 
@@ -278,7 +278,7 @@ def test_one_pairwise_tally_per_solve(monkeypatch):
     for module in (sb.elections, sb.bribery, sb.condorcet_solvers, sb.oracle):
         if getattr(module, "pairwise_tally", None) is original:
             monkeypatch.setattr(module, "pairwise_tally", counted)
-    rules = {sb.MAXIMIN: 1, sb.CopelandRule(sb.CopelandAlpha(1, 2)): 2}
+    rules = {sb.MAXIMIN: 1, sb.CopelandRule(sb.CopelandAlpha(1, 2)): 1}
     for rule, per_solve in rules.items():
         for seed in range(10):
             inst = sb.gen_random(seed, 8, 5, 10, rule=rule)
@@ -286,6 +286,29 @@ def test_one_pairwise_tally_per_solve(monkeypatch):
             solve = sb.solve_maximin_shift if rule == sb.MAXIMIN else sb.solve_copeland_shift
             solve(inst)
             assert len(calls) == per_solve, (rule, seed)
+
+
+def test_success_check_agrees_with_is_successful():
+    """The one-row check that ends ``solve_copeland_shift`` answers like
+    ``is_successful`` on the witnesses, on the zero action, on each witness
+    with one voter's shift cut short, and on random actions."""
+    wins_after = sb.condorcet_solvers._wins_after
+    for seed in range(150):
+        rng = random.Random(seed * 13 + 5)
+        n, m = rng.randint(1, 10), rng.randint(1, 7)
+        inst = sb.gen_random(seed, n, m, 9, rule=sb.CopelandRule(ALPHAS[seed % 3]))
+        tally = sb.pairwise_tally(inst.election)
+        _, witness = sb.solve_copeland_shift(inst)
+        actions = [witness.shifts, (0,) * n, tuple(rng.randint(0, m) for _ in range(n))]
+        actions += [
+            witness.shifts[:i] + (t - 1,) + witness.shifts[i + 1 :]
+            for i, t in enumerate(witness.shifts)
+            if t
+        ]
+        for shifts in actions:
+            expected = sb.is_successful(inst, sb.ShiftAction(shifts))
+            assert wins_after(inst, tally, shifts) == expected, (seed, shifts)
+        assert wins_after(inst, tally, witness.shifts)
 
 
 class TestCoverTargetsGreedy:

@@ -50,6 +50,15 @@ class TestElectionValidation:
         with pytest.raises(ValueError, match="voter 1: weight must be a positive integer"):
             sb.Election(("a", "b"), ((0, 1), (1, 0)), (1, weight))
 
+    def test_rejects_bool_weights(self):
+        # serialize_instance would write "weight: True", which no parser reads
+        with pytest.raises(ValueError, match="voter 0: weight must be a positive integer"):
+            sb.Election(("p", "c"), ((1, 0), (0, 1)), (True, 2))
+
+    def test_rejects_bool_scoring_entries(self):
+        with pytest.raises(ValueError, match="must be integers, got True"):
+            sb.ScoringVector((2, True, 0))
+
     def test_weight_beyond_int64_builds(self):
         # only the sums that need the weight refuse it
         e = sb.Election(("a", "b"), ((0, 1), (1, 0)), (1 << 64, 1))

@@ -2,9 +2,14 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftbribe as sb
+
+I64_MAX = (1 << 63) - 1
 
 
 class TestGenTheorem6:
@@ -275,3 +280,133 @@ class TestParseDiagnostics:
         bad = "shiftbribe v1\nrule borda\n2 1\np c\norder: 1 0\n"
         with pytest.raises(sb.ParseError, match="unexpected end"):
             sb.parse_instance(bad)
+
+
+@st.composite
+def rules(draw, m):
+    kind = draw(st.sampled_from(["borda", "kapproval", "scoring", "copeland", "maximin"]))
+    if kind == "borda":
+        return sb.ScoringRule(sb.borda(m))
+    if kind == "kapproval":
+        return sb.ScoringRule(sb.k_approval(m, draw(st.integers(1, m))))
+    if kind == "scoring":
+        scores = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        return sb.ScoringRule(sb.ScoringVector(sorted(scores, reverse=True)))
+    if kind == "copeland":
+        den = draw(st.integers(1, 6))
+        return sb.CopelandRule(sb.CopelandAlpha(draw(st.integers(0, den)), den))
+    return sb.MAXIMIN
+
+
+@st.composite
+def instances(draw):
+    """Instances of every rule, weighted or not, with prices up to 2**63 - 1
+    and ``inf`` suffixes."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    orders = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
+    price = st.one_of(st.integers(0, 9), st.integers(0, I64_MAX))
+    costs = []
+    for order in orders:
+        cap = order.index(0)
+        finite = draw(st.integers(0, cap))
+        prices = sorted(draw(st.lists(price, min_size=finite, max_size=finite)))
+        costs.append(sb.CostFunction(tuple(prices) + (None,) * (cap - finite)))
+    weights = None
+    if draw(st.booleans()):
+        weights = tuple(draw(st.one_of(st.integers(1, 9), st.integers(1, I64_MAX))) for _ in range(n))
+    names = tuple(f"c{i}" for i in range(m))
+    return sb.ShiftBriberyInstance(sb.Election(names, orders, weights), tuple(costs), draw(rules(m)))
+
+
+class TestBulkReader:
+    """The voter blocks are read in bulk; the line reader only names a fault."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_round_trip(self, inst):
+        text = sb.serialize_instance(inst)
+        noisy = "\n\n".join(f"  {line}  # note" for line in text.split("\n"))
+        for parsed in sb.parse_instance(text), sb.parse_instance(noisy):
+            assert parsed == inst
+            e = parsed.election
+            assert np.array_equal(e.orders, inst.election.orders)
+            assert np.array_equal(e.positions, inst.election.positions)
+            assert e.orders.dtype == e.positions.dtype == np.int64
+            assert not (e.orders.flags.writeable or e.positions.flags.writeable)
+            assert all(type(p) is int for cf in parsed.costs for p in cf.prices if p is not None)
+            assert all(type(w) is int for w in e.weights or ())
+
+    def test_int_token_forms(self):
+        # every form that int() accepts: signs, leading zeros, underscores,
+        # and blanks around a price or weight
+        text = (
+            "shiftbribe v1\nrule borda\n3 2 weighted\np a b\n"
+            "order: +1 2 00\nweight:  1_0 \nprices:  +5 , 07\n"
+            "order: 0 +2 0_1\nweight:+3\nprices:\n"
+        )
+        inst = sb.parse_instance(text)
+        assert inst.election.voters == ((1, 2, 0), (0, 2, 1))
+        assert inst.election.weights == (10, 3)
+        assert [cf.prices for cf in inst.costs] == [(5, 7), ()]
+        padded = text.replace("+5 , 07", "4 ,  inf ")
+        assert sb.parse_instance(padded).costs[0].prices == (4, None)
+        # str.strip() takes \x1c-\x1f around a token, int() alone does not
+        for sep in "\x1c\x1f":
+            odd = text.replace("+5 , 07", f"{sep}5,7{sep} ").replace("+3", f"{sep}3")
+            assert sb.parse_instance(odd) == inst
+
+    @pytest.mark.parametrize("token", ["5.0", "0x5", "1e1", "5_", "_5", "- 5", "++5", "infinity"])
+    def test_only_int_tokens(self, token):
+        base = "shiftbribe v1\nrule borda\n3 1 weighted\np a b\norder: 1 2 0\nweight: 2\nprices: 1,2\n"
+        faults = [
+            ("order: 1 2 0", f"order: 1 2 {token}", "order entries must be integers at line 5"),
+            ("weight: 2", f"weight: {token}", "weight must be an integer at line 6"),
+            ("prices: 1,2", f"prices: 1,{token}", f"malformed price '{token}' at line 7"),
+        ]
+        for old, new, message in faults:
+            with pytest.raises(sb.ParseError) as err:
+                sb.parse_instance(base.replace(old, new))
+            assert str(err.value) == message
+
+    VALID = (
+        "shiftbribe v1\nrule copeland 1/2\n3 3 weighted\np a b\n"
+        "order: 1 0 2\nweight: 2\nprices: 4\n"  # lines 5-7
+        "order: 2 1 0\nweight: 1\nprices: 1,inf\n"  # lines 8-10
+        "order: 1 2 0\nweight: 5\nprices: 3,3\n"  # lines 11-13
+    )
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("order: 2 1 0", "order: 2 1 x", "order entries must be integers at line 8"),
+            ("order: 2 1 0", "order: 2 1 1", "order is not a permutation of the candidates at line 8"),
+            ("order: 2 1 0", "order: 2 1 0 3", "order is not a permutation of the candidates at line 8"),
+            ("order: 2 1 0", "order: 2 1", "order is not a permutation of the candidates at line 8"),
+            ("order: 1 2 0", "order: 1 2 -0 5", "order is not a permutation of the candidates at line 11"),
+            ("order: 2 1 0", f"order: 2 1 {1 << 64}", "order is not a permutation of the candidates at line 8"),
+            ("prices: 4\n", "prices: 4,5\n", "expected 1 prices for a rank-2 preferred candidate at line 7"),
+            ("prices: 3,3", "prices: 3", "expected 2 prices for a rank-3 preferred candidate at line 13"),
+            ("prices: 3,3", "prices: 3,", "malformed price '' at line 13"),
+            ("prices: 3,3", "prices: 3,x", "malformed price 'x' at line 13"),
+            ("prices: 3,3", "prices: 3,2", "price table decreases at shift 2 at line 13"),
+            ("prices: 3,3", "prices: -1,3", "price for shift 1 is negative at line 13"),
+            ("prices: 1,inf", "prices: inf,1", "unreachable marks must form a suffix of the price table at line 10"),
+            ("prices: 3,3", f"prices: 3,{I64_MAX + 1}", "price exceeds the 64-bit integer range at line 13"),
+            ("weight: 5", f"weight: {I64_MAX + 1}", "weight exceeds the 64-bit integer range at line 12"),
+            ("weight: 1", "weight: 0", "weight must be positive at line 9"),
+            ("weight: 5", "weight: five", "weight must be an integer at line 12"),
+            ("order: 1 2 0", "ordr: 1 2 0", "expected 'order:' for voter 2 at line 11"),
+            ("weight: 2", "wait: 2", "expected 'weight:' for voter 0 at line 6"),
+            ("prices: 4\n", "price: 4\n", "expected 'prices:' for voter 0 at line 7"),
+            ("prices: 3,3\n", "prices: 3,3\norder: 0 1 2\n", "unexpected trailing content at line 14"),
+            ("prices: 3,3\n", "", "unexpected end of file, expected prices of voter 2 at line 13"),
+            ("weight: 1\n", "", "expected 'weight:' for voter 1 at line 9"),
+        ],
+    )
+    def test_one_fault_named_as_by_the_line_reader(self, old, new, message):
+        assert sb.parse_instance(self.VALID).costs[1].prices == (1, None)
+        assert self.VALID.count(old) == 1
+        with pytest.raises(sb.ParseError) as err:
+            sb.parse_instance(self.VALID.replace(old, new))
+        assert str(err.value) == message
+        assert isinstance(err.value, OverflowError) == ("64-bit" in message)

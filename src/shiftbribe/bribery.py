@@ -252,6 +252,13 @@ def _price_lists(inst: ShiftBriberyInstance) -> list:
     return [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
 
 
+def _checked_price_lists(inst: ShiftBriberyInstance) -> list:
+    """``_price_lists``, once the largest prices, which bound any price sum, sum in 64 bits."""
+    prices = _price_lists(inst)
+    _check_i64(sum(p[-1] for p in prices), "total of the largest prices")
+    return prices
+
+
 class ShiftTable:
     """Per-voter prices and row deltas of shifting the preferred candidate
     up, with one batched winner test.
@@ -260,10 +267,10 @@ class ShiftTable:
     shifting by t and ``deltas[i][t]`` the change of the row it causes.  The
     row is every candidate's score (weight-scaled) for scoring rules, and
     the preferred candidate's row ``tally.n_matrix[0]`` for Copeland and
-    maximin or when ``pairwise`` is set (else ``tally`` is None).  ``base``
-    is the unshifted row, and ``wins`` maps a (K x m) array of rows to
-    whether the preferred candidate wins after each (None for the pairwise
-    rows of a scoring rule).  All rows are built at once from the positions
+    maximin (else ``tally`` is None; a table of the instance under ``MAXIMIN``
+    has them for any rule).  ``base`` is the unshifted row, and ``wins``
+    maps a (K x m) array of rows to whether the preferred candidate wins
+    after each.  All rows are built at once from the positions
     shifted by t for each (voter, t), into one flat array, voter i's from
     ``starts[i]`` on; ``deltas`` holds per-voter views of it.
 
@@ -274,10 +281,10 @@ class ShiftTable:
     scoring solvers sweep over, are checked when first read.
     """
 
-    def __init__(self, inst: ShiftBriberyInstance, pairwise: bool = False):
+    def __init__(self, inst: ShiftBriberyInstance):
         e = inst.election
         self._inst = inst
-        scoring = isinstance(inst.rule, ScoringRule) and not pairwise
+        scoring = isinstance(inst.rule, ScoringRule)
         self.tally = None if scoring else pairwise_tally(e)  # checks the total weight
         counts = np.array([cf.max_reachable + 1 for cf in inst.costs], dtype=np.int64)
         self._ends = counts.cumsum()
@@ -313,12 +320,8 @@ class ShiftTable:
 
     @cached_property
     def prices(self) -> list:
-        """Per voter, the int64 ``_price_lists``, built on first read after
-        checking that the largest prices, which bound every sum of prices,
-        sum within 64 bits."""
-        prices = _price_lists(self._inst)
-        _check_i64(sum(p[-1] for p in prices), "total of the largest prices")
-        return [np.array(p, dtype=np.int64) for p in prices]
+        """Per voter, the int64 ``_checked_price_lists``, built on first read."""
+        return [np.array(p, dtype=np.int64) for p in _checked_price_lists(self._inst)]
 
     @cached_property
     def gains(self) -> list:
@@ -348,7 +351,8 @@ def _rival_tally(tally: PairwiseTally) -> PairwiseTally:
 
 
 def _pairwise_wins(tally: PairwiseTally, rule: Rule):
-    """Batched winner test on the preferred candidate's pairwise rows.
+    """Batched winner test on the preferred candidate's pairwise rows, under
+    a Copeland ``rule``, else maximin.
 
     Rival-versus-rival pairs cannot change, so each rival's part of its
     score comes from the rival-only sub-tally.
@@ -371,13 +375,11 @@ def _pairwise_wins(tally: PairwiseTally, rule: Rule):
             return p_score >= rival.max(axis=1)
 
         return wins
-    if isinstance(rule, MaximinRule):
-        fixed_min = np.array(maximin_scores(rivals), dtype=np.int64)
+    fixed_min = np.array(maximin_scores(rivals), dtype=np.int64)
 
-        def wins(rows):
-            p_score = rows[:, 1:].min(axis=1)
-            rival = np.minimum(fixed_min, total - rows[:, 1:])
-            return (rival <= p_score[:, None]).all(axis=1)
+    def wins(rows):
+        p_score = rows[:, 1:].min(axis=1)
+        rival = np.minimum(fixed_min, total - rows[:, 1:])
+        return (rival <= p_score[:, None]).all(axis=1)
 
-        return wins
-    return None
+    return wins

@@ -7,18 +7,19 @@ With all finite flip prices restricted to pairs involving the preferred
 candidate, optimal microbribery is polynomial (``solve_copeland_micro``),
 and translating a shift-bribery instance through it loses at most a factor
 m in cost (``solve_copeland_shift``).  Both feed one core a pairwise tally
-(of the tables, or of the election) and each rival's sorted flip prices;
-the election's positions give each voter's rivals above candidate 0.
+(of the tables, or of the election) and each rival's sorted flip prices,
+which for the election are the prices of passing it (``_passing``).
 
 Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
 every rival, which is a set-multicover problem over (voter, shift) moves
 solved greedily within a logarithmic factor (``cover_targets_greedy``,
-``solve_maximin_shift``).  The per-voter move lists (prices from the
-instance's ``bribery.ShiftTable``, rivals above the preferred candidate) are
-built once per instance and shared by every k; each greedy run is lazy,
-re-evaluating only the voter at the top of its heap, and a k whose per-rival
-price floor reaches the cheapest successful action so far is not run at all.
+``solve_maximin_shift``).  The per-voter move lists (prices, and the rivals
+above the preferred candidate) are built once per instance and shared by
+every k; each greedy run is lazy, re-evaluating only the voter at the top
+of its heap, and a k whose per-rival price floor (from ``_passing``) reaches
+the cheapest successful action so far is not run at all.  Both shift
+solvers check their action on one pairwise row (``_wins_after``).
 
 Weighted instances are rejected by all solvers in this module; weighted
 microbribery is inapproximable in general and the covering bound is stated
@@ -30,7 +31,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +40,9 @@ from .bribery import (
     MaximinRule,
     ShiftAction,
     ShiftBriberyInstance,
-    ShiftTable,
+    _checked_price_lists,
     _pairwise_wins,
+    _price_lists,
     _rival_tally,
     total_cost,
 )
@@ -283,6 +285,17 @@ def _candidates_above(inst: ShiftBriberyInstance) -> list:
     return [o[p - 1 :: -1] if p else () for o, p in zip(e.voters, e.positions[:, 0].tolist())]
 
 
+def _passing(prices: list, above: list, m: int) -> list:
+    """Per candidate c (none for c = 0), the sorted (price, voter) of shifting
+    each voter that can just far enough to pass c, from the per-voter prices
+    of shifting by 0 .. max_reachable and ``_candidates_above``."""
+    passing = [[] for _ in range(m)]
+    for i, (p, a) in enumerate(zip(prices, above)):
+        for rival, price in zip(a, p[1:]):
+            passing[rival].append((price, i))
+    return [sorted(ps) for ps in passing]
+
+
 def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
     """Translate a shift-bribery instance into microbribery.
 
@@ -326,15 +339,15 @@ def _require_unweighted(inst: ShiftBriberyInstance, what: str):
         raise IncompatibleRule(f"{what} supports unweighted voters only")
 
 
-def _wins_after(inst: ShiftBriberyInstance, tally: PairwiseTally, shifts: tuple) -> bool:
+def _wins_after(inst: ShiftBriberyInstance, tally: PairwiseTally, wins, shifts) -> bool:
     """Whether the preferred candidate wins after ``shifts`` in an unweighted
-    instance of pairwise ``tally``: the batched winner test on one row, the
-    tally's preferred-candidate row plus, per rival, the voters whose shift
-    passes it."""
+    instance of pairwise ``tally``: ``wins`` (its ``_pairwise_wins``, built
+    once per solve) on one row, the tally's preferred-candidate row plus,
+    per rival, the voters whose shift passes it."""
     positions = inst.election.positions
     shifts = np.minimum(np.array(shifts, dtype=np.int64), positions[:, 0])
     passed = (_shifted(positions, shifts) > positions).sum(axis=0)
-    return bool(_pairwise_wins(tally, inst.rule)(np.array([tally.n_matrix[0]]) + passed)[0])
+    return bool(wins(np.array([tally.n_matrix[0]]) + passed)[0])
 
 
 def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -347,22 +360,18 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     times that action; hence the factor m.
 
     The tables are never built: the core (``_solve_copeland``) reads one
-    pairwise tally and the flip prices, and the action is checked on that
-    tally (``_wins_after``).
+    pairwise tally and the flip prices (``_passing``), and the action is
+    checked on that tally (``_wins_after``).
     """
     if not isinstance(inst.rule, CopelandRule):
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
     _require_unweighted(inst, "solve_copeland_shift")
-    n, alpha = inst.num_voters, inst.rule.alpha
-    against: List[list] = [[] for _ in range(inst.num_candidates)]
-    for i, (above, cf) in enumerate(zip(_candidates_above(inst), inst.costs)):
-        for rival, p in zip(above, cf.prices[: cf.max_reachable]):
-            against[rival].append((p, i))
-    pools = [(sorted(flips), []) for flips in against]
+    n = inst.num_voters
+    passing = _passing(_price_lists(inst), _candidates_above(inst), inst.num_candidates)
     tally = pairwise_tally(inst.election)
-    _, flips = _solve_copeland(tally, pools, alpha)
+    _, flips = _solve_copeland(tally, [(ps, []) for ps in passing], inst.rule.alpha)
     action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
-    if not _wins_after(inst, tally, action.shifts):
+    if not _wins_after(inst, tally, _pairwise_wins(tally, inst.rule), action.shifts):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
     return total_cost(inst, action), action
 
@@ -435,22 +444,6 @@ def _cover(prices: list, above: list, deficits: list) -> list:
     return shifts
 
 
-def _move_lists(inst: ShiftBriberyInstance, table: ShiftTable):
-    """Per voter: the prices over shifts 0..max_reachable, and the rivals
-    above the preferred candidate, nearest first."""
-    return [p.tolist() for p in table.prices], _candidates_above(inst)
-
-
-def _pass_floors(prices: list, above: list, m: int) -> list:
-    """Per rival c, ``floors[c][d]`` <= the price of passing c in d voters: the
-    sum of the d cheapest ``prices[i][depth of c]`` over voters that can."""
-    passing: List[list] = [[] for _ in range(m)]
-    for p, a in zip(prices, above):
-        for t in range(1, len(p)):
-            passing[a[t - 1]].append(p[t])
-    return [list(itertools.accumulate(sorted(ps), initial=0)) for ps in passing]
-
-
 def cover_targets_greedy(
     inst: ShiftBriberyInstance, targets: Sequence
 ) -> ShiftAction:
@@ -471,12 +464,11 @@ def cover_targets_greedy(
         raise ValueError("need one target per rival")
     if any(not isinstance(k, int) or k < 0 for k in targets):
         raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
-    table = ShiftTable(inst, pairwise=True)
-    support = table.base.tolist()
+    support = pairwise_tally(inst.election).n_matrix[0]
     deficits = [0] + [
         max(0, min(support[c] + targets[c - 1], n) - support[c]) for c in range(1, m)
     ]
-    return ShiftAction(tuple(_cover(*_move_lists(inst, table), deficits)))
+    return ShiftAction(tuple(_cover(_checked_price_lists(inst), _candidates_above(inst), deficits)))
 
 
 def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -487,21 +479,23 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     against every rival, and at least n - k against every rival currently
     scoring above k (which caps that rival's score at k).  Each k yields a
     covering problem solved by the greedy of ``cover_targets_greedy``, on
-    per-voter move lists built once from the instance's ``ShiftTable``.  A
-    k runs only if every rival's price floor (``_pass_floors``) at its
-    deficit exists and lies below the cheapest successful cost so far, and
-    its action gets the winner test only if cheaper still; so the first
+    per-voter move lists built once.  A k runs only if every rival's price
+    floor at its deficit (the d cheapest prices of passing c bound passing c
+    in d voters) exists and lies below the cheapest successful cost so far,
+    and its action gets the winner test only if cheaper still; so the first
     cheapest successful action is returned, as if every k ran.
     """
     if not isinstance(inst.rule, MaximinRule):
         raise IncompatibleRule("solve_maximin_shift requires the maximin rule")
     _require_unweighted(inst, "solve_maximin_shift")
     n, m = inst.num_voters, inst.num_candidates
-    table = ShiftTable(inst)
-    prices, above = _move_lists(inst, table)
-    floors = _pass_floors(prices, above, m)
-    scores = maximin_scores(table.tally)
-    support = table.tally.n_matrix[0]
+    tally = pairwise_tally(inst.election)
+    wins = _pairwise_wins(tally, inst.rule)
+    prices, above = _checked_price_lists(inst), _candidates_above(inst)
+    passing = _passing(prices, above, m)
+    floors = [list(itertools.accumulate((p for p, _ in ps), initial=0)) for ps in passing]
+    scores = maximin_scores(tally)
+    support = tally.n_matrix[0]
     best: Tuple[float, Optional[list]] = (math.inf, None)
     for k in range(scores[0], n + 1):
         deficits = [0] + [
@@ -511,7 +505,7 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
             continue
         shifts = _cover(prices, above, deficits)
         cost = sum(p[t] for p, t in zip(prices, shifts))
-        if cost < best[0] and table.wins(table.rows_after(np.array([shifts], dtype=np.int64)))[0]:
+        if cost < best[0] and _wins_after(inst, tally, wins, shifts):
             best = (cost, shifts)
     if best[1] is None:
         raise Infeasible("no successful shift action exists")

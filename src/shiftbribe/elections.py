@@ -40,9 +40,11 @@ def _are_permutations(orders: np.ndarray) -> bool:
 
 
 def _unchecked(cls, **fields):
-    """A ``cls`` (frozen dataclass) of ``fields`` the caller checked; no ``__post_init__``."""
+    """A ``cls`` (frozen dataclass) of ``fields`` the caller checked; no ``__post_init__``.
+    Set as ``__init__`` sets them: a read of ``__dict__`` builds a dict per object."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -121,7 +123,8 @@ class Election:
             orders = np.fromiter(chain(*self.voters), np.int64).reshape(self.num_voters, -1)
         positions = orders.argsort(axis=1) if positions is None else positions
         orders.flags.writeable = positions.flags.writeable = False
-        self.__dict__.update(orders=orders, positions=positions)
+        object.__setattr__(self, "orders", orders)  # as _unchecked does
+        object.__setattr__(self, "positions", positions)
         return self
 
     def rank_of(self, voter: int, candidate: int) -> int:

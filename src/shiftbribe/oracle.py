@@ -8,8 +8,8 @@ All three oracles run one exhaustive search, ``_cheapest``: it enumerates
 blocks of lexicographically consecutive vectors from per-voter rows of
 prices and row deltas, with one vectorized winner test per block, and
 explains why the witness is still the one a vector-by-vector scan returns.
-The shift-vector oracles pass the rows of the table the scoring solvers
-share (``bribery.ShiftTable``); the microbribery oracle passes one two-row
+The shift-vector oracles pass the rows of ``bribery.ShiftTable`` (of the
+maximin view for covers); the microbribery oracle passes one two-row
 "voter" per available flip and the Copeland test of that table.
 """
 
@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bribery import CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable, _pairwise_wins
+from .bribery import MAXIMIN, CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable
+from .bribery import _pairwise_wins
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _micro_tally
 from .elections import CopelandAlpha, _check_i64
 from .errors import GuardExceeded, Infeasible
@@ -101,14 +102,14 @@ def exact_shift_opt(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int, ShiftAction]:
     """Minimum cost of a shift action meeting per-rival pairwise-support
     demands (ground truth for the greedy multicover), enumerated in blocks
-    like ``exact_shift_opt``."""
+    like ``exact_shift_opt`` on the rows of the instance under ``MAXIMIN``."""
     _check_enumeration(inst)
     m = inst.num_candidates
     if len(targets) != m - 1:
         raise ValueError("need one target per rival")
     if any(not isinstance(k, int) or k < 0 for k in targets):
         raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
-    table = ShiftTable(inst, pairwise=True)
+    table = ShiftTable(ShiftBriberyInstance(inst.election, inst.costs, MAXIMIN))
     support, total = table.base.tolist(), inst.election.total_weight
     required = np.array([0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)])
     accept = lambda rows: (rows >= required).all(axis=1)

@@ -45,12 +45,12 @@ def loop_apply_shift(election, shifts):
     return tuple(voters)
 
 
-def loop_deltas(inst, pairwise=False):
+def loop_deltas(inst):
     """Per voter, the rows of ``ShiftTable.deltas`` as lists: for t = 0 ..
     max_reachable the change of the score row (scoring rules) or of the
     preferred candidate's pairwise row caused by shifting up by t."""
     e = inst.election
-    scoring = isinstance(inst.rule, sb.ScoringRule) and not pairwise
+    scoring = isinstance(inst.rule, sb.ScoringRule)
     deltas = []
     for i, cf in enumerate(inst.costs):
         order = e.voters[i]
@@ -71,19 +71,19 @@ def loop_deltas(inst, pairwise=False):
     return deltas
 
 
-def loop_base(inst, pairwise=False):
+def loop_base(inst):
     """The unshifted row of ``ShiftTable``: the scores under a scoring rule,
     else the preferred candidate's pairwise row."""
-    if isinstance(inst.rule, sb.ScoringRule) and not pairwise:
+    if isinstance(inst.rule, sb.ScoringRule):
         return loop_scores(inst.election, inst.rule.vector)
     return list(loop_tally(inst.election)[0])
 
 
-def loop_rows_after(inst, shifts, pairwise=False):
+def loop_rows_after(inst, shifts):
     """``ShiftTable.rows_after`` as lists: the base row plus each voter's
     delta row at its shift, one row per shift vector."""
-    base = loop_base(inst, pairwise)
-    deltas = loop_deltas(inst, pairwise)
+    base = loop_base(inst)
+    deltas = loop_deltas(inst)
     rows = []
     for vector in shifts:
         row = list(base)

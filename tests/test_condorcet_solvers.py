@@ -266,8 +266,7 @@ class TestCopelandCore:
 
 
 def test_one_pairwise_tally_per_solve(monkeypatch):
-    """Maximin reads its scores off the shift table's tally; Copeland's core
-    and its success check share one tally."""
+    """Each solver's scores or core and its success check share one tally."""
     original = sb.pairwise_tally
     calls = []
 
@@ -289,26 +288,33 @@ def test_one_pairwise_tally_per_solve(monkeypatch):
 
 
 def test_success_check_agrees_with_is_successful():
-    """The one-row check that ends ``solve_copeland_shift`` answers like
-    ``is_successful`` on the witnesses, on the zero action, on each witness
-    with one voter's shift cut short, and on random actions."""
+    """The one-row check that ends both shift solvers answers like
+    ``is_successful`` on the Copeland and maximin witnesses, on the zero
+    action, on each witness with one voter's shift cut short, and on random
+    actions."""
     wins_after = sb.condorcet_solvers._wins_after
+    outcomes = set()
     for seed in range(150):
-        rng = random.Random(seed * 13 + 5)
-        n, m = rng.randint(1, 10), rng.randint(1, 7)
-        inst = sb.gen_random(seed, n, m, 9, rule=sb.CopelandRule(ALPHAS[seed % 3]))
-        tally = sb.pairwise_tally(inst.election)
-        _, witness = sb.solve_copeland_shift(inst)
-        actions = [witness.shifts, (0,) * n, tuple(rng.randint(0, m) for _ in range(n))]
-        actions += [
-            witness.shifts[:i] + (t - 1,) + witness.shifts[i + 1 :]
-            for i, t in enumerate(witness.shifts)
-            if t
-        ]
-        for shifts in actions:
-            expected = sb.is_successful(inst, sb.ShiftAction(shifts))
-            assert wins_after(inst, tally, shifts) == expected, (seed, shifts)
-        assert wins_after(inst, tally, witness.shifts)
+        for rule in (sb.CopelandRule(ALPHAS[seed % 3]), sb.MAXIMIN):
+            rng = random.Random(seed * 13 + 5)
+            n, m = rng.randint(1, 10), rng.randint(1, 7)
+            inst = sb.gen_random(seed, n, m, 9, rule=rule)
+            tally = sb.pairwise_tally(inst.election)
+            wins = sb.bribery._pairwise_wins(tally, rule)
+            solve = sb.solve_maximin_shift if rule == sb.MAXIMIN else sb.solve_copeland_shift
+            _, witness = solve(inst)
+            actions = [witness.shifts, (0,) * n, tuple(rng.randint(0, m) for _ in range(n))]
+            actions += [
+                witness.shifts[:i] + (t - 1,) + witness.shifts[i + 1 :]
+                for i, t in enumerate(witness.shifts)
+                if t
+            ]
+            for shifts in actions:
+                expected = sb.is_successful(inst, sb.ShiftAction(shifts))
+                assert wins_after(inst, tally, wins, shifts) == expected, (seed, rule, shifts)
+                outcomes.add(expected)
+            assert wins_after(inst, tally, wins, witness.shifts)
+    assert outcomes == {False, True}
 
 
 class TestCoverTargetsGreedy:
@@ -373,6 +379,19 @@ class TestCoverTargetsGreedy:
             )
             bound = 1 + math.log(deficit) if deficit > 0 else 1
             assert greedy_cost <= bound * opt_cost + 1e-9, (seed, greedy_cost, opt_cost)
+
+    def test_covers_ignore_the_rule(self):
+        # (m - 1) * den leaves int64, which only a Copeland winner test
+        # reads; neither cover reads the rule, so both answer as under maximin
+        alpha = sb.CopelandAlpha(1, (1 << 63) // 3 + 1)
+        inst = sb.gen_random(3, 5, 4, 5, rule=sb.CopelandRule(alpha))
+        maximin = sb.ShiftBriberyInstance(inst.election, inst.costs, sb.MAXIMIN)
+        targets = (1, 0, 1)
+        action = sb.cover_targets_greedy(inst, targets)
+        assert (sb.total_cost(inst, action), action.shifts) == (3, (1, 0, 0, 0, 1))
+        assert action == sb.cover_targets_greedy(maximin, targets)
+        assert sb.exact_cover_opt(inst, targets) == (3, action)
+        assert sb.exact_cover_opt(maximin, targets) == (3, action)
 
 
 class TestSolveMaximinShift:

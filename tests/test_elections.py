@@ -1,5 +1,7 @@
 """Elections, scores, winners, and shifting."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import shiftbribe as sb
 from loop_reference import loop_tally
-from shiftbribe.elections import _check_i64
+from shiftbribe.elections import _check_i64, _unchecked
 
 
 def _election(draw_orders, weights=None, m=None):
@@ -383,3 +385,38 @@ def test_orders_equal_to_ints_are_stored_as_ints(seed):
         solve = sb.solve_maximin_shift if rule == sb.MaximinRule() else sb.solve_copeland_shift
         assert solve(twin) == solve(inst)
         assert sb.cover_targets_greedy(twin, (1, 2, 3)) == sb.cover_targets_greedy(inst, (1, 2, 3))
+
+
+
+def _retained(build, count=3000):
+    """Bytes still allocated after ``count`` calls of ``build``, all kept;
+    warmed up first, and without garbage collection while counting."""
+    for _ in range(100):
+        build()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        kept = [build() for _ in range(count)]  # noqa: F841 (held while measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_unchecked_objects_are_no_larger_than_checked_ones():
+    # _unchecked sets fields as __init__ does; reading an object's __dict__
+    # would give each of the 3,000 objects a dictionary (~150 bytes).  The
+    # 1 KB spares one-time interpreter allocations.
+    inst = sb.gen_random(1, 6, 4, 5)
+    prices = inst.costs[0].prices
+    fields = dict(election=inst.election, costs=inst.costs, rule=inst.rule)
+    pairs = [
+        (lambda: _unchecked(sb.CostFunction, prices=prices), lambda: sb.CostFunction(prices)),
+        (
+            lambda: _unchecked(sb.ShiftBriberyInstance, **fields),
+            lambda: sb.ShiftBriberyInstance(**fields),
+        ),
+    ]
+    for unchecked, checked in pairs:
+        assert _retained(unchecked) <= _retained(checked) + 1024

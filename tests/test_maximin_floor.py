@@ -2,29 +2,35 @@
 scores, and the solver against the reference loop that runs every one."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
 import shiftbribe as sb
-from maximin_reference import solve_maximin_all_targets, target_deficits
+from maximin_reference import (
+    copeland_pools,
+    move_lists,
+    pass_floors,
+    solve_maximin_all_targets,
+    target_deficits,
+)
 from shiftbribe import condorcet_solvers
-from shiftbribe.bribery import ShiftTable
-from shiftbribe.condorcet_solvers import _cover, _move_lists, _pass_floors
+from shiftbribe.condorcet_solvers import _cover, _passing
 
 
-def edge_instance(seed):
-    """Seeded unweighted maximin instance with 1-60 voters and 2-10
-    candidates that the preferred candidate does not already win; some
+def edge_instance(seed, rule=sb.MAXIMIN):
+    """Seeded unweighted instance (maximin by default) with 1-60 voters and
+    2-10 candidates that the preferred candidate does not already win; some
     voters' prices are zeroed, cut to an unreachable suffix, or unreachable
     throughout, so some targets cannot be met."""
     rng = random.Random(seed * 7727 + 3)
     n, m = rng.randint(1, 60), rng.randint(2, 10)
     max_price = rng.choice((1, 5, 50))
     draw = seed
-    inst = sb.gen_random(draw, n, m, max_price, rule=sb.MAXIMIN)
+    inst = sb.gen_random(draw, n, m, max_price, rule=rule)
     while 0 in sb.winners(sb.rule_scores(inst.election, inst.rule)):
         draw += 1000
-        inst = sb.gen_random(draw, n, m, max_price, rule=sb.MAXIMIN)
+        inst = sb.gen_random(draw, n, m, max_price, rule=rule)
     costs = []
     for cf in inst.costs:
         prices = list(cf.prices)
@@ -46,13 +52,17 @@ def outcome(solve, inst):
     return cost, tuple(action.shifts)
 
 
+def passing_floors(prices, above, m):
+    """The solver's floors: the prefix sums of each rival's ``_passing`` prices."""
+    return [list(accumulate((p for p, _ in ps), initial=0)) for ps in _passing(prices, above, m)]
+
+
 def cover_runs(inst):
     """Per target score: the deficits, the floors, and the greedy's cost
     or None where it raised ``Infeasible``."""
-    table = ShiftTable(inst)
-    prices, above = _move_lists(inst, table)
-    floors = _pass_floors(prices, above, inst.num_candidates)
-    for deficits in target_deficits(table, inst.num_voters):
+    prices, above = move_lists(inst)
+    floors = passing_floors(prices, above, inst.num_candidates)
+    for deficits in target_deficits(inst):
         try:
             shifts = _cover(prices, above, list(deficits))
         except sb.Infeasible:
@@ -90,7 +100,7 @@ def test_priced_out_targets_are_not_run(monkeypatch, args, runs, targets):
 
     monkeypatch.setattr(condorcet_solvers, "_cover", counted)
     sb.solve_maximin_shift(inst)
-    assert sum(1 for _ in target_deficits(ShiftTable(inst), inst.num_voters)) == targets
+    assert sum(1 for _ in target_deficits(inst)) == targets
     assert len(calls) == runs
 
 
@@ -128,3 +138,32 @@ def test_floor_is_the_greedy_cost_with_one_rival():
                 checked += 1
     assert checked >= 50
 
+
+
+def test_passing_reproduces_the_old_groupings(monkeypatch):
+    # The floors of the maximin loop and the flip pools of the Copeland
+    # loop, on the edge instances and on Copeland draws of the same seeds.
+    rule = sb.CopelandRule(sb.CopelandAlpha(1, 2))
+    fed = []
+    original = condorcet_solvers._solve_copeland
+
+    def recorded(tally, pools, alpha):
+        fed.append(pools)
+        return original(tally, pools, alpha)
+
+    monkeypatch.setattr(condorcet_solvers, "_solve_copeland", recorded)
+    zero_prices = unreachable = 0
+    for seed in range(150):
+        for inst in (edge_instance(seed), edge_instance(seed, rule)):
+            m = inst.num_candidates
+            prices, above = move_lists(inst)
+            assert passing_floors(prices, above, m) == pass_floors(prices, above, m), seed
+            fed.clear()
+            try:
+                sb.solve_copeland_shift(sb.ShiftBriberyInstance(inst.election, inst.costs, rule))
+            except sb.Infeasible:
+                pass
+            assert fed == [copeland_pools(inst)], seed
+            zero_prices += any(cf.prices and cf.prices[-1] == 0 for cf in inst.costs)
+            unreachable += any(None in cf.prices for cf in inst.costs)
+    assert zero_prices >= 30 and unreachable >= 150

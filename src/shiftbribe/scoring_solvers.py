@@ -30,7 +30,11 @@ guess: a guess slices one voter's rows and starts from the shift.  Where
 the unscaled sweep is admitted it runs alone; elsewhere every price-scaling
 round re-prices the (price, gain) option rows and runs it.
 Within one such sweep every voter suffix's frontier is built once and kept
-until the sweep returns, trading memory for time (see ``_BudgetSweep``).
+until the sweep returns, trading memory for time, and a voter none of whose
+affordable shifts gains anything passes the next frontier through unbuilt
+(see ``_BudgetSweep``).  The sweep builds no inner frontier for a first-round
+buy after which no affordable follow-up can make the preferred candidate
+win, by a bound on what each rival can still lose (see ``_two_pass``).
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -91,18 +95,30 @@ class _BudgetSweep:
     j of the frontier of voters i+1..n-1; a stable lexsort by cost ascending
     and gain descending keeps ties in flat order k * width + j, so the first
     candidate of each (cost, gain) pair has the smallest shift.  Keeping the
-    candidates whose gain exceeds the running maximum then records each
-    point's flat index: voter i's shift and a pointer into the next frontier.
-    Tracing a point back yields the lexicographically smallest shift vector
-    among the actions of that exact cost and gain: every suffix of such an
-    action is itself a frontier point of its voters.
+    candidates whose gain exceeds the running maximum then leaves voter i's
+    frontier, and one ``divmod`` of the kept flat indices by the width gives
+    each point's shift k and its pointer j into the next frontier.  Tracing a
+    point back yields the lexicographically smallest shift vector among the
+    actions of that exact cost and gain: every suffix of such an action is
+    itself a frontier point of its voters.
 
-    Layer nodes (costs, gains, flat indices, width) are kept in ``memo``
-    under (offsets[i], id of the next node), so sweeps sharing a memo build
-    each suffix once.  A node built at budget B serves any B' <= B: cut at
-    cost B', it is the node built at B', pointers and tie-breaks included,
-    since prices are non-negative.  So the budget must never rise over one
-    memo, which keeps every node it was given until it is dropped.
+    A layer node is (costs, gains, shifts, pointers).  If the last shift
+    of voter i's rebased row within the budget gains nothing, no affordable
+    shift does (gains do not decrease with the shift): every candidate of
+    shift k > 0 ties with, or is dominated by, the same point at shift 0,
+    which comes first in flat order.  The frontier is then the next one,
+    with shift 0 and the identity pointer at every point, so the node
+    shares the next node's arrays, holds None for shifts and pointers, and
+    ``trace`` skips it.  No price is ever added to the budget: the price
+    total can lie just below 2**63.
+
+    Layer nodes are kept in ``memo`` under (offsets[i], id of the next
+    node), so sweeps sharing a memo build each suffix once.  A node built at
+    budget B serves any B' <= B: cut at cost B', it is the node built at
+    B', pointers and tie-breaks included, since prices are non-negative (a
+    pass-through node stays one at B', and may hold next-node points above
+    B, which every reader cuts off).  So the budget must never rise over
+    one memo, which keeps every node it was given until it is dropped.
     """
 
     def __init__(self, rows, budget: int, offsets=None, memo=None):
@@ -111,28 +127,36 @@ class _BudgetSweep:
         memo = {} if memo is None else memo
         node = _EMPTY_SUFFIX
         layers = []
-        for (prices, gains), t in zip(reversed(rows), reversed(offsets or [0] * len(rows))):
+        for i in reversed(range(len(rows))):
+            prices, gains = rows[i]
+            t = offsets[i] if offsets else 0
             key = (t, id(node))
             if key not in memo:
                 if t:
                     prices, gains = prices[t:] - prices[t], gains[t:] - gains[t]
-                width = int(node[0].searchsorted(budget, "right"))
-                cand_cost = (prices[:, None] + node[0][:width]).ravel()
-                cand_gain = (gains[:, None] + node[1][:width]).ravel()
-                flat = (cand_cost <= budget).nonzero()[0]
-                cand_cost, cand_gain = cand_cost[flat], cand_gain[flat]
-                order = np.lexsort((-cand_gain, cand_cost))
-                ordered_gain = cand_gain[order]
-                running = np.maximum.accumulate(ordered_gain)
-                keep = np.empty(len(order), dtype=bool)
-                keep[0] = True
-                np.greater(ordered_gain[1:], running[:-1], out=keep[1:])
-                picked = order[keep]
-                memo[key] = (cand_cost[picked], cand_gain[picked], flat[picked], width)
+                if not gains[prices.searchsorted(budget, "right") - 1]:
+                    memo[key] = (node[0], node[1], None, None)
+                else:
+                    width = int(node[0].searchsorted(budget, "right"))
+                    cand_cost = (prices[:, None] + node[0][:width]).ravel()
+                    cand_gain = (gains[:, None] + node[1][:width]).ravel()
+                    flat = (cand_cost <= budget).nonzero()[0]
+                    cand_cost, cand_gain = cand_cost[flat], cand_gain[flat]
+                    order = np.lexsort((-cand_gain, cand_cost))
+                    ordered_gain = cand_gain[order]
+                    running = np.maximum.accumulate(ordered_gain)
+                    keep = np.empty(len(order), dtype=bool)
+                    keep[0] = True
+                    np.greater(ordered_gain[1:], running[:-1], out=keep[1:])
+                    picked = order[keep]
+                    shift, pointer = np.divmod(flat[picked], width)
+                    memo[key] = (cand_cost[picked], cand_gain[picked], shift, pointer)
             node = memo[key]
-            layers.append(node)
+            if node[2] is not None:
+                layers.append((i, node[2], node[3]))
         layers.reverse()
         self.layers = layers
+        self.voters = len(rows)
         cut = node[0].searchsorted(budget, "right")
         self.costs = node[0][:cut]
         self.gains = node[1][:cut]
@@ -140,9 +164,10 @@ class _BudgetSweep:
     def trace(self, points) -> np.ndarray:
         """Shift vectors of the given points, one row each, counted from the offsets."""
         points = np.asarray(points)
-        shifts = np.empty((len(points), len(self.layers)), dtype=np.int64)
-        for i, (_, _, flat, width) in enumerate(self.layers):
-            shifts[:, i], points = np.divmod(flat[points], width)
+        shifts = np.zeros((len(points), self.voters), dtype=np.int64)
+        for i, shift, pointer in self.layers:
+            shifts[:, i] = shift[points]
+            points = pointer[points]
         return shifts
 
     def iter_breakpoints(self):
@@ -170,19 +195,42 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int):
     """(cost, shifts) of ``solve_two_pass`` on the option ``rows``, one
     (prices, gains) pair per voter, for actions on top of ``start``: the
     winner test runs on ``table`` at ``start`` plus the shifts returned.
+    ``budget`` is the total of the rows' largest prices.
+
+    The inner sweep of l1 is built only if l1 passes the skip test below.
+    After l1's action the preferred candidate trails rival c by ``need_c``,
+    and c can still lose ``room_c``: its score there minus its score when
+    every voter takes its largest shift.  In each vote a rival passed by
+    the preferred candidate loses one step of the scoring vector, weighted,
+    and the preferred candidate gains that step too, so an action gaining
+    g on top of l1 takes at most min(g, room_c) from c, and wins only if
+    g + min(g, room_c) >= need_c for every rival.  First and inner action
+    together cost at most l1 + the inner budget, so g is at most the outer
+    frontier's gain there minus l1's gain; an l1 whose bound fails the
+    test holds no winner.
+
     The call's sweeps share one memo, so the inner sweep of l1, offset at
     l1's action, builds only the suffixes no earlier sweep built; inner
     budgets never rise, as the memo requires."""
     memo = {}
     outer = _BudgetSweep(rows, budget, memo=memo)
     firsts = outer.trace(np.arange(len(outer.costs)))
+    after = table.rows_after(start + firsts)
+    top = table.rows_after(start + np.array([[len(g) - 1 for _, g in rows]]))
+    need = after[:, 1:] - after[:, :1]
+    room = after[:, 1:] - top[:, 1:]
+    gains = outer.gains.tolist()
     best = None
-    for (l1, _), first in zip(outer.iter_breakpoints(), firsts):
+    for f, (l1, gain) in enumerate(outer.iter_breakpoints()):
         if best is not None and l1 >= best[0]:
             break
         inner_budget = budget if best is None else best[0] - l1 - 1
-        inner = _BudgetSweep(rows, inner_budget, tuple(first.tolist()), memo)
-        shifts = start + first + inner.trace(np.arange(len(inner.costs)))
+        cap = budget if best is None else min(best[0] - 1, budget)
+        g = gains[outer.costs.searchsorted(cap, "right") - 1] - gain
+        if not (g + np.minimum(g, room[f]) >= need[f]).all():
+            continue
+        inner = _BudgetSweep(rows, inner_budget, tuple(firsts[f].tolist()), memo)
+        shifts = start + firsts[f] + inner.trace(np.arange(len(inner.costs)))
         won = np.flatnonzero(table.wins(table.rows_after(shifts)))
         if len(won):
             w = won[0]
@@ -208,8 +256,12 @@ def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     built in the solve, and is cut at the best sum found so far.  All its
     points are traced back into one matrix of shift vectors and checked in
     one batch against the score-delta table of the original instance; the
-    cheapest winner is taken.  The result is identical to the full grid
-    scan.
+    cheapest winner is taken.  An l1 is skipped without an inner frontier
+    when even the largest gain its budget allows cannot close every rival's
+    lead: a rival passed in a vote loses at most the step the preferred
+    candidate gains there, and never more than its score above its score
+    at the largest shifts (the skip lemma, proved at ``_two_pass``).  The
+    result is identical to the full grid scan.
 
     A frontier holds at most min(P, G) + 1 points, so the runtime is
     pseudo-polynomial in the smaller of the price total P and the gain

@@ -303,7 +303,7 @@ class TestSuffixMemo:
 
         monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
         inner = cut = layers = nodes = 0
-        for seed in range(48):
+        for seed in range(56):
             inst = memo_instance(seed)
             built.clear()
             sb.solve_two_pass(inst)
@@ -337,6 +337,207 @@ class TestSuffixMemo:
                 rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, offsets)]
                 assert_same_sweep(cut, _BudgetSweep(rebased, lower))
                 assert_same_sweep(cut, _BudgetSweep(rows, lower, offsets))
+
+
+def enumerated_actions(inst):
+    """(cost, gain, shift vector) of every action, priced with ``cf.price``
+    and ``sb.gain`` rather than the shift table."""
+    return [
+        (
+            sum(inst.costs[i].price(ti) for i, ti in enumerate(t)),
+            sum(sb.gain(inst, i, ti) for i, ti in enumerate(t)),
+            t,
+        )
+        for t in caps_product(inst)
+    ]
+
+
+def assert_sweep_matches_references(sweep, inst, budget, actions):
+    """The sweep's breakpoints are those of the exact-spend table of
+    ``build_budget_dp``, and each traces to the lexicographically smallest
+    enumerated action of that exact cost and gain."""
+    breakpoints = []
+    for j, g in enumerate(build_budget_dp(inst, budget).rows[-1]):
+        if g is not None and (not breakpoints or g > breakpoints[-1][1]):
+            breakpoints.append((j, g))
+    assert list(sweep.iter_breakpoints()) == breakpoints
+    want = [min(t for c, g, t in actions if (c, g) == point) for point in breakpoints]
+    assert [tuple(t) for t in sweep.trace(np.arange(len(breakpoints))).tolist()] == want
+
+
+def passed_through(sweep, rows, budget):
+    """(voters passed through, those of them with an affordable shift k > 0)."""
+    built = {i for i, _, _ in sweep.layers}
+    skipped = [i for i in range(len(rows)) if i not in built]
+    return len(skipped), sum(len(rows[i][0]) > 1 and rows[i][0][1] <= budget for i in skipped)
+
+
+class TestPassThroughLayers:
+    # A voter whose affordable shifts all gain nothing shares the next
+    # node's frontier and is skipped by the trace.  Every budget, from the
+    # price total down, is swept through one memo, so pass-through nodes
+    # are also read at budgets below the one they were built at.
+
+    def check(self, inst, offsets=None):
+        """Sweep every budget of ``inst``'s rows, offset at ``offsets``,
+        against the references on the rebased instance; returns the
+        summed ``passed_through`` counts."""
+        rows = option_rows(inst)
+        target = inst if offsets is None else sb.rebase(inst, sb.ShiftAction(offsets))
+        top = price_total(target)
+        actions = enumerated_actions(target)
+        memo, counts = {}, [0, 0]
+        for budget in range(top, -1, -1):
+            sweep = _BudgetSweep(rows, budget, offsets, memo)
+            assert_sweep_matches_references(sweep, target, budget, actions)
+            counts = [a + b for a, b in zip(counts, passed_through(sweep, rows, budget))]
+        return counts
+
+    def test_borda_budgets_below_a_next_price(self):
+        # every Borda shift gains, so a voter passes through only while its
+        # next shift is priced above the budget
+        total = 0
+        for seed in range(24):
+            inst = sb.gen_random(seed, 2 + seed % 3, 3 + seed % 2, 6, weighted=seed % 4 == 3)
+            skipped, affordable = self.check(inst)
+            assert affordable == 0
+            total += skipped
+        assert total >= 100
+
+    def test_kapproval_affordable_zero_gain_shifts(self):
+        # a shift that stays outside the top k gains nothing, affordable or not
+        total = 0
+        for seed in range(24):
+            m = 3 + seed % 3
+            rule = sb.ScoringRule(sb.k_approval(m, 1 + seed % (m - 1)))
+            inst = sb.gen_random(seed, 2 + seed % 3, m, 4, rule=rule)
+            total += self.check(inst)[1]
+        assert total >= 100
+
+    def test_offsets_at_a_voters_last_shift(self):
+        # a row offset at its last shift is (0, 0) alone: passed through at
+        # every budget
+        for seed in range(24):
+            rule = sb.ScoringRule(sb.ScoringVector((5, 3, 3, 1, 0)[: 3 + seed % 3]))
+            inst = sb.gen_random(seed, 3, 3 + seed % 3, 5, rule=rule)
+            caps = [cf.max_reachable for cf in inst.costs]
+            offsets = tuple(c if (i + seed) % 2 else c // 2 for i, c in enumerate(caps))
+            top = price_total(sb.rebase(inst, sb.ShiftAction(offsets)))
+            last = sum((i + seed) % 2 == 1 for i in range(len(caps)))
+            assert self.check(inst, offsets)[0] >= last * (top + 1)
+
+
+def scores_after(inst, t):
+    return sb.rule_scores(sb.apply_shift(inst.election, t), inst.rule)
+
+
+def scan_without_skips(table, rows, start, budget):
+    """``_two_pass`` with every inner sweep built and no memo: its answer,
+    or None, and per l1 visited, l1's action and whether its inner sweep
+    holds a winner."""
+    outer = _BudgetSweep(rows, budget)
+    firsts = outer.trace(np.arange(len(outer.costs)))
+    best, visited = None, []
+    for l1, first in zip(outer.costs.tolist(), firsts):
+        if best is not None and l1 >= best[0]:
+            break
+        inner_budget = budget if best is None else best[0] - l1 - 1
+        inner = _BudgetSweep(rows, inner_budget, tuple(first.tolist()))
+        shifts = start + first + inner.trace(np.arange(len(inner.costs)))
+        won = np.flatnonzero(table.wins(table.rows_after(shifts)))
+        visited.append((tuple(first.tolist()), len(won) > 0))
+        if len(won):
+            best = (l1 + int(inner.costs[won[0]]), shifts[won[0]])
+    return best, visited
+
+
+class TestSkipTest:
+    def test_winning_actions_satisfy_the_skip_inequality(self):
+        # After a start s, the preferred candidate trails rival c by need_c,
+        # and c can still lose room_c (down to its score when every voter
+        # takes its largest shift).  Every winning action v >= s gaining g
+        # over s has g + min(g, room_c) >= need_c; scores from rule_scores
+        # on the shifted election, gains from sb.gain.
+        rules = (
+            lambda m: sb.borda(m),
+            lambda m: sb.k_approval(m, 1 + m // 3),
+            lambda m: sb.ScoringVector((9, 4, 4, 1, 0)[:m]),
+        )
+        pairs = ruled_out = 0
+        for seed in range(120):
+            m = 2 + seed % 4
+            rule = sb.ScoringRule(rules[seed % 3](m))
+            inst = sb.gen_random(seed, 1 + seed % 3, m, 4, weighted=seed // 3 % 2 == 1, rule=rule)
+            vectors = list(caps_product(inst))
+            score = {t: scores_after(inst, t) for t in vectors}
+            gain = {t: sum(sb.gain(inst, i, ti) for i, ti in enumerate(t)) for t in vectors}
+            top = score[vectors[-1]]
+            for s in vectors:
+                need = [c - score[s][0] for c in score[s][1:]]
+                room = [c - low for c, low in zip(score[s][1:], top[1:])]
+                for v in (v for v in vectors if all(a >= b for a, b in zip(v, s))):
+                    g = gain[v] - gain[s]
+                    passes = all(g + min(g, r) >= d for d, r in zip(need, room))
+                    if 0 in sb.winners(score[v]):
+                        assert passes, (seed, s, v)
+                        pairs += 1
+                    else:
+                        ruled_out += not passes
+        # the inequality also rules out most losing actions
+        assert pairs >= 3000 and ruled_out >= 1000
+
+    def test_skipped_inner_sweeps_hold_no_winner(self, monkeypatch):
+        # Every _two_pass of seeded A, Aeps-round and B solves is replayed
+        # with every inner sweep built: the answer is the same, and each
+        # inner sweep the skip test left out holds no winner within its
+        # budget.
+        calls = []
+        two_pass = scoring_solvers._two_pass
+
+        class RecordingSweep(_BudgetSweep):
+            def __init__(self, rows, budget, offsets=None, memo=None):
+                super().__init__(rows, budget, offsets, memo)
+                if offsets is not None:
+                    calls[-1][2].add(offsets)
+
+        def recording_two_pass(*args):
+            calls.append((args, [None], set()))
+            calls[-1][1][0] = two_pass(*args)
+            return calls[-1][1][0]
+
+        monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
+        monkeypatch.setattr(scoring_solvers, "_two_pass", recording_two_pass)
+        solves = [(memo_instance(seed), sb.solve_two_pass) for seed in range(56)]
+        solves += [(memo_instance(seed), lambda i: scaled_rounds_alone(i, 1)) for seed in range(24)]
+        solves += [(admitted_instance(seed), sb.solve_bootstrap) for seed in ADMITTED_SEEDS]
+        skipped = 0
+        for inst, solve in solves:
+            calls.clear()
+            solve(inst)
+            for args, (answer,), built in calls:
+                best, visited = scan_without_skips(*args)
+                assert best[0] == answer[0] and best[1].tolist() == answer[1].tolist()
+                assert built <= {first for first, _ in visited}
+                for first, won in visited:
+                    if first not in built:
+                        assert not won
+                        skipped += 1
+        assert skipped >= 100
+
+
+@pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass], ids=["A", "G"])
+def test_price_total_just_below_int64(solver):
+    # Borda prices scaled so that the largest prices sum to just below
+    # 2**63.  No sweep adds a price to a budget, so the answer is the
+    # unscaled one with its cost scaled, and no numpy overflow warning
+    # (an error under this suite) is raised.
+    base = sb.gen_random(3, 6, 4, 9)
+    scale = ((1 << 63) - 1) // price_total(base)
+    costs = tuple(sb.CostFunction(tuple(scale * p for p in cf.prices)) for cf in base.costs)
+    inst = sb.ShiftBriberyInstance(base.election, costs, base.rule)
+    assert (1 << 63) - price_total(base) <= price_total(inst) < 1 << 63
+    cost, action = solver(base)
+    assert solver(inst) == (scale * cost, action)
 
 
 class TestSolveSinglePass:

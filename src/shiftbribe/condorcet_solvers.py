@@ -77,7 +77,7 @@ class FlipCostFunction:
         for c, price in self.costs.items():
             if c == 0:
                 raise ValueError("flips must involve a rival, not the preferred candidate")
-            if not isinstance(price, int):
+            if isinstance(price, bool) or not isinstance(price, int):
                 raise ValueError(f"flip price against rival {c} is not an integer: {price!r}")
             if price < 0:
                 raise ValueError("flip prices must be non-negative")
@@ -191,19 +191,36 @@ def _outcome_options(against: list, for_pref: list, margin: int) -> dict:
     }
 
 
-def _rival_dp(options: list, allowed) -> dict:
+def _rival_dp(steps: list, window: Tuple[int, int], den: int, num: int) -> dict:
     """(wins, ties) of candidate 0 -> (cost, outcome per rival) of the
-    cheapest outcomes, taking only those ``allowed(c, outcome)``; of equally
-    cheap choices the first found is kept."""
+    cheapest outcomes, one per rival from its ``steps`` (outcome, cost, won,
+    tied, score gain den*won + num*tied), for the patterns whose scaled
+    score w*den + t*num lies in ``window`` = [low, high]; of equally cheap
+    choices the first found is kept.
+
+    A state is dropped as soon as its score is above high, or so low that
+    it stays below low even if every remaining rival adds den.  No step
+    lowers the score and none adds more than den (num <= den), so every
+    successor of a dropped state is dropped too, and every predecessor of
+    a kept state is kept.  Hence, by induction over the rivals, the kept
+    states of each layer are those of the full program over all states,
+    in the same insertion order: a kept state is reached from the same
+    predecessors, in the same order, at the same costs, so it gets the same
+    entry, its first-found tie-break included.  The final layer is the full
+    program's restricted to the window.
+    """
+    low, high = window
     dp: Dict[Tuple[int, int], Tuple[int, tuple]] = {(0, 0): (0, ())}
-    for c in range(1, len(options)):
-        steps = [(o, cost, o == _WIN, o == _TIE) for o, (cost, _) in options[c].items()]
-        steps = [step for step in steps if allowed(c, step[0])]
-        if not steps:
-            return {}
+    rest = len(steps)
+    for rival_steps in steps:
+        rest -= 1
+        floor = low - rest * den
         nxt: Dict[Tuple[int, int], Tuple[int, tuple]] = {}
         for (w, t), (cost, chosen) in dp.items():
-            for outcome, ocost, won, tied in steps:
+            score = w * den + t * num
+            for outcome, ocost, won, tied, add in rival_steps:
+                if not floor <= score + add <= high:
+                    continue
                 key = (w + won, t + tied)
                 old = nxt.get(key)
                 if old is None or cost + ocost < old[0]:
@@ -227,8 +244,17 @@ def _solve_copeland(
     keeps the bribery successful and no more expensive).  A dynamic program
     over the rivals picks each one's outcome so that the counts match and
     no rival scores above k; it depends on k only through the outcomes it
-    allows, so one program serves all k between two thresholds base[c] +
-    gain.  The first pattern with the strictly lowest cost wins.
+    allows, so one program serves all k of one cut of the thresholds
+    base[c] + gain, and it builds only the states whose score can land in
+    that cut's window of k (``_rival_dp``).  The first pattern with the
+    strictly lowest cost wins.
+
+    A program is not built, and stays empty, when some rival has no allowed
+    outcome or when the sum of each rival's cheapest allowed outcome is at
+    least the best cost so far: every entry would cost at least that sum.
+    Only a strictly cheaper entry replaces the best, and the best only
+    falls, so no entry of a skipped program, read now or at a later
+    pattern of its cut, could have changed the answer.
     """
     n_matrix = tally.n_matrix
     m = len(n_matrix)
@@ -237,18 +263,34 @@ def _solve_copeland(
     den, num = alpha.denominator, alpha.numerator
     gain = {_WIN: 0, _TIE: num, _LOSS: den}  # the rival's score gain
     current = sum(den if d < 0 else num if d == 0 else 0 for d in margins[1:])
+    top = (m - 1) * den
     options = [None] + [_outcome_options(*pools[c], margins[c]) for c in range(1, m)]
+    score_gain = {_WIN: den, _TIE: num, _LOSS: 0}  # candidate 0's score gain
+    steps = [
+        [(o, cost, o == _WIN, o == _TIE, score_gain[o]) for o, (cost, _) in options[c].items()]
+        for c in range(1, m)
+    ]
     thresholds = sorted(base[c] + gain[o] for c in range(1, m) for o in options[c])
     programs: Dict[int, dict] = {}
     best: Optional[Tuple[int, tuple]] = None
     for wins in range(m):
         for ties in range(m - wins):
             k = wins * den + ties * num
-            if not current <= k <= (m - 1) * den:
+            if not current <= k <= top:
                 continue
             cut = bisect.bisect_right(thresholds, k)
             if cut not in programs:
-                programs[cut] = _rival_dp(options, lambda c, o: base[c] + gain[o] <= k)
+                allowed = [
+                    [step for step in rival_steps if base[c] + gain[step[0]] <= k]
+                    for c, rival_steps in enumerate(steps, start=1)
+                ]
+                programs[cut] = {}
+                if all(allowed) and (
+                    best is None or sum(min(s[1] for s in a) for a in allowed) < best[0]
+                ):
+                    low = max(current, thresholds[cut - 1]) if cut else current
+                    high = min(top, thresholds[cut] - 1) if cut < len(thresholds) else top
+                    programs[cut] = _rival_dp(allowed, (low, high), den, num)
             hit = programs[cut].get((wins, ties))
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = hit
@@ -444,6 +486,14 @@ def _cover(prices: list, above: list, deficits: list) -> list:
     return shifts
 
 
+def _check_targets(targets: Sequence, m: int):
+    """Refuse anything but one non-negative integer, not a bool, per rival."""
+    if len(targets) != m - 1:
+        raise ValueError("need one target per rival")
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in targets):
+        raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
+
+
 def cover_targets_greedy(
     inst: ShiftBriberyInstance, targets: Sequence
 ) -> ShiftAction:
@@ -460,10 +510,7 @@ def cover_targets_greedy(
     """
     _require_unweighted(inst, "cover_targets_greedy")
     n, m = inst.num_voters, inst.num_candidates
-    if len(targets) != m - 1:
-        raise ValueError("need one target per rival")
-    if any(not isinstance(k, int) or k < 0 for k in targets):
-        raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
+    _check_targets(targets, m)
     support = pairwise_tally(inst.election).n_matrix[0]
     deficits = [0] + [
         max(0, min(support[c] + targets[c - 1], n) - support[c]) for c in range(1, m)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bribery import MAXIMIN, CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable
 from .bribery import _pairwise_wins
-from .condorcet_solvers import FlipSet, MicrobriberyInstance, _micro_tally
+from .condorcet_solvers import FlipSet, MicrobriberyInstance, _check_targets, _micro_tally
 from .elections import CopelandAlpha, _check_i64
 from .errors import GuardExceeded, Infeasible
 
@@ -105,10 +105,7 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     like ``exact_shift_opt`` on the rows of the instance under ``MAXIMIN``."""
     _check_enumeration(inst)
     m = inst.num_candidates
-    if len(targets) != m - 1:
-        raise ValueError("need one target per rival")
-    if any(not isinstance(k, int) or k < 0 for k in targets):
-        raise ValueError(f"targets must be non-negative integers: {tuple(targets)!r}")
+    _check_targets(targets, m)
     table = ShiftTable(ShiftBriberyInstance(inst.election, inst.costs, MAXIMIN))
     support, total = table.base.tolist(), inst.election.total_weight
     required = np.array([0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)])

@@ -7,6 +7,7 @@ import pytest
 
 import shiftbribe as sb
 from conftest import flips_win, gen_random_micro
+from shiftbribe.condorcet_solvers import _LOSS, _TIE, _WIN
 
 ALPHAS = (sb.CopelandAlpha(0, 1), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1, 1))
 
@@ -35,6 +36,11 @@ class TestMicrobriberyInstance:
         # the oracle's int64 rows would truncate 2.5 to 2
         with pytest.raises(ValueError, match="rival 1 is not an integer"):
             sb.FlipCostFunction({1: 2.5})
+
+    def test_rejects_bool_flip_price(self):
+        # True is an int to isinstance, but no price
+        with pytest.raises(ValueError, match="rival 1 is not an integer: True"):
+            sb.FlipCostFunction({1: True})
 
     @pytest.mark.parametrize("rival", [7, 2, -1])
     def test_rejects_flip_price_against_absent_rival(self, rival):
@@ -252,17 +258,20 @@ class TestCopelandCore:
         programs = []
         original = sb.condorcet_solvers._rival_dp
 
-        def counted(options, allowed):
-            programs.append(original(options, allowed))
-            return programs[-1]
+        def counted(steps, window, den, num):
+            programs.append((window, original(steps, window, den, num)))
+            return programs[-1][1]
 
         monkeypatch.setattr(sb.condorcet_solvers, "_rival_dp", counted)
         cost, flips = sb.solve_copeland_micro(m_inst, alpha)
         assert (cost, flips.flips) == (1, (frozenset(), frozenset({1})))
         assert cost == sb.exact_micro_opt(m_inst, alpha)[0]
-        # patterns (1, 0), (1, 1) and (2, 0); the first two share a program
-        assert len(programs) == 2
-        assert programs[0][(1, 0)][0] == 5 and programs[0][(1, 1)][0] == 1
+        # Patterns (1, 0), (1, 1) and (2, 0); the first two share a program.
+        # Each program holds only the states whose score lies in its window.
+        assert programs == [
+            ((1, 1), {(1, 0): (5, (_WIN, _LOSS)), (1, 1): (1, (_TIE, _WIN))}),
+            ((2, 2), {(2, 0): (3, (_WIN, _WIN))}),
+        ]
 
 
 def test_one_pairwise_tally_per_solve(monkeypatch):

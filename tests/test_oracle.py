@@ -275,9 +275,10 @@ class TestExactCoverOpt:
                 assert after.n_matrix[0][c] >= req
             assert sb.total_cost(inst, action) == cost
 
-    @pytest.mark.parametrize("targets", [(0.5, 0), (1.7, 0), (-1, 0)])
+    @pytest.mark.parametrize("targets", [(0.5, 0), (1.7, 0), (-1, 0), (True, 0), (0, False)])
     def test_rejects_non_integer_or_negative_targets(self, targets):
-        # an int64 row of required support would truncate 0.5 to 0 and 1.7 to 1
+        # an int64 row of required support would truncate 0.5 to 0 and 1.7
+        # to 1, and would read True as 1
         e = sb.Election(("p", "a", "b"), ((1, 0, 2),))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((3,)),), sb.MAXIMIN)
         with pytest.raises(ValueError, match="targets must be non-negative integers"):

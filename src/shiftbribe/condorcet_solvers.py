@@ -75,6 +75,8 @@ class FlipCostFunction:
 
     def __post_init__(self):
         for c, price in self.costs.items():
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"flip price key is not an integer rival: {c!r}")
             if c == 0:
                 raise ValueError("flips must involve a rival, not the preferred candidate")
             if isinstance(price, bool) or not isinstance(price, int):

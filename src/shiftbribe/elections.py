@@ -185,7 +185,8 @@ class CopelandAlpha:
     denominator: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.numerator, int) and isinstance(self.denominator, int)):
+        parts = (self.numerator, self.denominator)
+        if any(isinstance(part, bool) or not isinstance(part, int) for part in parts):
             got = f"{self.numerator!r}/{self.denominator!r}"
             raise ValueError(f"alpha must be a ratio of integers, got {got}")
         if self.denominator < 1:

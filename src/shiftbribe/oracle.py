@@ -4,16 +4,17 @@ Enumeration sizes are guarded by hard errors: a truncated oracle would be
 worse than none.  Witnesses are tie-broken lexicographically so repeated
 runs are identical.
 
-All three oracles run one exhaustive search, ``_cheapest``: it enumerates
-blocks of lexicographically consecutive vectors from per-voter rows of
-prices and row deltas, with one vectorized winner test per block, and
-explains why the witness is still the one a vector-by-vector scan returns.
-The shift-vector oracles pass the rows of ``bribery.ShiftTable`` (of the
+All three oracles run one exhaustive search, ``_cheapest``, over per-voter
+rows of prices and row deltas.  It tests vectors in rounds of rising cost
+threshold, in batches of at most ``_BLOCK`` with one vectorized winner test
+each, and stops after the first round that accepts a vector; its docstring
+explains why that round holds every cheapest accepted vector, so the
+witness is still the one a vector-by-vector scan returns.  The
+shift-vector oracles pass the rows of ``bribery.ShiftTable`` (of the
 maximin view for covers); the microbribery oracle passes one two-row
 "voter" per available flip and the Copeland test of that table.
 """
 
-from itertools import product
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,8 +26,12 @@ from .elections import CopelandAlpha, _check_i64
 from .errors import GuardExceeded, Infeasible
 
 DEFAULT_ENUM_GUARD = 10**7
-# Most vectors combined into one block of the exhaustive search.
+# Most vectors tested in one batch of the exhaustive search, or combined
+# into one group of a side's rows.
 _BLOCK = 4096
+# Most row entries in one batch of its rounds: batches of wide rows hold
+# fewer vectors, so that their temporaries stay in cache.
+_BATCH_CELLS = 2**16
 
 
 def _check_enumeration(inst: ShiftBriberyInstance):
@@ -39,55 +44,142 @@ def _check_enumeration(inst: ShiftBriberyInstance):
             )
 
 
+class _Side:
+    """The vectors over a run of voters, in lexicographic order: ``cost``
+    holds all their costs, and ``rows(index)`` gives their rows, ``start``
+    plus the summed deltas.  Rows are combined once per group of
+    consecutive voters spanning at most ``_BLOCK`` vectors (or one voter),
+    so a side spanning many vectors holds the rows of a few groups."""
+
+    def __init__(self, rows: list, start: np.ndarray):
+        groups = [(np.zeros(1, dtype=np.int64), start[None, :])]
+        for price, delta in rows:
+            cost, shifted = groups[-1]
+            if len(cost) * len(price) > _BLOCK:
+                groups.append((price, delta))
+                continue
+            groups[-1] = (
+                (cost[:, None] + price[None, :]).ravel(),
+                (shifted[:, None, :] + delta[None, :, :]).reshape(-1, len(start)),
+            )
+        self.cost = groups[0][0]
+        for cost, _ in groups[1:]:
+            self.cost = (self.cost[:, None] + cost[None, :]).ravel()
+        self._sizes = [len(cost) for cost, _ in groups]
+        self._rows = [shifted for _, shifted in groups]
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        if len(self._rows) == 1:
+            return self._rows[0].take(index, axis=0)
+        parts = np.unravel_index(index, self._sizes)
+        out = self._rows[0].take(parts[0], axis=0)
+        for rows, part in zip(self._rows[1:], parts[1:]):
+            out += rows.take(part, axis=0)
+        return out
+
+
+def _unravel(flat: int, sizes: list) -> tuple:
+    """The vector at index ``flat`` of the lexicographic order over ``sizes``."""
+    return tuple(int(t) for t in np.unravel_index(flat, sizes)) if sizes else ()
+
+
+def _least(values: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` least of ``values`` (all if fewer), in no order."""
+    return values if len(values) <= count else np.partition(values, count - 1)[:count]
+
+
 def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[Tuple[int, tuple]]:
     """Lexicographically first of the cheapest vectors t, one option per
     voter, whose row ``base`` plus the sum of ``deltas[i][t[i]]`` passes
     ``accept``, or None; t costs the sum of ``prices[i][t[i]]``.
 
-    The voters split into a head and a tail, the longest suffix with at most
-    ``_BLOCK`` vectors.  The tail's costs and rows are combined once,
-    in lexicographic order; each head combination, taken in ``product``
-    order, adds its cost and delta to them and tests, in one batch, the rows
-    cheaper than the best found so far.  Lexicographic order is head-major,
-    then tail index, and a later block replaces the best only when strictly
-    cheaper, so the witness is the one a vector-by-vector scan keeps.
+    At most ``_BLOCK`` vectors are tested in one batch.  Otherwise the
+    voters split into a head and a tail of about the square root of the
+    count of vectors each, and each side's costs and rows are combined
+    once (see ``_Side``), the heads ``H`` in ``product`` order and the tail
+    costs ``T`` sorted stably.  A vector is a pair (head h, tail position),
+    and the tail positions of head h that cost at most x are those below
+    ``searchsorted(T, x - H[h], "right")``.
+
+    The search runs in rounds of rising cost threshold x, from the 64th
+    cheapest sum of the 64 cheapest heads and tails, then 2x + 1, capped at
+    the largest cost.  A round tests, in batches of at most ``_BLOCK``
+    vectors and ``_BATCH_CELLS`` row entries, exactly the untested vectors
+    of cost at most x: per head, the positions from ``done[h]`` up to that
+    bound.  So after round x every vector of cost at most x has been
+    tested, and the first round that accepts a vector has tested the
+    cheapest accepted vector and every other vector of its cost: an
+    untested vector costs more than x, and x is at least what the round
+    accepted.  Once a batch accepts one, the rest of the round tests only
+    vectors no dearer.  Of the cheapest, the least (head index, tail index)
+    is the lexicographically first vector, since the order is head-major
+    and both sides are indexed lexicographically.
     """
+    sizes = [len(price) for price in prices]
     rows = list(zip(prices, deltas))
-    split = len(rows)
-    tail_cost = np.zeros(1, dtype=np.int64)
-    tail_delta = base[None, :]
-    while split and len(tail_cost) * len(rows[split - 1][0]) <= _BLOCK:
-        split -= 1
-        price, delta = rows[split]
-        tail_cost = (price[:, None] + tail_cost[None, :]).ravel()
-        tail_delta = (delta[:, None, :] + tail_delta[None, :, :]).reshape(-1, len(base))
-    tail_shape = [len(price) for price, _ in rows[split:]]
-    head = rows[:split]
-    best = None
-    for combo in product(*(range(len(price)) for price, _ in head)):
-        cost = tail_cost + sum(int(head[i][0][t]) for i, t in enumerate(combo))
-        if best is None:
-            keep = np.arange(len(cost))
-        else:
-            keep = np.flatnonzero(cost < best[0])
-            if not len(keep):
-                continue
-        shifted = tail_delta[keep] + sum(head[i][1][t] for i, t in enumerate(combo))
-        keep = keep[accept(shifted)]
-        if len(keep):
-            j = int(keep[np.argmin(cost[keep])])
-            tail = np.unravel_index(j, tail_shape) if tail_shape else ()
-            best = int(cost[j]), combo + tuple(int(t) for t in tail)
-    return best
+    ahead = [1]  # vectors over the first i voters
+    for size in sizes:
+        ahead.append(ahead[-1] * size)
+    total = ahead[-1]
+    if total <= _BLOCK:
+        side = _Side(rows, base)
+        won = np.flatnonzero(accept(side.rows(np.arange(total))))
+        if not len(won):
+            return None
+        j = int(won[np.argmin(side.cost[won])])
+        return int(side.cost[j]), _unravel(j, sizes)
+    split = min(range(len(ahead)), key=lambda i: max(ahead[i], total // ahead[i]))
+    head, tail = _Side(rows[:split], np.zeros_like(base)), _Side(rows[split:], base)
+    H = head.cost
+    order = np.argsort(tail.cost, kind="stable")
+    T = tail.cost[order]
+    x = int(_least((_least(H, 64)[:, None] + T[None, :64]).ravel(), 64).max())
+    top = int(H.max()) + int(T[-1])
+    done = np.zeros(len(H), dtype=np.int64)
+    batch = min(_BLOCK, max(1, _BATCH_CELLS // len(base)))
+    best = None  # (cost, head * len(T) + tail index)
+    while True:
+        upto = np.searchsorted(T, x - H, "right")
+        counts = upto - done
+        ends = counts.cumsum()
+        begins = ends - counts
+        for lo in range(0, int(ends[-1]), batch):
+            hi = min(lo + batch, int(ends[-1]))
+            a = int(np.searchsorted(ends, lo, "right"))
+            b = int(np.searchsorted(ends, hi - 1, "right")) + 1
+            take = np.minimum(ends[a:b], hi) - np.maximum(begins[a:b], lo)
+            h = np.arange(a, b).repeat(take)
+            t = np.arange(lo, hi) + (done[a:b] - begins[a:b]).repeat(take)
+            cost = H.take(h) + T.take(t)
+            if best is not None:
+                keep = np.flatnonzero(cost <= best[0])
+                if not len(keep):
+                    continue
+                h, t, cost = h[keep], t[keep], cost[keep]
+            shifted = head.rows(h)
+            shifted += tail.rows(order.take(t))
+            won = np.flatnonzero(accept(shifted))
+            if len(won):
+                least = cost[won].min()
+                won = won[cost[won] == least]
+                found = int(least), int((h[won] * len(T) + order[t[won]]).min())
+                best = found if best is None else min(best, found)
+        done = upto
+        if best is not None:
+            return best[0], _unravel(best[1], sizes)
+        if x >= top:
+            return None
+        x = min(2 * x + 1, top)
 
 
 def exact_shift_opt(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Minimum cost of a successful shift action, by full enumeration.
 
-    All shift vectors within the purchasable caps are tried, in blocks of
-    lexicographically consecutive vectors checked with one vectorized
-    winner test each (see ``_cheapest``); the witness is the
-    lexicographically smallest among the minimum-cost successful actions.
+    The shift vectors within the purchasable caps are tried in rounds of
+    rising cost, in batches checked with one vectorized winner test each,
+    until every vector no dearer than the optimum is tried (see
+    ``_cheapest``); the witness is the lexicographically smallest among the
+    minimum-cost successful actions.
     Instances whose action space exceeds the enumeration guard are
     rejected.
     """
@@ -101,8 +193,8 @@ def exact_shift_opt(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 
 def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int, ShiftAction]:
     """Minimum cost of a shift action meeting per-rival pairwise-support
-    demands (ground truth for the greedy multicover), enumerated in blocks
-    like ``exact_shift_opt`` on the rows of the instance under ``MAXIMIN``."""
+    demands (ground truth for the greedy multicover), searched like
+    ``exact_shift_opt`` on the rows of the instance under ``MAXIMIN``."""
     _check_enumeration(inst)
     m = inst.num_candidates
     _check_targets(targets, m)

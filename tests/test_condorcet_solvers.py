@@ -42,6 +42,12 @@ class TestMicrobriberyInstance:
         with pytest.raises(ValueError, match="rival 1 is not an integer: True"):
             sb.FlipCostFunction({1: True})
 
+    @pytest.mark.parametrize("rival", [True, 1.0, "1", None])
+    def test_rejects_non_integer_rival_key(self, rival):
+        # True would pass the rival check as rival 1
+        with pytest.raises(ValueError, match=f"not an integer rival: {rival!r}"):
+            sb.FlipCostFunction({rival: 3})
+
     @pytest.mark.parametrize("rival", [7, 2, -1])
     def test_rejects_flip_price_against_absent_rival(self, rival):
         # on 2 candidates only rival 1 exists: the solvers would ignore the

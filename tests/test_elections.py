@@ -258,10 +258,12 @@ class TestCopelandScores:
         assert sb.CopelandAlpha(5, 10) == sb.CopelandAlpha(1, 2)
 
     @pytest.mark.parametrize(
-        "num,den", [(0.5, 1), (Fraction(1, 2), 1), (1, 2.0), (1, Fraction(2))]
+        "num,den",
+        [(0.5, 1), (Fraction(1, 2), 1), (1, 2.0), (1, Fraction(2)), (True, 2), (1, True)],
     )
     def test_alpha_rejects_non_integers(self, num, den):
-        # a ValueError (CLI exit 2), like prices, weights and scoring entries
+        # a ValueError (CLI exit 2), like prices, weights and scoring entries;
+        # True is an int to isinstance, but no part of a ratio
         with pytest.raises(ValueError, match="alpha must be a ratio of integers"):
             sb.CopelandAlpha(num, den)
 

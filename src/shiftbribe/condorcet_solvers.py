@@ -7,8 +7,9 @@ With all finite flip prices restricted to pairs involving the preferred
 candidate, optimal microbribery is polynomial (``solve_copeland_micro``),
 and translating a shift-bribery instance through it loses at most a factor
 m in cost (``solve_copeland_shift``).  Both feed one core a pairwise tally
-(of the tables, or of the election) and each rival's sorted flip prices,
-which for the election are the prices of passing it (``_passing``).
+(of the tables, or of the election) and each rival's flip pools, their
+prices and voters in (price, voter) order; for the election these are the
+shifts passing the rival, all sorted in one array (``_passing``).
 
 Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
@@ -48,6 +49,7 @@ from .bribery import (
 )
 from .elections import (
     CopelandAlpha,
+    Election,
     PairwiseTally,
     _shifted,
     copeland_scores,
@@ -176,20 +178,21 @@ def _micro_tally(m_inst: MicrobriberyInstance) -> PairwiseTally:
     return PairwiseTally(rows.tolist(), n)
 
 
-def _outcome_options(against: list, for_pref: list, margin: int) -> dict:
-    """Outcome (win, tie, loss in that order) -> (cost, flips) of the
-    cheapest (price, voter) flips forcing it, from the sorted flips of the
-    voters preferring the rival (``against``) and candidate 0 (``for_pref``).
-    A flip moves the margin by exactly 2, so a tie needs an even margin."""
+def _outcome_options(against: tuple, for_pref: tuple, margin: int) -> dict:
+    """Outcome (win, tie, loss in that order) -> (cost, voters) of the
+    cheapest flips forcing it, from the flips of the voters preferring the
+    rival (``against``) and candidate 0 (``for_pref``), each a pool of
+    prices and voters in (price, voter) order.  A flip moves the margin by
+    exactly 2, so a tie needs an even margin."""
     wanted = {
         _WIN: (against, margin // 2 + 1 if margin >= 0 else 0),
         _TIE: (against, margin // 2) if margin >= 0 else (for_pref, -margin // 2),
         _LOSS: (for_pref, -margin // 2 + 1 if margin <= 0 else 0),
     }
     return {
-        outcome: (sum(p for p, _ in pool[:count]), pool[:count])
-        for outcome, (pool, count) in wanted.items()
-        if count <= len(pool) and (outcome != _TIE or margin % 2 == 0)
+        outcome: (sum(prices[:count]), voters[:count])
+        for outcome, ((prices, voters), count) in wanted.items()
+        if count <= len(prices) and (outcome != _TIE or margin % 2 == 0)
     }
 
 
@@ -235,10 +238,11 @@ def _solve_copeland(
     tally: PairwiseTally, pools: list, alpha: CopelandAlpha
 ) -> Tuple[int, Dict[int, set]]:
     """Cheapest flips making candidate 0 a Copeland-alpha winner, as (cost,
-    voter -> flipped rivals), from a pairwise tally and per rival the
-    sorted (price, voter) flips (against, for-preferred).  A rival's margin
-    is the weight preferring it minus the weight preferring candidate 0;
-    its base score comes from rival-vs-rival pairs, which no flip changes.
+    voter -> flipped rivals), from a pairwise tally and per rival two pools
+    of flips (against, for-preferred), each its prices and voters in
+    (price, voter) order.  A rival's margin is the weight preferring it
+    minus the weight preferring candidate 0; its base score comes from
+    rival-vs-rival pairs, which no flip changes.
 
     Tries every pattern (i wins, j ties) for candidate 0 whose scaled score
     k = i*den + j*num lies between its current score and m - 1 (a lower one
@@ -300,7 +304,7 @@ def _solve_copeland(
         raise Infeasible("no flip set makes the preferred candidate a winner")
     flips: Dict[int, set] = {}
     for c, outcome in enumerate(best[1], start=1):
-        for _, voter in options[c][outcome][1]:
+        for voter in options[c][outcome][1]:
             flips.setdefault(voter, set()).add(c)
     return best[0], flips
 
@@ -318,7 +322,7 @@ def solve_copeland_micro(
             p = m_inst.flip_costs[i].price(c)
             if p is not None:
                 sides[table[c][0] == -1].append((p, i))
-        pools.append((sorted(sides[0]), sorted(sides[1])))
+        pools.append(tuple(([p for p, _ in s], [i for _, i in s]) for s in map(sorted, sides)))
     cost, flips = _solve_copeland(_micro_tally(m_inst), pools, alpha)
     return cost, FlipSet(tuple(flips.get(i, ()) for i in range(m_inst.num_voters)))
 
@@ -329,15 +333,27 @@ def _candidates_above(inst: ShiftBriberyInstance) -> list:
     return [o[p - 1 :: -1] if p else () for o, p in zip(e.voters, e.positions[:, 0].tolist())]
 
 
-def _passing(prices: list, above: list, m: int) -> list:
-    """Per candidate c (none for c = 0), the sorted (price, voter) of shifting
-    each voter that can just far enough to pass c, from the per-voter prices
-    of shifting by 0 .. max_reachable and ``_candidates_above``."""
-    passing = [[] for _ in range(m)]
-    for i, (p, a) in enumerate(zip(prices, above)):
-        for rival, price in zip(a, p[1:]):
-            passing[rival].append((price, i))
-    return [sorted(ps) for ps in passing]
+def _passing(prices: list, election: Election) -> list:
+    """Per candidate c (none for c = 0), the prices and the voters of
+    shifting each voter that can just far enough to pass c, as two lists in
+    (price, voter) order, from the per-voter prices of shifting by
+    0 .. max_reachable.
+
+    Shifting voter i by t passes the candidate t places above the preferred
+    one (for t = 0, the preferred one itself, whose pool is dropped).  All
+    moves are sorted at once by rival, then price; the sort is stable and
+    the moves come in voter order, so equal prices keep the smaller voter
+    first."""
+    n, m = election.orders.shape
+    sizes = np.fromiter(map(len, prices), np.int64, n)
+    price = np.fromiter(itertools.chain.from_iterable(prices), np.int64, int(sizes.sum()))
+    voter = np.repeat(np.arange(n), sizes)
+    shift = np.arange(len(price)) - np.repeat(sizes.cumsum() - sizes, sizes)
+    rival = election.orders[voter, election.positions[voter, 0] - shift]
+    order = np.lexsort((price, rival))
+    ends = np.bincount(rival, minlength=m).cumsum().tolist()
+    price, voter = price[order].tolist(), voter[order].tolist()
+    return [([], []), *((price[a:b], voter[a:b]) for a, b in zip(ends, ends[1:]))]
 
 
 def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
@@ -411,9 +427,9 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
     _require_unweighted(inst, "solve_copeland_shift")
     n = inst.num_voters
-    passing = _passing(_price_lists(inst), _candidates_above(inst), inst.num_candidates)
+    passing = _passing(_price_lists(inst), inst.election)
     tally = pairwise_tally(inst.election)
-    _, flips = _solve_copeland(tally, [(ps, []) for ps in passing], inst.rule.alpha)
+    _, flips = _solve_copeland(tally, [(ps, ([], [])) for ps in passing], inst.rule.alpha)
     action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
     if not _wins_after(inst, tally, _pairwise_wins(tally, inst.rule), action.shifts):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
@@ -541,8 +557,7 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     tally = pairwise_tally(inst.election)
     wins = _pairwise_wins(tally, inst.rule)
     prices, above = _checked_price_lists(inst), _candidates_above(inst)
-    passing = _passing(prices, above, m)
-    floors = [list(itertools.accumulate((p for p, _ in ps), initial=0)) for ps in passing]
+    floors = [list(itertools.accumulate(ps, initial=0)) for ps, _ in _passing(prices, inst.election)]
     scores = maximin_scores(tally)
     support = tally.n_matrix[0]
     best: Tuple[float, Optional[list]] = (math.inf, None)

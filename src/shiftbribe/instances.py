@@ -14,11 +14,19 @@ The format is line oriented, UTF-8, LF line endings, with ``#`` comments::
 
 The serializer emits canonical spacing, so serializing a parsed canonical
 file reproduces it byte for byte.
+
+Voter blocks whose order entries and prices are in canonical form (plain
+digits, entries split by single spaces, prices by single commas) are read
+in bulk, one ``np.fromstring`` call for all order entries and one for all
+prices (``_read_blocks``).  Every other form, such as signs, extra blanks
+or ``inf`` marks, and every block holding a fault, goes to the line
+reader, which converts each token with ``int()`` and names the earliest
+fault (``_read_lines``); files with ``inf`` marks therefore parse slower.
 """
 
 import random
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, le
+from itertools import accumulate, compress, count, repeat
+from operator import add, itemgetter
 from typing import Optional
 
 import numpy as np
@@ -236,61 +244,63 @@ def _after(lines: list, key: str) -> list:
     return list(map(str.strip, map(itemgetter(slice(len(key), None)), lines)))
 
 
-def _rising(prices: tuple) -> bool:
-    return all(map(le, prices, prices[1:]))
-
-
-def _price_tables(bodies: list, caps: list) -> list:
-    """Per voter the price tuple of its ``prices:`` body, ``None`` for
-    ``inf``; all tokens are converted at once.  Raises ``ValueError`` if
-    any voter's table is at fault."""
-    # c prices hold c - 1 commas, an empty body none
-    if list(map(add, map(str.count, bodies, repeat(",")), map(bool, bodies))) != caps:
-        raise ValueError("a price count that is not the cap")
-    joined = ",".join(filter(None, bodies))
-    tokens = joined.split(",") if joined else []
-    try:  # int() takes the blanks around a token, but for \x1c-\x1f
-        values, marks = list(map(int, tokens)), False
-    except ValueError:  # unreachable marks, such blanks, or a malformed price
-        values = [None if t == "inf" else int(t) for t in map(str.strip, tokens)]
-        marks = None in values
-    ends = list(accumulate(caps))
-    tables = finite = list(map(tuple(values).__getitem__, map(slice, [0, *ends], ends)))
-    if marks:  # which must end their tables
-        finite = [ps[: len(ps) - ps.count(None)] for ps in tables]
-        values = list(chain.from_iterable(finite))
-        if None in values:
-            raise ValueError("a price after an unreachable mark")
-    if values and not 0 <= min(values) <= max(values) <= _I64_MAX:
-        raise ValueError("a price out of range")
-    if not all(map(_rising, finite)):
-        raise ValueError("a decreasing price table")
-    return tables
+def _canonical(joined: str, sep: str) -> bool:
+    """Whether ``joined`` is ASCII digit runs, each pair split by one ``sep``:
+    the only form that ``np.fromstring`` reads as ``int()`` does, since it
+    reads a lone sign as 0 and takes blanks and repeated separators."""
+    return (
+        joined.isascii()
+        and joined.replace(sep, "").isdigit()
+        and not (joined.startswith(sep) or joined.endswith(sep) or sep + sep in joined)
+    )
 
 
 def _read_blocks(
     body: list, names: tuple, rule: Rule, n: int, weighted: bool
 ) -> ShiftBriberyInstance:
-    """The instance of the voter blocks ``body`` (the lines after the head),
-    read and checked in bulk.  Raises ``ValueError`` or ``OverflowError``
-    on any fault, without naming it."""
+    """The instance of the voter blocks ``body`` (the lines after the head)
+    with order entries and prices in canonical form, read and checked in
+    bulk: all order entries in one ``np.fromstring`` call, all prices in
+    another.  Raises ``ValueError`` if they are not canonical or the blocks
+    hold a fault, without naming it."""
     m, size = len(names), 2 + weighted
     if len(body) != n * size:
         raise ValueError("not n voter blocks")
-    rows = list(map(str.split, _after(body[0::size], "order:")))
-    if set(map(len, rows)) != {m}:
-        raise ValueError("an order without m entries")
-    orders = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, n * m).reshape(n, m)
+    rows = _after(body[0::size], "order:")
+    joined = " ".join(rows)
+    if not _canonical(joined, " ") or set(map(str.count, rows, repeat(" "))) != {m - 1}:
+        raise ValueError("an order not of m canonical entries")
+    orders = np.fromstring(joined, np.int64, sep=" ").reshape(n, m)
     if not _are_permutations(orders):
         raise ValueError("an order that is not a permutation")
+    # one weight per line: int() reads it exactly as the line reader does
     weights = tuple(map(int, _after(body[1::size], "weight:"))) if weighted else ()
     if weights and not 1 <= min(weights) <= max(weights) <= _I64_MAX:
         raise ValueError("a weight out of range")
     positions = orders.argsort(axis=1)
-    tables = _price_tables(_after(body[size - 1 :: size], "prices:"), positions[:, 0].tolist())
+    caps = positions[:, 0].tolist()
+    bodies = _after(body[size - 1 :: size], "prices:")
+    # c prices hold c - 1 commas, an empty body none
+    if list(map(add, map(str.count, bodies, repeat(",")), map(bool, bodies))) != caps:
+        raise ValueError("a price count that is not the cap")
+    joined = ",".join(filter(None, bodies))
+    if joined and not _canonical(joined, ","):
+        raise ValueError("a price not in canonical form")
+    values = np.fromstring(joined, np.int64, sep=",")
+    ends = list(accumulate(caps, initial=0))
+    # A token of 19 digits or more may lie beyond int64, which fromstring
+    # reads as 2**63 - 1, so such prices are left to the line reader's int().
+    # Each of the other T - 1 tokens takes a digit and a comma, so the
+    # longest has at most len - 2(T - 1) digits.
+    if len(joined) - 2 * ends[-1] >= 17 and values.max() >= 10**18:
+        raise ValueError("a price that may be out of range")
+    drops = (values[1:] < values[:-1]).nonzero()[0] + 1
+    if not set(drops.tolist()) <= set(ends):  # a voter's table may start lower
+        raise ValueError("a decreasing price table")
+    flat = tuple(values.tolist())
     costs = tuple(map(object.__new__, repeat(CostFunction, n)))
-    for cf, prices in zip(costs, tables):  # unchecked; no __dict__, so each stays compact
-        object.__setattr__(cf, "prices", prices)
+    for cf, start, end in zip(costs, ends, ends[1:]):  # unchecked; no __dict__
+        object.__setattr__(cf, "prices", flat[start:end])
     voters = tuple(map(tuple, orders.tolist()))
     election = _unchecked(Election, candidates=names, voters=voters, weights=weights or None)
     return _unchecked(
@@ -298,10 +308,15 @@ def _read_blocks(
     )
 
 
-def _name_fault(lines: _Lines, m: int, n: int, weighted: bool):
-    """Raise the ``ParseError`` of the earliest fault in the voter blocks,
-    reading them line by line from ``lines.pos``."""
+def _read_lines(
+    lines: _Lines, names: tuple, rule: Rule, n: int, weighted: bool
+) -> ShiftBriberyInstance:
+    """The instance of the voter blocks, read line by line from ``lines.pos``
+    with every token converted by ``int()``; any form of them that the
+    format allows.  Raises the ``ParseError`` of the earliest fault."""
+    m = len(names)
     permutation = list(range(m))
+    voters, weights, costs = [], [], []
     for v in range(n):
         no, line = lines.next(f"order of voter {v}")
         if not line.startswith("order:"):
@@ -312,6 +327,7 @@ def _name_fault(lines: _Lines, m: int, n: int, weighted: bool):
             raise ParseError("order entries must be integers", no)
         if sorted(order) != permutation:
             raise ParseError("order is not a permutation of the candidates", no)
+        voters.append(order)
         if weighted:
             no, line = lines.next(f"weight of voter {v}")
             if not line.startswith("weight:"):
@@ -324,6 +340,7 @@ def _name_fault(lines: _Lines, m: int, n: int, weighted: bool):
                 raise ParseError("weight must be positive", no)
             if w > _I64_MAX:
                 raise _RangeError("weight exceeds the 64-bit integer range", no)
+            weights.append(w)
         no, line = lines.next(f"prices of voter {v}")
         if not line.startswith("prices:"):
             raise ParseError(f"expected 'prices:' for voter {v}", no)
@@ -343,19 +360,24 @@ def _name_fault(lines: _Lines, m: int, n: int, weighted: bool):
         if any(p is not None and p > _I64_MAX for p in prices):
             raise _RangeError("price exceeds the 64-bit integer range", no)
         try:
-            CostFunction(tuple(prices))
+            costs.append(CostFunction(tuple(prices)))
         except ValueError as exc:
             raise ParseError(str(exc), no) from exc
     if lines.pos < len(lines.texts):
         raise ParseError("unexpected trailing content", lines.numbers[lines.pos])
-    raise AssertionError("the bulk reader refused voter blocks the line reader accepts")
+    election = _unchecked(
+        Election, candidates=names, voters=tuple(voters), weights=tuple(weights) or None
+    )
+    return _unchecked(ShiftBriberyInstance, election=election._keep(), costs=tuple(costs), rule=rule)
 
 
 def parse_instance(text: str) -> ShiftBriberyInstance:
     """Parse ``shiftbribe v1`` text; every malformation is reported with its
-    line number, the earliest one first.  The head is read line by line, the
-    voter blocks in bulk (``_read_blocks``); only if they hold a fault are
-    they read again line by line, to name the earliest one (``_name_fault``)."""
+    line number, the earliest one first.  The head is read line by line.
+    Voter blocks in canonical form are read in bulk (``_read_blocks``); any
+    other form, and blocks that hold a fault, are read line by line
+    (``_read_lines``), which returns their instance or names the earliest
+    fault."""
     lines = _Lines(text)
     no, header = lines.next("header")
     if header != "shiftbribe v1":
@@ -385,6 +407,6 @@ def parse_instance(text: str) -> ShiftBriberyInstance:
     rule = _parse_rule(rule_text, m, rule_no)
     try:
         return _read_blocks(lines.texts[lines.pos :], names, rule, n, weighted)
-    except (ValueError, OverflowError):
+    except ValueError:  # not canonical, or a fault
         pass
-    _name_fault(lines, m, n, weighted)
+    return _read_lines(lines, names, rule, n, weighted)

@@ -170,10 +170,6 @@ class _BudgetSweep:
             points = pointer[points]
         return shifts
 
-    def iter_breakpoints(self):
-        """(budget, gain) at every point where the best buy changes."""
-        return zip(self.costs.tolist(), self.gains.tolist())
-
 
 def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     """Cheapest shift action maximizing the preferred candidate's score gain
@@ -221,7 +217,7 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int):
     room = after[:, 1:] - top[:, 1:]
     gains = outer.gains.tolist()
     best = None
-    for f, (l1, gain) in enumerate(outer.iter_breakpoints()):
+    for f, (l1, gain) in enumerate(zip(outer.costs.tolist(), gains)):
         if best is not None and l1 >= best[0]:
             break
         inner_budget = budget if best is None else best[0] - l1 - 1

@@ -35,9 +35,11 @@ def rival_dp(options: list, allowed) -> dict:
 
 def solve_copeland_all_states(tally, pools: list, alpha) -> Tuple[int, Dict[int, set]]:
     """Cheapest flips making candidate 0 a Copeland-alpha winner, as (cost,
-    voter -> flipped rivals): every pattern (wins, ties) whose scaled score
-    k lies between the current score and (m - 1) * den reads the full
-    program of its cut, and the first pattern of strictly lowest cost wins."""
+    voter -> flipped rivals), from the core's pools (per rival the prices
+    and voters of the flips against it and for candidate 0): every pattern
+    (wins, ties) whose scaled score k lies between the current score and
+    (m - 1) * den reads the full program of its cut, and the first pattern
+    of strictly lowest cost wins."""
     n_matrix = tally.n_matrix
     m = len(n_matrix)
     margins = [n_matrix[c][0] - n_matrix[0][c] for c in range(m)]
@@ -64,6 +66,6 @@ def solve_copeland_all_states(tally, pools: list, alpha) -> Tuple[int, Dict[int,
         raise sb.Infeasible("no flip set makes the preferred candidate a winner")
     flips: Dict[int, set] = {}
     for c, outcome in enumerate(best[1], start=1):
-        for _, voter in options[c][outcome][1]:
+        for voter in options[c][outcome][1]:
             flips.setdefault(voter, set()).add(c)
     return best[0], flips

@@ -6,7 +6,9 @@ tests, which the package never calls:
   that a price floor rules out;
 - the two per-rival groupings of passing prices that
   ``condorcet_solvers._passing`` replaced: the maximin price floors and the
-  Copeland flip pools.
+  Copeland flip pools;
+- ``passing``, the loop of (price, voter) tuples that ``_passing`` was
+  before it sorted all moves in one array.
 """
 
 import itertools
@@ -33,6 +35,17 @@ def pass_floors(prices: list, above: list, m: int) -> list:
         for t in range(1, len(p)):
             passing[a[t - 1]].append(p[t])
     return [list(itertools.accumulate(sorted(ps), initial=0)) for ps in passing]
+
+
+def passing(prices: list, above: list, m: int) -> list:
+    """Per candidate c (none for c = 0), the sorted (price, voter) of shifting
+    each voter that can just far enough to pass c, from the per-voter prices
+    of shifting by 0 .. max_reachable and ``_candidates_above``."""
+    passing = [[] for _ in range(m)]
+    for i, (p, a) in enumerate(zip(prices, above)):
+        for rival, price in zip(a, p[1:]):
+            passing[rival].append((price, i))
+    return [sorted(ps) for ps in passing]
 
 
 def copeland_pools(inst) -> list:

@@ -7,7 +7,7 @@ import pytest
 
 import shiftbribe as sb
 from conftest import flips_win, gen_random_micro
-from shiftbribe.condorcet_solvers import _LOSS, _TIE, _WIN
+from shiftbribe.condorcet_solvers import _LOSS, _TIE, _WIN, _outcome_options, _passing
 
 ALPHAS = (sb.CopelandAlpha(0, 1), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1, 1))
 
@@ -193,6 +193,19 @@ class TestSolveCopelandShift:
         )
         with pytest.raises(sb.IncompatibleRule):
             sb.solve_copeland_shift(inst)
+
+    def test_prices_of_int64(self):
+        # The flip pools sort the prices as int64 but the core sums them as
+        # Python ints: an outcome it may pass over keeps its true cost
+        # rather than wrapping below the others.  A price beyond int64 is
+        # refused (no parsed file holds one).
+        top = (1 << 63) - 1
+        pools = _passing([[0, top], [0, top]], sb.Election(("p", "c"), ((1, 0),) * 2))
+        assert pools == [([], []), ([top, top], [0, 1])]
+        options = _outcome_options(pools[1], ([], []), 2)
+        assert options == {_WIN: (2 * top, [0, 1]), _TIE: (top, [0]), _LOSS: (0, [])}
+        with pytest.raises(OverflowError):
+            sb.solve_copeland_shift(copeland_instance([(1, 0)], [(top + 1,)]))
 
     def test_m_approximation_on_random_instances(self):
         for seed in range(100):

@@ -40,13 +40,19 @@ def same_answer(tally, pools, alpha):
     return got == answer(solve_copeland_all_states, tally, pools, alpha)
 
 
+def as_pool(flips) -> tuple:
+    """The core's pool of sorted (price, voter) ``flips``: their prices and
+    their voters."""
+    return [p for p, _ in flips], [v for _, v in flips]
+
+
 @st.composite
 def core_inputs(draw, parity, for_preferred, max_m=8):
     """A pairwise tally of n voters with n of the given parity, so every
-    margin has that parity, and per rival the sorted (price, voter) flips
-    of the voters on each side; a price drawn above 6 leaves the flip
-    unavailable.  Without ``for_preferred`` no voter preferring candidate 0
-    has a flip, as in the shift reduction."""
+    margin has that parity, and per rival the pools of the sorted (price,
+    voter) flips of the voters on each side; a price drawn above 6 leaves
+    the flip unavailable.  Without ``for_preferred`` no voter preferring
+    candidate 0 has a flip, as in the shift reduction."""
     m = draw(st.integers(1, max_m))
     n = 2 * draw(st.integers(0, 6)) + parity
     n_matrix = [[0] * m for _ in range(m)]
@@ -59,7 +65,7 @@ def core_inputs(draw, parity, for_preferred, max_m=8):
         voters = draw(st.permutations(range(n)))
         sides = (voters[: n_matrix[c][0]], voters[n_matrix[c][0] :] if for_preferred else [])
         flips = ([(draw(st.integers(0, 8)), v) for v in side] for side in sides)
-        pools.append(tuple(sorted((p, v) for p, v in side if p <= 6) for side in flips))
+        pools.append(tuple(as_pool(sorted((p, v) for p, v in side if p <= 6)) for side in flips))
     return sb.PairwiseTally(n_matrix, n), pools
 
 

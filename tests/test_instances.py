@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
+from shiftbribe.instances import _Lines, _read_blocks, _read_lines
 
 I64_MAX = (1 << 63) - 1
 
@@ -410,3 +411,114 @@ class TestBulkReader:
             sb.parse_instance(self.VALID.replace(old, new))
         assert str(err.value) == message
         assert isinstance(err.value, OverflowError) == ("64-bit" in message)
+
+
+def assert_parsed(parsed, inst):
+    """``parsed`` equals ``inst``, with read-only int64 orders and
+    positions and Python ints for every price and weight."""
+    assert parsed == inst
+    e = parsed.election
+    assert np.array_equal(e.orders, inst.election.orders)
+    assert np.array_equal(e.positions, inst.election.positions)
+    assert e.orders.dtype == e.positions.dtype == np.int64
+    assert not (e.orders.flags.writeable or e.positions.flags.writeable)
+    assert all(type(p) is int for cf in parsed.costs for p in cf.prices if p is not None)
+    assert all(type(w) is int for w in e.weights or ())
+
+
+def read_alone(reader, text, inst):
+    """The instance that ``reader`` (``_read_blocks`` or ``_read_lines``)
+    alone makes of the voter blocks of ``text``, whose head is that of
+    ``inst``."""
+    lines = _Lines(text)
+    lines.pos = 4  # header, rule, size and names
+    e = inst.election
+    args = (e.candidates, inst.rule, e.num_voters, e.weights is not None)
+    if reader is _read_blocks:
+        return reader(lines.texts[4:], *args)
+    return reader(lines, *args)
+
+
+def respell(text: str) -> str:
+    """``text`` with its voter blocks spelled as the format allows but not
+    canonically: signed order entries and weights, doubled spaces, and
+    blanks around every price."""
+    head, _, blocks = text.partition("order:")
+    blocks = "order:" + blocks
+    out = []
+    for line in blocks.split("\n"):
+        key, sep, body = line.partition(":")
+        if key == "prices":
+            body = " , ".join(f" +{t}" if t.isdigit() else t for t in body.strip().split(",")) if body else ""
+        elif sep:
+            body = "  ".join(f"+{t}" for t in body.split())
+        out.append(f"{key}{sep}  {body}  " if sep else line)
+    return head + "\n".join(out)
+
+
+class TestOneReaderPerForm:
+    """Canonical voter blocks are read by the bulk reader, every other
+    spelling by the line reader; both give the same instance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_each_reader_alone(self, inst):
+        text = sb.serialize_instance(inst)
+        assert_parsed(read_alone(_read_lines, text, inst), inst)
+        prices = [p for cf in inst.costs for p in cf.prices]
+        if None in prices or max(prices, default=0) >= 10**18:
+            # an inf mark, or a price of 19 digits that int() must check
+            with pytest.raises(ValueError):
+                read_alone(_read_blocks, text, inst)
+        else:
+            assert_parsed(read_alone(_read_blocks, text, inst), inst)
+        odd = respell(text)
+        assert odd != text
+        with pytest.raises(ValueError):
+            read_alone(_read_blocks, odd, inst)
+        assert_parsed(read_alone(_read_lines, odd, inst), inst)
+        assert_parsed(sb.parse_instance(odd), inst)
+
+    BASE = "shiftbribe v1\nrule borda\n3 2\np a b\norder: 1 2 0\nprices: 1,2\norder: 2 0 1\nprices: 3\n"
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            # np.fromstring reads a lone sign as 0
+            ("prices: 1,2", "prices: 1,+", "malformed price '+' at line 6"),
+            ("prices: 1,2", "prices: -,1", "malformed price '-' at line 6"),
+            ("prices: 3\n", "prices: +\n", "malformed price '+' at line 8"),
+            ("order: 2 0 1", "order: 2 + 1", "order entries must be integers at line 7"),
+            ("order: 2 0 1", "order: 2 - 0 1", "order entries must be integers at line 7"),
+            # and saturates at 2**63 - 1
+            ("prices: 1,2", f"prices: 1,{I64_MAX + 1}", "price exceeds the 64-bit integer range at line 6"),
+            ("prices: 1,2", f"prices: {I64_MAX + 1},1", "price exceeds the 64-bit integer range at line 6"),
+            ("prices: 3\n", f"prices: {10**24}\n", "price exceeds the 64-bit integer range at line 8"),
+            ("prices: 1,2", f"prices: 1,{'9' * 25}", "price exceeds the 64-bit integer range at line 6"),
+        ],
+    )
+    def test_fromstring_traps(self, old, new, message):
+        assert self.BASE.count(old) == 1
+        with pytest.raises(sb.ParseError) as err:
+            sb.parse_instance(self.BASE.replace(old, new))
+        assert str(err.value) == message
+        assert isinstance(err.value, OverflowError) == ("64-bit" in message)
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            # the entries would split into two permutations of m
+            ("2 2\np c\norder: 1 0 1\nprices: 1\norder: 0\nprices: 2\n", "order is not a permutation of the candidates at line 5"),
+            # the prices would add up to the caps' total
+            ("3 2\np a b\norder: 1 2 0\nprices: 1,2,3\norder: 1 0 2\nprices:\n", "expected 2 prices for a rank-3 preferred candidate at line 6"),
+        ],
+    )
+    def test_entries_counted_per_line(self, blocks, message):
+        with pytest.raises(sb.ParseError) as err:
+            sb.parse_instance("shiftbribe v1\nrule borda\n" + blocks)
+        assert str(err.value) == message
+
+    def test_largest_price_parses(self):
+        text = self.BASE.replace("prices: 1,2", f"prices: 1,{I64_MAX}")
+        assert [cf.prices for cf in sb.parse_instance(text).costs] == [(1, I64_MAX), (3,)]
+        assert sb.parse_instance(text.replace(f",{I64_MAX}", f",{'0' * 20}{I64_MAX}")).costs[0].prices[1] == I64_MAX

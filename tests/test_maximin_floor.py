@@ -5,12 +5,15 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shiftbribe as sb
 from maximin_reference import (
     copeland_pools,
     move_lists,
     pass_floors,
+    passing,
     solve_maximin_all_targets,
     target_deficits,
 )
@@ -52,16 +55,17 @@ def outcome(solve, inst):
     return cost, tuple(action.shifts)
 
 
-def passing_floors(prices, above, m):
+def passing_floors(inst):
     """The solver's floors: the prefix sums of each rival's ``_passing`` prices."""
-    return [list(accumulate((p for p, _ in ps), initial=0)) for ps in _passing(prices, above, m)]
+    prices, _ = move_lists(inst)
+    return [list(accumulate(ps, initial=0)) for ps, _ in _passing(prices, inst.election)]
 
 
 def cover_runs(inst):
     """Per target score: the deficits, the floors, and the greedy's cost
     or None where it raised ``Infeasible``."""
     prices, above = move_lists(inst)
-    floors = passing_floors(prices, above, inst.num_candidates)
+    floors = passing_floors(inst)
     for deficits in target_deficits(inst):
         try:
             shifts = _cover(prices, above, list(deficits))
@@ -148,7 +152,8 @@ def test_passing_reproduces_the_old_groupings(monkeypatch):
     original = condorcet_solvers._solve_copeland
 
     def recorded(tally, pools, alpha):
-        fed.append(pools)
+        # each side's prices and voters, zipped back into (price, voter) flips
+        fed.append([tuple(list(zip(*side)) for side in pool) for pool in pools])
         return original(tally, pools, alpha)
 
     monkeypatch.setattr(condorcet_solvers, "_solve_copeland", recorded)
@@ -157,7 +162,7 @@ def test_passing_reproduces_the_old_groupings(monkeypatch):
         for inst in (edge_instance(seed), edge_instance(seed, rule)):
             m = inst.num_candidates
             prices, above = move_lists(inst)
-            assert passing_floors(prices, above, m) == pass_floors(prices, above, m), seed
+            assert passing_floors(inst) == pass_floors(prices, above, m), seed
             fed.clear()
             try:
                 sb.solve_copeland_shift(sb.ShiftBriberyInstance(inst.election, inst.costs, rule))
@@ -167,3 +172,43 @@ def test_passing_reproduces_the_old_groupings(monkeypatch):
             zero_prices += any(cf.prices and cf.prices[-1] == 0 for cf in inst.costs)
             unreachable += any(None in cf.prices for cf in inst.costs)
     assert zero_prices >= 30 and unreachable >= 150
+
+
+I64_MAX = (1 << 63) - 1
+
+
+def instance(orders, prices, rule=sb.MAXIMIN):
+    names = tuple(f"c{i}" for i in range(len(orders[0])))
+    costs = tuple(sb.CostFunction(ps) for ps in prices)
+    return sb.ShiftBriberyInstance(sb.Election(names, tuple(orders)), costs, rule)
+
+
+@st.composite
+def pool_instances(draw):
+    """Unweighted instances of 1-6 candidates and 1-8 voters whose prices
+    are often equal (many zeros) and reach 2**63 - 1, some tables cut to an
+    ``inf`` suffix; voters that rank the preferred candidate first have
+    none."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    orders = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
+    price = st.one_of(st.integers(0, 2), st.integers(0, I64_MAX))
+    prices = []
+    for order in orders:
+        cap = order.index(0)
+        finite = draw(st.integers(0, cap))
+        table = sorted(draw(st.lists(price, min_size=finite, max_size=finite)))
+        prices.append(tuple(table) + (None,) * (cap - finite))
+    return instance(orders, prices)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pool_instances())
+@example(instance([(0,)], [()]))  # one candidate: no rival to pass
+@example(instance([(1, 0), (0, 1), (1, 0), (1, 0)], [(0,), (), (0,), (None,)]))
+@example(instance([(2, 1, 0), (1, 2, 0), (2, 0, 1)], [(0, 0), (0, 4), (None,)]))
+def test_passing_matches_the_tuple_loop(inst):
+    # Equal prices, zeros among them, keep the smaller voter first.
+    prices, above = move_lists(inst)
+    want = passing(prices, above, inst.num_candidates)
+    want = [([p for p, _ in ps], [v for _, v in ps]) for ps in want]
+    assert _passing(prices, inst.election) == want

@@ -154,7 +154,7 @@ class TestBudgetDpTable:
                 if g is not None and (not breakpoints or g > breakpoints[-1][1]):
                     breakpoints.append((j, g))
             sweep = _BudgetSweep(option_rows(inst), budget)
-            assert list(sweep.iter_breakpoints()) == breakpoints
+            assert list(zip(sweep.costs.tolist(), sweep.gains.tolist())) == breakpoints
             total_gain = sum(sb.gain(inst, i, cf.max_reachable) for i, cf in enumerate(inst.costs))
             assert len(breakpoints) <= min(budget, total_gain) + 1
 
@@ -283,7 +283,8 @@ def memo_instance(seed):
 
 def assert_same_sweep(sweep, fresh):
     assert len(sweep.costs) == len(sweep.gains) == len(fresh.costs)
-    assert list(sweep.iter_breakpoints()) == list(fresh.iter_breakpoints())
+    assert sweep.costs.tolist() == fresh.costs.tolist()
+    assert sweep.gains.tolist() == fresh.gains.tolist()
     points = np.arange(len(fresh.costs))
     assert sweep.trace(points).tolist() == fresh.trace(points).tolist()
 
@@ -360,7 +361,7 @@ def assert_sweep_matches_references(sweep, inst, budget, actions):
     for j, g in enumerate(build_budget_dp(inst, budget).rows[-1]):
         if g is not None and (not breakpoints or g > breakpoints[-1][1]):
             breakpoints.append((j, g))
-    assert list(sweep.iter_breakpoints()) == breakpoints
+    assert list(zip(sweep.costs.tolist(), sweep.gains.tolist())) == breakpoints
     want = [min(t for c, g, t in actions if (c, g) == point) for point in breakpoints]
     assert [tuple(t) for t in sweep.trace(np.arange(len(breakpoints))).tolist()] == want
 

@@ -82,8 +82,6 @@ class CostFunction:
         unreachable."""
         if k < 0:
             raise ValueError("shift amounts must be non-negative")
-        if k == 0:
-            return 0
         k = min(k, len(self.prices))
         if k == 0:
             return 0

@@ -27,7 +27,6 @@ microbribery is inapproximable in general and the covering bound is stated
 for unit weights.
 """
 
-import bisect
 import heapq
 import itertools
 import math
@@ -244,23 +243,21 @@ def _solve_copeland(
     minus the weight preferring candidate 0; its base score comes from
     rival-vs-rival pairs, which no flip changes.
 
-    Tries every pattern (i wins, j ties) for candidate 0 whose scaled score
-    k = i*den + j*num lies between its current score and m - 1 (a lower one
-    is dominated: dropping the flips that downgrade candidate 0's own pairs
-    keeps the bribery successful and no more expensive).  A dynamic program
-    over the rivals picks each one's outcome so that the counts match and
-    no rival scores above k; it depends on k only through the outcomes it
-    allows, so one program serves all k of one cut of the thresholds
-    base[c] + gain, and it builds only the states whose score can land in
-    that cut's window of k (``_rival_dp``).  The first pattern with the
-    strictly lowest cost wins.
-
-    A program is not built, and stays empty, when some rival has no allowed
-    outcome or when the sum of each rival's cheapest allowed outcome is at
-    least the best cost so far: every entry would cost at least that sum.
-    Only a strictly cheaper entry replaces the best, and the best only
-    falls, so no entry of a skipped program, read now or at a later
-    pattern of its cut, could have changed the answer.
+    Candidate 0 needs some pattern (i wins, j ties) whose scaled score
+    k = i*den + j*num lies between its current score and (m - 1) * den (a
+    lower one is dominated: dropping the flips that downgrade candidate 0's
+    own pairs keeps the bribery successful and no more expensive), with no
+    rival scoring above k.  A rival's outcomes allowed at k change only at
+    the thresholds base[c] + gain, so the cuts of the sorted thresholds
+    split the range of k into windows of equal allowed outcomes.  Each
+    window where every rival has an allowed outcome runs one dynamic
+    program over the rivals (``_rival_dp``), and the answer is the cheapest
+    state of all windows, ties broken by (wins, ties).  That is the pattern
+    that a scan of every pattern in (wins, ties) order picks when it keeps
+    the first strictly cheapest one: every pattern's score lies in exactly
+    one window, a window's program holds exactly the patterns of that
+    window, each at its cheapest outcomes, and the scan's first strictly
+    cheapest pattern is the least (cost, wins, ties).
     """
     n_matrix = tally.n_matrix
     m = len(n_matrix)
@@ -276,37 +273,27 @@ def _solve_copeland(
         [(o, cost, o == _WIN, o == _TIE, score_gain[o]) for o, (cost, _) in options[c].items()]
         for c in range(1, m)
     ]
-    thresholds = sorted(base[c] + gain[o] for c in range(1, m) for o in options[c])
-    programs: Dict[int, dict] = {}
-    best: Optional[Tuple[int, tuple]] = None
-    for wins in range(m):
-        for ties in range(m - wins):
-            k = wins * den + ties * num
-            if not current <= k <= top:
-                continue
-            cut = bisect.bisect_right(thresholds, k)
-            if cut not in programs:
-                allowed = [
-                    [step for step in rival_steps if base[c] + gain[step[0]] <= k]
-                    for c, rival_steps in enumerate(steps, start=1)
-                ]
-                programs[cut] = {}
-                if all(allowed) and (
-                    best is None or sum(min(s[1] for s in a) for a in allowed) < best[0]
-                ):
-                    low = max(current, thresholds[cut - 1]) if cut else current
-                    high = min(top, thresholds[cut] - 1) if cut < len(thresholds) else top
-                    programs[cut] = _rival_dp(allowed, (low, high), den, num)
-            hit = programs[cut].get((wins, ties))
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
-    if best is None:
+    edges = [current, *sorted(base[c] + gain[o] for c in range(1, m) for o in options[c]), top + 1]
+    states = []
+    for start, end in zip(edges, edges[1:]):
+        low, high = max(current, start), min(top, end - 1)
+        if low > high:
+            continue
+        allowed = [
+            [step for step in rival_steps if base[c] + gain[step[0]] <= high]
+            for c, rival_steps in enumerate(steps, start=1)
+        ]
+        if all(allowed):
+            program = _rival_dp(allowed, (low, high), den, num)
+            states += [(cost, w, t, chosen) for (w, t), (cost, chosen) in program.items()]
+    if not states:
         raise Infeasible("no flip set makes the preferred candidate a winner")
+    cost, _, _, chosen = min(states)
     flips: Dict[int, set] = {}
-    for c, outcome in enumerate(best[1], start=1):
+    for c, outcome in enumerate(chosen, start=1):
         for voter in options[c][outcome][1]:
             flips.setdefault(voter, set()).add(c)
-    return best[0], flips
+    return cost, flips
 
 
 def solve_copeland_micro(

@@ -52,9 +52,8 @@ from .bribery import (
     ShiftBriberyInstance,
     ShiftTable,
     _price_lists,
-    is_successful,
 )
-from .elections import _check_i64
+from .elections import _check_i64, scoring_scores, winners
 from .errors import GuardExceeded, IncompatibleRule, Infeasible
 
 DEFAULT_CELL_GUARD = 10**8
@@ -377,9 +376,9 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     that already wins yields cost 0 before any guard is consulted.  Returns
     the cheapest successful combination found.
     """
-    _require_scoring(inst)
+    rule = _require_scoring(inst)
     n = inst.num_voters
-    if is_successful(inst, ShiftAction.zero(n)):
+    if 0 in winners(scoring_scores(inst.election, rule.vector)):
         return 0, ShiftAction.zero(n)
     eps = Fraction(1, 4 * n)  # internal eps of 1/n
     zero = np.zeros(n, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Reference form of the Copeland core, kept for the equivalence tests,
 which the package never calls: ``condorcet_solvers._solve_copeland`` as it
-was before its programs were cut to their cut's score window and skipped
-on a cost floor.  Here every cut of the thresholds gets a program, and
-every program fills all (wins, ties) states."""
+was before its programs were cut to their cut's score window and it took
+the cheapest state of all windows.  Here every (wins, ties) pattern is
+scanned, every cut of the thresholds that a pattern reads gets a program,
+and every program fills all (wins, ties) states."""
 
 import bisect
 from typing import Dict, Optional, Tuple

@@ -1,8 +1,8 @@
-"""The Copeland core (``condorcet_solvers._solve_copeland``), whose programs
-build only the states that can reach their cut's score window and are
-skipped when a cost floor rules them out, answers byte for byte like the
-reference core that builds every state of every cut
-(``copeland_reference``)."""
+"""The Copeland core (``condorcet_solvers._solve_copeland``), which runs one
+program per score window, builds only the states that can reach that
+window and takes the cheapest state of all windows, answers byte for byte
+like the reference core that scans every (wins, ties) pattern over programs
+that build every state of their cut (``copeland_reference``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -109,7 +109,15 @@ def test_matches_the_all_states_core_on_the_golden_pins():
     fed = golden_inputs()
     weighted = sum(r == COPELAND_WEIGHTED for r in COPELAND_GOLDEN.values())
     assert len(fed) == len(COPELAND_GOLDEN) - weighted + len(MICRO_GOLDEN)
+    # Beside the pins, a tie across windows: cost 1 is reached by (2 wins,
+    # 0 ties) in the window [4, 5] and by (3, 0) in [6, 6], and the first
+    # pattern in (wins, ties) order wins.
+    tie = sb.gen_random(1, 5, 4, 2, rule=sb.CopelandRule(sb.CopelandAlpha(1, 2)))
+    fed += fed_inputs([lambda: sb.solve_copeland_shift(tie)])
     assert [i for i, args in enumerate(fed) if not same_answer(*args)] == []
+    built, _ = programs_built(fed[-1])
+    cost, _ = condorcet_solvers._solve_copeland(*fed[-1])
+    assert sum(cost in {c for c, _ in program.values()} for program in built) == 2
 
 
 def counting(dp, programs):
@@ -141,12 +149,34 @@ def test_program_skip_fires_at_the_benchmark_size(alpha):
     assert 0 < len(built) == sum(1 for program in full if program) < len(full)
 
 
-def test_cost_floor_skips_programs_with_entries():
-    # A cut whose full program holds entries but is not built was skipped
-    # on its cost floor.
-    built = full = 0
-    for args in golden_inputs():
-        programs = programs_built(args)
-        built += len(programs[0])
-        full += sum(1 for program in programs[1] if program)
-    assert built < full
+def windows_built(args) -> list:
+    """The window [low, high] and the states of each program that the core
+    builds on ``args``, in the order it builds them."""
+    built = []
+    original = condorcet_solvers._rival_dp
+
+    def recorded(steps, window, den, num):
+        built.append((window, original(steps, window, den, num)))
+        return built[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condorcet_solvers, "_rival_dp", recorded)
+        answer(condorcet_solvers._solve_copeland, *args)
+    return built
+
+
+def test_one_program_per_window():
+    # Each program serves a window of its own: the windows are nonempty,
+    # rise without overlapping, and hold the scores of all their states.
+    inst = sb.gen_random(3, 140, 20, 50, rule=sb.CopelandRule(ALPHAS[3]))
+    fed = golden_inputs() + fed_inputs([lambda: sb.solve_copeland_shift(inst)])
+    for tally, pools, alpha in fed:
+        built = windows_built((tally, pools, alpha))
+        windows = [window for window, _ in built]
+        assert all(low <= high for low, high in windows)
+        assert all(a[1] < b[0] for a, b in zip(windows, windows[1:]))
+        den, num = alpha.denominator, alpha.numerator
+        for (low, high), program in built:
+            assert all(low <= w * den + t * num <= high for w, t in program)
+    # The last input, at the benchmark's size, builds several programs.
+    assert len(windows) > 1

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 incompatible algorithm/rule, invalid parameters
 or a value outside the checked 64-bit integer range (also a weight or
-price in the input file), 3 parse error, 4 enumeration or table guard exceeded.
+price in the input file), 3 parse error or a path that cannot be read or
+written, 4 enumeration or table guard exceeded.
 """
 
 import argparse
@@ -50,35 +51,33 @@ def _digest(inst: ShiftBriberyInstance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:12]
 
 
+# Each --algo name and its solver; ``exact`` looks the oracle up at call time.
+_SOLVERS = {
+    "exact": lambda i: exact_shift_opt(i),
+    "A": solve_two_pass,
+    "Aeps": lambda i: solve_two_pass_scaled(i, DEFAULT_EPS),
+    "B": solve_bootstrap,
+    "Bw": solve_bootstrap_weighted,
+    "G": solve_single_pass,
+    "copeland-m": solve_copeland_shift,
+    "maximin-log": solve_maximin_shift,
+}
+
+
 def _select_solver(algo: str):
-    """Map an --algo token to a solver; the solvers themselves reject a rule
-    or weighting they do not support."""
-    if algo == "exact":
-        return lambda i: exact_shift_opt(i)
-    if algo == "A":
-        return solve_two_pass
-    if algo == "G":
-        return solve_single_pass
-    if algo == "B":
-        return solve_bootstrap
-    if algo == "Bw":
-        return solve_bootstrap_weighted
-    if algo.startswith("Aeps"):
-        if algo == "Aeps":
-            eps = DEFAULT_EPS
-        elif algo.startswith("Aeps:"):
-            try:
-                eps = Fraction(algo.split(":", 1)[1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise IncompatibleRule(f"malformed eps in '{algo}'") from exc
-        else:
-            raise IncompatibleRule(f"unknown algorithm '{algo}'")
+    """Map an --algo token, a ``_SOLVERS`` name or ``Aeps:<eps>``, to a
+    solver; the solvers themselves reject a rule or weighting they do not
+    support."""
+    name, colon, arg = algo.partition(":")
+    if name == "Aeps" and colon:
+        try:
+            eps = Fraction(arg)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise IncompatibleRule(f"malformed eps in '{algo}'") from exc
         return lambda i: solve_two_pass_scaled(i, eps)
-    if algo == "copeland-m":
-        return solve_copeland_shift
-    if algo == "maximin-log":
-        return solve_maximin_shift
-    raise IncompatibleRule(f"unknown algorithm '{algo}'")
+    if algo not in _SOLVERS:
+        raise IncompatibleRule(f"unknown algorithm '{algo}'")
+    return _SOLVERS[algo]
 
 
 def _ratio_str(cost: int, oracle_cost: int) -> str:
@@ -185,23 +184,19 @@ def cmd_bench(args) -> int:
             )
         summary = _summary(rows, "ratio_float")
     elif args.suite == "random-ratio":
+        names = ("A", "Aeps", "B", "G")
         rows = []
         for seed in range(args.seed, args.seed + args.count):
             inst = gen_random(seed, args.n, args.m, args.max_price)
             opt, _ = exact_shift_opt(inst)
             row = {"seed": seed, "opt": opt}
-            for name, solver in (
-                ("A", solve_two_pass),
-                ("Aeps", lambda i: solve_two_pass_scaled(i, DEFAULT_EPS)),
-                ("B", solve_bootstrap),
-                ("G", solve_single_pass),
-            ):
-                cost, _ = solver(inst)
+            for name in names:
+                cost, _ = _SOLVERS[name](inst)
                 row[f"cost_{name}"] = cost
                 row[f"ratio_{name}"] = float(cost / opt) if opt else 1.0
             rows.append(row)
         summary = {}
-        for name in ("A", "Aeps", "B", "G"):
+        for name in names:
             summary.update(_summary(rows, f"ratio_{name}", prefix=name))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown suite '{args.suite}'")

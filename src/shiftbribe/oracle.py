@@ -5,14 +5,15 @@ worse than none.  Witnesses are tie-broken lexicographically so repeated
 runs are identical.
 
 All three oracles run one exhaustive search, ``_cheapest``, over per-voter
-rows of prices and row deltas.  It tests vectors in rounds of rising cost
-threshold, in batches of at most ``_BLOCK`` with one vectorized winner test
-each, and stops after the first round that accepts a vector; its docstring
-explains why that round holds every cheapest accepted vector, so the
-witness is still the one a vector-by-vector scan returns.  The
-shift-vector oracles pass the rows of ``bribery.ShiftTable`` (of the
-maximin view for covers); the microbribery oracle passes one two-row
-"voter" per available flip and the Copeland test of that table.
+rows of prices and row deltas, whatever the count of vectors.  It tests
+vectors in rounds of rising cost threshold, in batches of at most
+``_BLOCK`` with one vectorized winner test each, and stops after the first
+round that accepts a vector; its docstring explains why that round holds
+every cheapest accepted vector, so the witness is still the one a
+vector-by-vector scan returns.  The shift-vector oracles pass the rows of
+``bribery.ShiftTable`` (of the maximin view for covers); the microbribery
+oracle passes one two-row "voter" per available flip and the Copeland test
+of that table.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -93,12 +94,13 @@ def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[
     voter, whose row ``base`` plus the sum of ``deltas[i][t[i]]`` passes
     ``accept``, or None; t costs the sum of ``prices[i][t[i]]``.
 
-    At most ``_BLOCK`` vectors are tested in one batch.  Otherwise the
-    voters split into a head and a tail of about the square root of the
-    count of vectors each, and each side's costs and rows are combined
-    once (see ``_Side``), the heads ``H`` in ``product`` order and the tail
-    costs ``T`` sorted stably.  A vector is a pair (head h, tail position),
-    and the tail positions of head h that cost at most x are those below
+    Every call, however few its vectors, runs one search.  The voters
+    split into a head and a tail of about the square root of the count of
+    vectors each (with no voters, each side holds the one empty vector),
+    and each side's costs and rows are combined once (see ``_Side``), the
+    heads ``H`` in ``product`` order and the tail costs ``T`` sorted
+    stably.  A vector is a pair (head h, tail position), and the tail
+    positions of head h that cost at most x are those below
     ``searchsorted(T, x - H[h], "right")``.
 
     The search runs in rounds of rising cost threshold x, from the 64th
@@ -121,13 +123,6 @@ def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[
     for size in sizes:
         ahead.append(ahead[-1] * size)
     total = ahead[-1]
-    if total <= _BLOCK:
-        side = _Side(rows, base)
-        won = np.flatnonzero(accept(side.rows(np.arange(total))))
-        if not len(won):
-            return None
-        j = int(won[np.argmin(side.cost[won])])
-        return int(side.cost[j]), _unravel(j, sizes)
     split = min(range(len(ahead)), key=lambda i: max(ahead[i], total // ahead[i]))
     head, tail = _Side(rows[:split], np.zeros_like(base)), _Side(rows[split:], base)
     H = head.cost

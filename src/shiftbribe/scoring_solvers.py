@@ -297,17 +297,18 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_rounds(inst, table, start, eps):
+def _scaled_rounds(price_lists, table, start, eps):
     """(cost, shifts) of ``solve_two_pass_scaled``, with internal ``eps``,
     for actions on top of ``start``.  Each voter's options are rebased over
-    its start shift s: prices ``p[s:] - p[s]``, gains ``g[s:] - g[s]`` of
+    its start shift s: prices ``p[s:] - p[s]`` of its ``price_lists`` entry
+    (``bribery._price_lists`` of the instance), gains ``g[s:] - g[s]`` of
     ``table``.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``, with P the
     rebased price total, one ``_two_pass`` on these rows runs alone;
     otherwise every round re-prices them and calls ``_two_pass`` on
     ``table``.  The cost is under the rebased prices.
     """
-    n = inst.num_voters
-    prices = [[q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start.tolist())]
+    n = len(price_lists)
+    prices = [[q - p[s] for q in p[s:]] for p, s in zip(price_lists, start.tolist())]
     gains = [g[s:] - g[s] for g, s in zip(table.gains, start.tolist())]
     if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
         budget, rows = _sweep_rows(prices, gains)
@@ -357,7 +358,7 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
     if eps <= 0:
         raise ValueError("eps must be positive")
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    cost, shifts = _scaled_rounds(inst, ShiftTable(inst), zero, eps / 4)
+    cost, shifts = _scaled_rounds(_price_lists(inst), ShiftTable(inst), zero, eps / 4)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
@@ -368,10 +369,11 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     its cost, and there are only n * m candidate (voter, amount) guesses.
     For every guess the remainder is solved by ``solve_two_pass_scaled``
     with eps = 1/n, started from the guess: the guessed voter's option rows
-    are sliced at the guessed shift, and the winner test runs on the
-    instance's one shift table.  Where that remainder's unscaled sweep is
-    admitted it runs alone, at most twice the optimal remainder, so the
-    correct guess costs at most twice the optimum either way.  The no-guess
+    are sliced at the guessed shift, and every guess reads the instance's
+    one shift table and one set of price lists.  Where that remainder's
+    unscaled sweep is admitted it runs alone, at most twice the optimal
+    remainder, so the correct guess costs at most twice the optimum either
+    way.  The no-guess
     run (``solve_two_pass`` where admitted) is the baseline, and a candidate
     that already wins yields cost 0 before any guard is consulted.  Returns
     the cheapest successful combination found.
@@ -383,8 +385,9 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     eps = Fraction(1, 4 * n)  # internal eps of 1/n
     zero = np.zeros(n, dtype=np.int64)
     table = ShiftTable(inst)
-    best = _scaled_rounds(inst, table, zero, eps)
-    for i, p in enumerate(_price_lists(inst)):
+    price_lists = _price_lists(inst)
+    best = _scaled_rounds(price_lists, table, zero, eps)
+    for i, p in enumerate(price_lists):
         for t in range(1, len(p)):
             if p[t] >= best[0]:
                 break  # prices are non-decreasing; nothing cheaper follows
@@ -393,7 +396,7 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
             if table.wins(table.rows_after(guess[None]))[0]:
                 cand = (p[t], guess)
             else:
-                rest_cost, shifts = _scaled_rounds(inst, table, guess, eps)
+                rest_cost, shifts = _scaled_rounds(price_lists, table, guess, eps)
                 cand = (p[t] + rest_cost, shifts)
             if cand[0] < best[0]:
                 best = cand

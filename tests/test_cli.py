@@ -111,6 +111,23 @@ class TestSolve:
         assert main(["solve", thm6_file, "--algo", "Bw"]) == 2
         assert main(["solve", thm6_file, "--algo", "nonsense"]) == 2
 
+    @pytest.mark.parametrize(
+        "algo,message",
+        [
+            ("nope", "unknown algorithm 'nope'"),
+            ("Aepsx", "unknown algorithm 'Aepsx'"),
+            ("aeps", "unknown algorithm 'aeps'"),
+            ("exact:1", "unknown algorithm 'exact:1'"),
+            ("Aeps:", "malformed eps in 'Aeps:'"),
+            ("Aeps:x", "malformed eps in 'Aeps:x'"),
+            ("Aeps:1/0", "malformed eps in 'Aeps:1/0'"),
+            ("Aeps:0", "eps must be positive"),
+        ],
+    )
+    def test_bad_algo_token_exits_2(self, thm6_file, capsys, algo, message):
+        assert main(["solve", thm6_file, "--algo", algo]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_error_exits_3(self, tmp_path):
         bad = tmp_path / "bad.sb"
         bad.write_text("not an instance\n", encoding="utf-8")
@@ -294,6 +311,13 @@ class TestBench:
         data = json.loads(capsys.readouterr().out)
         assert len(data["rows"]) == 8
         assert data["summary"]["A_max_ratio"] <= 2.0
+
+    def test_random_ratio_seeded(self, capsys):
+        args = ["--seed", "1", "--count", "6", "--n", "4", "--m", "4", "--json"]
+        assert main(["bench", "--suite", "random-ratio"] + args) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["A_max_ratio"] == 10 / 7
+        assert summary["B_max_ratio"] == 15 / 14
 
     def test_empty_range(self, capsys):
         assert main(["bench", "--suite", "thm6-ratio", "--k-min", "5", "--k-max", "1"]) == 0

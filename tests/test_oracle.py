@@ -168,6 +168,16 @@ class TestExactMicroOpt:
         assert cost == 0
         assert all(not s for s in flips.flips)
 
+    def test_no_flip_available(self):
+        # no flips: the search runs over no voters and tests only the empty set
+        table = ((0, 1), (-1, 0))
+        m_inst = sb.MicrobriberyInstance((table,), (sb.FlipCostFunction({}),))
+        got = sb.exact_micro_opt(m_inst, sb.CopelandAlpha(1, 2))
+        assert got == (0, sb.FlipSet((frozenset(),)))
+        reversed_inst = sb.MicrobriberyInstance((((0, -1), (1, 0)),), (sb.FlipCostFunction({}),))
+        with pytest.raises(sb.Infeasible):
+            sb.exact_micro_opt(reversed_inst, sb.CopelandAlpha(1, 2))
+
     def test_two_candidate_three_voters(self):
         # the preferred candidate loses 0-3; flipping two voters wins 2-1
         table = ((0, -1), (1, 0))
@@ -274,6 +284,14 @@ class TestExactCoverOpt:
                 req = min(before.n_matrix[0][c] + targets[c - 1], n)
                 assert after.n_matrix[0][c] >= req
             assert sb.total_cost(inst, action) == cost
+
+    def test_one_vector(self):
+        # the voter cannot shift the preferred candidate above the rival
+        e = sb.Election(("p", "a"), ((1, 0),))
+        inst = sb.ShiftBriberyInstance(e, (sb.CostFunction((None,)),), sb.MAXIMIN)
+        assert sb.exact_cover_opt(inst, [0]) == (0, sb.ShiftAction((0,)))
+        with pytest.raises(sb.Infeasible):
+            sb.exact_cover_opt(inst, [1])
 
     @pytest.mark.parametrize("targets", [(0.5, 0), (1.7, 0), (-1, 0), (True, 0), (0, False)])
     def test_rejects_non_integer_or_negative_targets(self, targets):

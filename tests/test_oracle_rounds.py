@@ -44,9 +44,10 @@ def assert_same_answer(call):
 def shift_instances(draw, rule, large):
     """A shift instance under ``rule``.  A large one has 7-8 voters and 5
     candidates, each voter able to shift the preferred candidate by 3 or
-    more, so at least 4**7 vectors, above ``_BLOCK``, and the head/tail
-    split runs; a small one has 1-5 voters and 2-4 candidates.  A price
-    drawn as None makes that shift and all larger ones unreachable."""
+    more, so at least 4**7 vectors, more than one batch of ``_BLOCK``; a
+    small one has 1-5 voters and 2-4 candidates.  Both run the head/tail
+    split, as every search does.  A price drawn as None makes that shift
+    and all larger ones unreachable."""
     m = 5 if large else draw(st.integers(2, 4))
     n = draw(st.integers(7, 8)) if large else draw(st.integers(1, 5))
     steps = INCREMENTS[draw(st.sampled_from(sorted(INCREMENTS)))]

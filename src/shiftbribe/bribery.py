@@ -75,7 +75,8 @@ class CostFunction:
     @property
     def max_reachable(self) -> int:
         """Largest shift amount with a finite price."""
-        return (self.prices + (None,)).index(None)
+        prices = self.prices
+        return len(prices) if None not in prices else prices.index(None)
 
     def price(self, k: int) -> Optional[int]:
         """Price of shifting by ``k`` (clamped to the cap); ``None`` if

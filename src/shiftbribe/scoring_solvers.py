@@ -35,6 +35,8 @@ affordable shifts gains anything passes the next frontier through unbuilt
 (see ``_BudgetSweep``).  The sweep builds no inner frontier for a first-round
 buy after which no affordable follow-up can make the preferred candidate
 win, by a bound on what each rival can still lose (see ``_two_pass``).
+A ``B`` guess sweeps only below the cost it must beat, the best answer
+found so far less its guessed price, wherever its unscaled sweep runs.
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -186,7 +188,7 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
 
 
-def _two_pass(table: ShiftTable, rows: list, start, budget: int):
+def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None):
     """(cost, shifts) of ``solve_two_pass`` on the option ``rows``, one
     (prices, gains) pair per voter, for actions on top of ``start``: the
     winner test runs on ``table`` at ``start`` plus the shifts returned.
@@ -206,7 +208,28 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int):
 
     The call's sweeps share one memo, so the inner sweep of l1, offset at
     l1's action, builds only the suffixes no earlier sweep built; inner
-    budgets never rise, as the memo requires."""
+    budgets never rise, as the memo requires.
+
+    Given ``below``, the call returns the same answer if it costs less than
+    ``below``, and None otherwise (at once if ``below`` <= 0): the scan
+    starts as if an answer of cost ``below`` were already found, so the
+    outer sweep is built at ``below`` - 1 and every inner budget, skip cap
+    and stopping l1 reads ``below`` until a cheaper answer replaces it.
+    The answer does not move.  A sweep cut at a smaller budget is a prefix
+    of the uncut one (the memo rule of ``_BudgetSweep``), so each capped
+    inner sweep holds the uncapped one's first winner whenever that winner
+    costs less than the cap, and none otherwise; the capped scan therefore
+    finds the same least (total, l1) winner among the actions cheaper than
+    ``below``.  ``below`` is first lowered to ``budget`` + 1, which no
+    answer reaches, so budgets still never rise within the memo and never
+    exceed the outer budget.  ``solve_bootstrap`` passes the cost a guess
+    must beat, and a guess whose uncapped answer costs at least that never
+    replaced the best answer."""
+    if below is not None:
+        if below <= 0:
+            return None
+        below = min(below, budget + 1)
+        budget = below - 1
     memo = {}
     outer = _BudgetSweep(rows, budget, memo=memo)
     firsts = outer.trace(np.arange(len(outer.costs)))
@@ -215,7 +238,7 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int):
     need = after[:, 1:] - after[:, :1]
     room = after[:, 1:] - top[:, 1:]
     gains = outer.gains.tolist()
-    best = None
+    best = None if below is None else (below, None)
     for f, (l1, gain) in enumerate(zip(outer.costs.tolist(), gains)):
         if best is not None and l1 >= best[0]:
             break
@@ -232,7 +255,7 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int):
             best = (l1 + int(inner.costs[w]), shifts[w])
     if best is None:
         raise Infeasible("no successful shift action exists")
-    return best
+    return None if best[1] is None else best
 
 
 def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -297,7 +320,7 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_rounds(price_lists, table, start, eps):
+def _scaled_rounds(price_lists, table, start, eps, below=None):
     """(cost, shifts) of ``solve_two_pass_scaled``, with internal ``eps``,
     for actions on top of ``start``.  Each voter's options are rebased over
     its start shift s: prices ``p[s:] - p[s]`` of its ``price_lists`` entry
@@ -305,14 +328,17 @@ def _scaled_rounds(price_lists, table, start, eps):
     ``table``.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``, with P the
     rebased price total, one ``_two_pass`` on these rows runs alone;
     otherwise every round re-prices them and calls ``_two_pass`` on
-    ``table``.  The cost is under the rebased prices.
+    ``table``.  The cost is under the rebased prices.  ``below`` caps only
+    the exact path (see ``_two_pass``), which then returns None when no
+    action costs less; the rounds' sweep costs are re-priced, not the cost
+    it bounds, so they ignore it.
     """
     n = len(price_lists)
     prices = [[q - p[s] for q in p[s:]] for p, s in zip(price_lists, start.tolist())]
     gains = [g[s:] - g[s] for g, s in zip(table.gains, start.tolist())]
     if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
         budget, rows = _sweep_rows(prices, gains)
-        return _two_pass(table, rows, start, budget)
+        return _two_pass(table, rows, start, budget, below)
     num, den = eps.numerator, eps.denominator
     big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
     top = max(p[-1] for p in prices)
@@ -377,6 +403,12 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     run (``solve_two_pass`` where admitted) is the baseline, and a candidate
     that already wins yields cost 0 before any guard is consulted.  Returns
     the cheapest successful combination found.
+
+    A guess is kept only if it is strictly cheaper than the best so far, so
+    its remainder is sought only below the best cost less the guessed price:
+    an admitted unscaled sweep is built no further than that and a guess
+    that finds nothing there is dropped, with the answer of the loop that
+    solves every remainder in full.
     """
     rule = _require_scoring(inst)
     n = inst.num_voters
@@ -396,8 +428,10 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
             if table.wins(table.rows_after(guess[None]))[0]:
                 cand = (p[t], guess)
             else:
-                rest_cost, shifts = _scaled_rounds(price_lists, table, guess, eps)
-                cand = (p[t] + rest_cost, shifts)
+                rest = _scaled_rounds(price_lists, table, guess, eps, best[0] - p[t])
+                if rest is None:
+                    continue
+                cand = (p[t] + rest[0], rest[1])
             if cand[0] < best[0]:
                 best = cand
     return best[0], ShiftAction(tuple(best[1].tolist()))

@@ -1,12 +1,17 @@
-"""Reference forms of the scoring-rule budget DP and the doubling bound,
-kept for the consistency tests: the solvers use the frontier sweep of
-``scoring_solvers`` and never call these."""
+"""Reference forms of the scoring-rule budget DP, the doubling bound and
+``B``'s guess loop without a cost cap, kept for the consistency tests: the
+solvers use the frontier sweep and capped guesses of ``scoring_solvers``
+and never call these."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional
 
+import numpy as np
+
 import shiftbribe as sb
-from shiftbribe.scoring_solvers import _require_scoring
+from shiftbribe.bribery import ShiftTable, _price_lists
+from shiftbribe.scoring_solvers import _require_scoring, _scaled_rounds
 
 
 @dataclass
@@ -67,3 +72,32 @@ def double_gain_check(inst, s, r) -> bool:
     gain_s = sum(sb.gain(inst, i, t) for i, t in enumerate(s))
     gain_r = sum(sb.gain(inst, i, t) for i, t in enumerate(r))
     return gain_r >= 2 * gain_s
+
+
+def bootstrap_uncapped(inst):
+    """``solve_bootstrap``'s guess loop with every guess's remainder solved
+    in full by ``_scaled_rounds`` and then compared with the best so far:
+    the reference its capped sweeps are checked against."""
+    rule = _require_scoring(inst)
+    n = inst.num_voters
+    if 0 in sb.winners(sb.scoring_scores(inst.election, rule.vector)):
+        return 0, sb.ShiftAction.zero(n)
+    eps = Fraction(1, 4 * n)
+    zero = np.zeros(n, dtype=np.int64)
+    table = ShiftTable(inst)
+    price_lists = _price_lists(inst)
+    best = _scaled_rounds(price_lists, table, zero, eps)
+    for i, p in enumerate(price_lists):
+        for t in range(1, len(p)):
+            if p[t] >= best[0]:
+                break
+            guess = zero.copy()
+            guess[i] = t
+            if table.wins(table.rows_after(guess[None]))[0]:
+                cand = (p[t], guess)
+            else:
+                rest_cost, shifts = _scaled_rounds(price_lists, table, guess, eps)
+                cand = (p[t] + rest_cost, shifts)
+            if cand[0] < best[0]:
+                best = cand
+    return best[0], sb.ShiftAction(tuple(best[1].tolist()))

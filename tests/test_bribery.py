@@ -51,6 +51,13 @@ class TestCostFunction:
         assert sb.CostFunction((1, None)).max_reachable == 1
         assert sb.CostFunction(()).max_reachable == 0
 
+    @pytest.mark.parametrize(
+        "prices,want",
+        [((), 0), ((1, 2), 2), ((1, None), 1), ((None,), 0), ((3, 3, None, None), 2)],
+    )
+    def test_max_reachable_stops_at_the_first_unreachable_mark(self, prices, want):
+        assert sb.CostFunction(prices).max_reachable == want
+
 
 class TestInstanceValidation:
     def test_cap_must_match_rank(self):

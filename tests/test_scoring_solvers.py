@@ -9,9 +9,9 @@ import pytest
 
 import shiftbribe as sb
 from conftest import scaled_rounds_alone
-from scoring_reference import build_budget_dp, double_gain_check
+from scoring_reference import bootstrap_uncapped, build_budget_dp, double_gain_check
 from shiftbribe import scoring_solvers
-from shiftbribe.bribery import ShiftTable
+from shiftbribe.bribery import ShiftTable, _price_lists
 from shiftbribe.scoring_solvers import _BudgetSweep
 
 
@@ -489,9 +489,11 @@ class TestSkipTest:
 
     def test_skipped_inner_sweeps_hold_no_winner(self, monkeypatch):
         # Every _two_pass of seeded A, Aeps-round and B solves is replayed
-        # with every inner sweep built: the answer is the same, and each
-        # inner sweep the skip test left out holds no winner within its
-        # budget.
+        # uncapped with every inner sweep built: the answer is the same,
+        # and each inner sweep the skip test left out holds no winner
+        # within its budget.  A call capped below a cost (a B guess) finds
+        # nothing exactly when the replay's answer costs at least that
+        # much, and otherwise the replay's answer.
         calls = []
         two_pass = scoring_solvers._two_pass
 
@@ -511,19 +513,75 @@ class TestSkipTest:
         solves = [(memo_instance(seed), sb.solve_two_pass) for seed in range(56)]
         solves += [(memo_instance(seed), lambda i: scaled_rounds_alone(i, 1)) for seed in range(24)]
         solves += [(admitted_instance(seed), sb.solve_bootstrap) for seed in ADMITTED_SEEDS]
-        skipped = 0
+        skipped = capped_none = 0
         for inst, solve in solves:
             calls.clear()
             solve(inst)
             for args, (answer,), built in calls:
-                best, visited = scan_without_skips(*args)
-                assert best[0] == answer[0] and best[1].tolist() == answer[1].tolist()
+                best, visited = scan_without_skips(*args[:4])
                 assert built <= {first for first, _ in visited}
+                below = args[4] if len(args) > 4 else None
+                if below is not None:
+                    assert (answer is None) == (best[0] >= below)
+                    if answer is None:
+                        capped_none += 1
+                    else:
+                        assert answer[0] == best[0] and answer[1].tolist() == best[1].tolist()
+                    continue
+                assert best[0] == answer[0] and best[1].tolist() == answer[1].tolist()
                 for first, won in visited:
                     if first not in built:
                         assert not won
                         skipped += 1
-        assert skipped >= 100
+        assert skipped >= 100 and capped_none >= 10
+
+
+def rebased_rows(inst, start):
+    """(table, option rows, price total) of ``inst`` rebased at ``start``,
+    as ``_scaled_rounds`` builds them on its exact path."""
+    table = ShiftTable(inst)
+    prices = [[q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start)]
+    gains = [g[s:] - g[s] for g, s in zip(table.gains, start)]
+    budget, rows = scoring_solvers._sweep_rows(prices, gains)
+    return table, rows, budget
+
+
+class TestCostCap:
+    def test_capped_two_pass_is_the_uncapped_answer_below_the_cap(self):
+        # Capped at ``below``, _two_pass finds nothing exactly when the
+        # uncapped answer costs at least ``below``, and otherwise returns
+        # the uncapped cost and shift vector, on Borda, k-approval and
+        # (9, 4, 4, 1, 0), with and without weights and from nonzero starts.
+        rules = (
+            lambda m: sb.borda(m),
+            lambda m: sb.k_approval(m, 1 + m // 3),
+            lambda m: sb.ScoringVector((9, 4, 4, 1, 0)[:m]),
+        )
+        found = none = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            m = 2 + seed % 4
+            rule = sb.ScoringRule(rules[seed % 3](m))
+            inst = sb.gen_random(seed, 1 + seed % 4, m, 6, weighted=seed // 3 % 2 == 1, rule=rule)
+            start = [rng.randint(0, cf.max_reachable) * (seed // 6 % 2) for cf in inst.costs]
+            table, rows, budget = rebased_rows(inst, start)
+            start = np.array(start, dtype=np.int64)
+            try:
+                cost, shifts = scoring_solvers._two_pass(table, rows, start, budget)
+            except sb.Infeasible:
+                cost = shifts = None
+            lows = {0, 1, budget + 2} | (set() if cost is None else {cost, cost + 1})
+            for below in sorted(lows):
+                answer = scoring_solvers._two_pass(table, rows, start, budget, below)
+                if cost is None or cost >= below:
+                    assert answer is None, (seed, below)
+                    none += 1
+                else:
+                    assert answer[0] == cost, (seed, below)
+                    assert answer[1].dtype == shifts.dtype
+                    assert answer[1].tolist() == shifts.tolist(), (seed, below)
+                    found += 1
+        assert found >= 200 and none >= 200
 
 
 @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass], ids=["A", "G"])
@@ -695,6 +753,29 @@ class TestSolveBootstrap:
         e = sb.Election(("p", "c"), ((0, 1),))
         inst = sb.ShiftBriberyInstance(e, (sb.CostFunction(()),), sb.ScoringRule(sb.borda(2)))
         assert sb.solve_bootstrap(inst) == (0, sb.ShiftAction((0,)))
+
+    def test_capped_guesses_match_the_uncapped_loop(self):
+        # Each guess solves its remainder only below the best cost so far;
+        # the answer is that of the loop that solves every remainder in
+        # full, cost and witness, on 5x4 instances with prices <= 6 that
+        # the preferred candidate does not already win (Borda and
+        # k-approval, weighted and not) and at 12x8 with prices <= 20.
+        insts = []
+        for seed in range(120):
+            rule = sb.ScoringRule(sb.borda(4) if seed % 2 else sb.k_approval(4, 1 + seed // 2 % 3))
+            draw = seed
+            while True:
+                inst = sb.gen_random(draw, 5, 4, 6, weighted=seed // 6 % 2 == 1, rule=rule)
+                if 0 not in sb.winners(sb.rule_scores(inst.election, inst.rule)):
+                    break
+                draw += 1000
+            insts.append(inst)
+        insts += [sb.gen_random(seed, 12, 8, 20, weighted=w) for seed in (1, 2, 3) for w in (False, True)]
+        for inst in insts:
+            want = repr(bootstrap_uncapped(inst))
+            assert repr(sb.solve_bootstrap(inst)) == want
+            if inst.election.weights is not None:
+                assert repr(sb.solve_bootstrap_weighted(inst)) == want
 
     def test_theorem6_k1_within_twice_optimal(self, thm6_k1):
         opt, _ = sb.exact_shift_opt(thm6_k1)

@@ -35,8 +35,8 @@ affordable shifts gains anything passes the next frontier through unbuilt
 (see ``_BudgetSweep``).  The sweep builds no inner frontier for a first-round
 buy after which no affordable follow-up can make the preferred candidate
 win, by a bound on what each rival can still lose (see ``_two_pass``).
-A ``B`` guess sweeps only below the cost it must beat, the best answer
-found so far less its guessed price, wherever its unscaled sweep runs.
+Every two-pass scan runs below a cost: the price total + 1, or for a ``B``
+guess whose unscaled sweep runs, the best cost so far less its guessed price.
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -189,10 +189,13 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
 
 
 def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None):
-    """(cost, shifts) of ``solve_two_pass`` on the option ``rows``, one
-    (prices, gains) pair per voter, for actions on top of ``start``: the
-    winner test runs on ``table`` at ``start`` plus the shifts returned.
-    ``budget`` is the total of the rows' largest prices.
+    """(cost, shifts) of the least (cost, l1) two-pass winner cheaper than
+    ``below`` on the option ``rows``, one (prices, gains) pair per voter,
+    for actions on top of ``start``: the winner test runs on ``table`` at
+    ``start`` plus the shifts returned.  ``budget`` is the total of the
+    rows' largest prices, and ``below``, at least 1, defaults to ``budget``
+    + 1, which every action is cheaper than.  Returns None only when the
+    cap cut every winner off, and raises ``Infeasible`` when no action wins.
 
     The inner sweep of l1 is built only if l1 passes the skip test below.
     After l1's action the preferred candidate trails rival c by ``need_c``,
@@ -210,50 +213,40 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None):
     l1's action, builds only the suffixes no earlier sweep built; inner
     budgets never rise, as the memo requires.
 
-    Given ``below``, the call returns the same answer if it costs less than
-    ``below``, and None otherwise (at once if ``below`` <= 0): the scan
-    starts as if an answer of cost ``below`` were already found, so the
-    outer sweep is built at ``below`` - 1 and every inner budget, skip cap
-    and stopping l1 reads ``below`` until a cheaper answer replaces it.
-    The answer does not move.  A sweep cut at a smaller budget is a prefix
-    of the uncut one (the memo rule of ``_BudgetSweep``), so each capped
-    inner sweep holds the uncapped one's first winner whenever that winner
-    costs less than the cap, and none otherwise; the capped scan therefore
-    finds the same least (total, l1) winner among the actions cheaper than
-    ``below``.  ``below`` is first lowered to ``budget`` + 1, which no
-    answer reaches, so budgets still never rise within the memo and never
-    exceed the outer budget.  ``solve_bootstrap`` passes the cost a guess
-    must beat, and a guess whose uncapped answer costs at least that never
-    replaced the best answer."""
-    if below is not None:
-        if below <= 0:
-            return None
-        below = min(below, budget + 1)
-        budget = below - 1
+    The scan starts as if an answer of cost ``below`` (first lowered to
+    ``budget`` + 1) were already found: the outer sweep is built at
+    ``below`` - 1, and every inner budget, skip cap and stopping l1 reads
+    the best cost so far.  Under the default cap these are ``budget`` and,
+    before the first winner, ``budget`` - l1, the price total of the rows
+    rebased at l1's action, so every inner sweep holds all its points.  A
+    sweep cut at a smaller budget is a prefix of the uncut one (the memo
+    rule of ``_BudgetSweep``), so a capped inner sweep holds the uncut one's
+    first winner whenever that winner costs less than the cap, and the scan
+    finds the least winner below ``below``.  ``solve_bootstrap`` passes the
+    cost a guess must beat."""
+    below = budget + 1 if below is None else min(below, budget + 1)
     memo = {}
-    outer = _BudgetSweep(rows, budget, memo=memo)
+    outer = _BudgetSweep(rows, below - 1, memo=memo)
     firsts = outer.trace(np.arange(len(outer.costs)))
     after = table.rows_after(start + firsts)
     top = table.rows_after(start + np.array([[len(g) - 1 for _, g in rows]]))
     need = after[:, 1:] - after[:, :1]
     room = after[:, 1:] - top[:, 1:]
     gains = outer.gains.tolist()
-    best = None if below is None else (below, None)
+    best = (below, None)
     for f, (l1, gain) in enumerate(zip(outer.costs.tolist(), gains)):
-        if best is not None and l1 >= best[0]:
+        if l1 >= best[0]:
             break
-        inner_budget = budget if best is None else best[0] - l1 - 1
-        cap = budget if best is None else min(best[0] - 1, budget)
-        g = gains[outer.costs.searchsorted(cap, "right") - 1] - gain
+        g = gains[outer.costs.searchsorted(best[0] - 1, "right") - 1] - gain
         if not (g + np.minimum(g, room[f]) >= need[f]).all():
             continue
-        inner = _BudgetSweep(rows, inner_budget, tuple(firsts[f].tolist()), memo)
+        inner = _BudgetSweep(rows, best[0] - l1 - 1, tuple(firsts[f].tolist()), memo)
         shifts = start + firsts[f] + inner.trace(np.arange(len(inner.costs)))
         won = np.flatnonzero(table.wins(table.rows_after(shifts)))
         if len(won):
             w = won[0]
             best = (l1 + int(inner.costs[w]), shifts[w])
-    if best is None:
+    if best[1] is None and below > budget:
         raise Infeasible("no successful shift action exists")
     return None if best[1] is None else best
 
@@ -328,10 +321,10 @@ def _scaled_rounds(price_lists, table, start, eps, below=None):
     ``table``.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``, with P the
     rebased price total, one ``_two_pass`` on these rows runs alone;
     otherwise every round re-prices them and calls ``_two_pass`` on
-    ``table``.  The cost is under the rebased prices.  ``below`` caps only
-    the exact path (see ``_two_pass``), which then returns None when no
-    action costs less; the rounds' sweep costs are re-priced, not the cost
-    it bounds, so they ignore it.
+    ``table``.  The cost is under the rebased prices.  ``below``, at least
+    1, caps only the exact path's scan (see ``_two_pass``), which returns
+    None when no winner costs less; the rounds' sweep costs are re-priced,
+    not the cost it bounds, so they scan below their own price totals + 1.
     """
     n = len(price_lists)
     prices = [[q - p[s] for q in p[s:]] for p, s in zip(price_lists, start.tolist())]
@@ -405,10 +398,11 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     the cheapest successful combination found.
 
     A guess is kept only if it is strictly cheaper than the best so far, so
-    its remainder is sought only below the best cost less the guessed price:
-    an admitted unscaled sweep is built no further than that and a guess
-    that finds nothing there is dropped, with the answer of the loop that
-    solves every remainder in full.
+    its remainder is sought only below the best cost less the guessed price,
+    which is at least 1 since guesses stop at the first price not below the
+    best cost: an admitted unscaled sweep is built no further than that and
+    a guess that finds nothing there is dropped, with the answer of the loop
+    that solves every remainder in full.
     """
     rule = _require_scoring(inst)
     n = inst.num_voters

@@ -548,21 +548,27 @@ def rebased_rows(inst, start):
 
 class TestCostCap:
     def test_capped_two_pass_is_the_uncapped_answer_below_the_cap(self):
-        # Capped at ``below``, _two_pass finds nothing exactly when the
-        # uncapped answer costs at least ``below``, and otherwise returns
-        # the uncapped cost and shift vector, on Borda, k-approval and
-        # (9, 4, 4, 1, 0), with and without weights and from nonzero starts.
+        # Capped at ``below`` >= 1, _two_pass finds nothing exactly when the
+        # default-capped answer costs at least ``below``, and otherwise
+        # returns that answer's cost and shift vector, on Borda, k-approval
+        # and (9, 4, 4, 1, 0), with and without weights and from nonzero
+        # starts.  On every other dozen seeds the prices are cut (see
+        # cut_prices); where no action wins, a cap above the price total
+        # raises Infeasible as the default cap does, and a lower one finds
+        # nothing.
         rules = (
             lambda m: sb.borda(m),
             lambda m: sb.k_approval(m, 1 + m // 3),
             lambda m: sb.ScoringVector((9, 4, 4, 1, 0)[:m]),
         )
-        found = none = 0
-        for seed in range(120):
+        found = none = raised = 0
+        for seed in range(240):
             rng = random.Random(seed)
             m = 2 + seed % 4
             rule = sb.ScoringRule(rules[seed % 3](m))
             inst = sb.gen_random(seed, 1 + seed % 4, m, 6, weighted=seed // 3 % 2 == 1, rule=rule)
+            if seed // 12 % 2:
+                inst = cut_prices(inst, rng)
             start = [rng.randint(0, cf.max_reachable) * (seed // 6 % 2) for cf in inst.costs]
             table, rows, budget = rebased_rows(inst, start)
             start = np.array(start, dtype=np.int64)
@@ -570,8 +576,15 @@ class TestCostCap:
                 cost, shifts = scoring_solvers._two_pass(table, rows, start, budget)
             except sb.Infeasible:
                 cost = shifts = None
-            lows = {0, 1, budget + 2} | (set() if cost is None else {cost, cost + 1})
-            for below in sorted(lows):
+            lows = {1, budget + 1, budget + 2}
+            if cost is not None:
+                lows |= {cost // 2, cost - 1, cost, cost + 1}
+            for below in sorted(b for b in lows if b >= 1):
+                if cost is None and below > budget:
+                    with pytest.raises(sb.Infeasible):
+                        scoring_solvers._two_pass(table, rows, start, budget, below)
+                    raised += 1
+                    continue
                 answer = scoring_solvers._two_pass(table, rows, start, budget, below)
                 if cost is None or cost >= below:
                     assert answer is None, (seed, below)
@@ -581,7 +594,57 @@ class TestCostCap:
                     assert answer[1].dtype == shifts.dtype
                     assert answer[1].tolist() == shifts.tolist(), (seed, below)
                     found += 1
-        assert found >= 200 and none >= 200
+        assert found >= 200 and none >= 200 and raised >= 50, (found, none, raised)
+
+
+def cut_prices(inst, rng):
+    """``inst`` with every voter's prices cut to a random prefix followed
+    by unreachable marks."""
+    costs = []
+    for cf in inst.costs:
+        k = rng.randint(0, cf.cap)
+        costs.append(sb.CostFunction(cf.prices[:k] + (None,) * (cf.cap - k)))
+    return sb.ShiftBriberyInstance(inst.election, tuple(costs), inst.rule)
+
+
+def test_every_scoring_solver_agrees_on_infeasibility():
+    # Every voter's prices are cut to a random prefix followed by
+    # unreachable marks; A, G, Aeps (admitted and as its scaled rounds
+    # alone), B and, on weighted instances, Bw raise Infeasible exactly
+    # when the exact oracle does.
+    rules = (
+        lambda m: sb.borda(m),
+        lambda m: sb.k_approval(m, 1 + m // 3),
+        lambda m: sb.ScoringVector((9, 4, 4, 1, 0)[:m]),
+    )
+    solvers = [
+        sb.solve_two_pass,
+        sb.solve_single_pass,
+        lambda i: sb.solve_two_pass_scaled(i, 1),
+        lambda i: scaled_rounds_alone(i, 1),
+        sb.solve_bootstrap,
+    ]
+    infeasible = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        m = 2 + seed % 4
+        weighted = seed // 3 % 2 == 1
+        rule = sb.ScoringRule(rules[seed % 3](m))
+        inst = cut_prices(sb.gen_random(seed, 1 + seed % 4, m, 6, weighted=weighted, rule=rule), rng)
+        try:
+            sb.exact_shift_opt(inst)
+            want = False
+        except sb.Infeasible:
+            want = True
+        infeasible += want
+        for solve in solvers + [sb.solve_bootstrap_weighted] * weighted:
+            try:
+                solve(inst)
+                got = False
+            except sb.Infeasible:
+                got = True
+            assert got == want, (seed, solve)
+    assert 40 <= infeasible <= 110, infeasible
 
 
 @pytest.mark.parametrize("solver", [sb.solve_two_pass, sb.solve_single_pass], ids=["A", "G"])

@@ -267,11 +267,12 @@ class ShiftTable:
     row is every candidate's score (weight-scaled) for scoring rules, and
     the preferred candidate's row ``tally.n_matrix[0]`` for Copeland and
     maximin (else ``tally`` is None; a table of the instance under ``MAXIMIN``
-    has them for any rule).  ``base`` is the unshifted row, and ``wins``
-    maps a (K x m) array of rows to whether the preferred candidate wins
-    after each.  All rows are built at once from the positions
-    shifted by t for each (voter, t), into one flat array, voter i's from
-    ``starts[i]`` on; ``deltas`` holds per-voter views of it.
+    has them for any rule).  ``base`` is the unshifted row, ``top`` the row
+    after every voter's largest shift, and ``wins`` maps a (K x m) array of
+    rows to whether the preferred candidate wins after each.  All rows are
+    built at once from the positions shifted by t for each (voter, t), into
+    one flat array, voter i's from ``starts[i]`` on; ``deltas`` holds
+    per-voter views of it.
 
     The 64-bit range of the rows is checked once, here: only the preferred
     candidate's score grows, so its fully shifted score bounds every scoring
@@ -316,6 +317,11 @@ class ShiftTable:
     def deltas(self) -> list:
         """Per voter, the view of its rows t = 0 .. max_reachable."""
         return [self.flat[a:b] for a, b in zip(self.starts.tolist(), self._ends.tolist())]
+
+    @cached_property
+    def top(self) -> np.ndarray:
+        """The row after every voter's largest shift, built on first read."""
+        return self.base + self.flat[self._ends - 1].sum(axis=0)
 
     @cached_property
     def prices(self) -> list:

@@ -26,15 +26,21 @@ Each solve first builds one per-voter table of score deltas, shared with
 the exact oracle (``bribery.ShiftTable``), reads the gain rows of its
 sweeps from it, and tests whole batches of candidate actions against it.
 The sweep of ``solve_two_pass`` serves ``A``, ``Aeps`` and every ``B``
-guess: a guess slices one voter's rows and starts from the shift.  Where
-the unscaled sweep is admitted it runs alone; elsewhere every price-scaling
-round re-prices the (price, gain) option rows and runs it.
+guess.  Its option rows are indexed by the shift, and it sweeps them
+offset at its start: a guess starts from its shift.  Where the unscaled
+sweep is admitted it runs alone, on int64 rows that one ``B`` solve
+converts once for its baseline and all its guesses; elsewhere every
+price-scaling round re-prices the (price, gain) option rows and runs it.
 Within one such sweep every voter suffix's frontier is built once and kept
 until the sweep returns, trading memory for time, and a voter none of whose
 affordable shifts gains anything passes the next frontier through unbuilt
-(see ``_BudgetSweep``).  The sweep builds no inner frontier for a first-round
-buy after which no affordable follow-up can make the preferred candidate
-win, by a bound on what each rival can still lose (see ``_two_pass``).
+(see ``_BudgetSweep``).  Each suffix frontier records the budget it was
+built at and is rebuilt when asked at a higher one, so ``B``'s baseline
+hands its frontiers to every admitted guess, each guess reading them
+through its own copy of the memo.  The sweep builds no inner frontier for
+a first-round buy after which no affordable follow-up can make the
+preferred candidate win, by a bound on what each rival can still lose
+(see ``_two_pass``).
 Every two-pass scan runs below a cost: the price total + 1, or for a ``B``
 guess whose unscaled sweep runs, the best cost so far less its guessed price.
 
@@ -70,18 +76,36 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
     return inst.rule
 
 
-def _sweep_rows(prices: list, gains: list, hint: str = ""):
-    """(P, option rows) of per-voter price lists, whose largest prices sum
-    to P, and gain rows, whose largest gains sum to G.  A frontier holds at
-    most min(P, G) + 1 points, so (n + 1)(min(P, G) + 1) is checked against
-    the cell guard first, and then P against the 64-bit range, so that no
-    sum of frontier costs can wrap."""
+def _sweep_rows(prices: list, table: ShiftTable, start, hint: str = "", shared=None):
+    """(P, option rows) of a sweep on top of ``start``: per voter, its
+    ``prices`` list as int64 with the table's gain row, both indexed by the
+    shift, of which the entries below the voter's start shift are never
+    read.  The largest prices sum to P, and the gains left above ``start``
+    to G, read once ``table.gains`` has passed its own check.  A frontier
+    holds at most min(P, G) + 1 points, so (n + 1)(min(P, G) + 1) is
+    checked against the cell guard first, and then P against the 64-bit
+    range, so that no sum of frontier costs can wrap.
+
+    A voter of start 0 takes its row from ``shared``, a per-voter list of
+    rows that the caller keeps, where it is converted on first use, so the
+    sweeps of one solve convert it once; every other row is converted anew."""
+    gains = table.gains
     total = sum(p[-1] for p in prices)
-    cells = (len(prices) + 1) * (min(total, sum(int(g[-1]) for g in gains)) + 1)
+    left = sum(int(g[-1] - g[s]) for g, s in zip(gains, start.tolist()))
+    cells = (len(prices) + 1) * (min(total, left) + 1)
     if cells > DEFAULT_CELL_GUARD:
         raise GuardExceeded(f"budget DP needs {cells} cells (guard {DEFAULT_CELL_GUARD}){hint}")
     _check_i64(total, "total of the largest prices")
-    return total, [(np.array(p, dtype=np.int64), g) for p, g in zip(prices, gains)]
+    shared = [None] * len(prices) if shared is None else shared
+    rows = []
+    for i, s in enumerate(start.tolist()):
+        row = None if s else shared[i]
+        if row is None:
+            row = (np.array(prices[i], dtype=np.int64), gains[i])
+            if not s:
+                shared[i] = row
+        rows.append(row)
+    return total, rows
 
 
 class _BudgetSweep:
@@ -103,23 +127,28 @@ class _BudgetSweep:
     actions of that exact cost and gain: every suffix of such an action is
     itself a frontier point of its voters.
 
-    A layer node is (costs, gains, shifts, pointers).  If the last shift
-    of voter i's rebased row within the budget gains nothing, no affordable
-    shift does (gains do not decrease with the shift): every candidate of
-    shift k > 0 ties with, or is dominated by, the same point at shift 0,
-    which comes first in flat order.  The frontier is then the next one,
-    with shift 0 and the identity pointer at every point, so the node
-    shares the next node's arrays, holds None for shifts and pointers, and
-    ``trace`` skips it.  No price is ever added to the budget: the price
-    total can lie just below 2**63.
+    A layer node is (costs, gains, shifts, pointers, budget, next node).
+    If the last shift of voter i's rebased row within the budget gains
+    nothing, no affordable shift does (gains do not decrease with the
+    shift): every candidate of shift k > 0 ties with, or is dominated by,
+    the same point at shift 0, which comes first in flat order.  The
+    frontier is then the next one, with shift 0 and the identity pointer at
+    every point, so the node shares the next node's arrays, holds None for
+    shifts and pointers, and ``trace`` skips it.  No price is ever added to
+    the budget: the price total can lie just below 2**63.
 
     Layer nodes are kept in ``memo`` under (offsets[i], id of the next
-    node), so sweeps sharing a memo build each suffix once.  A node built at
-    budget B serves any B' <= B: cut at cost B', it is the node built at
-    B', pointers and tie-breaks included, since prices are non-negative (a
-    pass-through node stays one at B', and may hold next-node points above
-    B, which every reader cuts off).  So the budget must never rise over
-    one memo, which keeps every node it was given until it is dropped.
+    node), so sweeps sharing a memo build each suffix once; each node keeps
+    its next node alive, so no key's id is reused while the key is held.
+    A node built at budget B serves any B' <= B: cut at cost B', it is the
+    node built at B', pointers and tie-breaks included, since prices are
+    non-negative (a pass-through node stays one at B', and may hold
+    next-node points above B, which every reader cuts off).  Asked at a
+    higher budget, it is rebuilt there and replaces the entry; the nodes of
+    earlier voters built on the old one are then keyed by an id no sweep
+    reaches, so they are rebuilt too.  Rows may be swept through one memo
+    only if voter i's row gives the same rebased row at every offset the
+    memo's sweeps read it at.
     """
 
     def __init__(self, rows, budget: int, offsets=None, memo=None):
@@ -129,14 +158,15 @@ class _BudgetSweep:
         node = _EMPTY_SUFFIX
         layers = []
         for i in reversed(range(len(rows))):
-            prices, gains = rows[i]
             t = offsets[i] if offsets else 0
             key = (t, id(node))
-            if key not in memo:
+            hit = memo.get(key)
+            if hit is None or hit[4] < budget:
+                prices, gains = rows[i]
                 if t:
                     prices, gains = prices[t:] - prices[t], gains[t:] - gains[t]
                 if not gains[prices.searchsorted(budget, "right") - 1]:
-                    memo[key] = (node[0], node[1], None, None)
+                    hit = (node[0], node[1], None, None, budget, node)
                 else:
                     width = int(node[0].searchsorted(budget, "right"))
                     cand_cost = (prices[:, None] + node[0][:width]).ravel()
@@ -151,8 +181,9 @@ class _BudgetSweep:
                     np.greater(ordered_gain[1:], running[:-1], out=keep[1:])
                     picked = order[keep]
                     shift, pointer = np.divmod(flat[picked], width)
-                    memo[key] = (cand_cost[picked], cand_gain[picked], shift, pointer)
-            node = memo[key]
+                    hit = (cand_cost[picked], cand_gain[picked], shift, pointer, budget, node)
+                memo[key] = hit
+            node = hit
             if node[2] is not None:
                 layers.append((i, node[2], node[3]))
         layers.reverse()
@@ -188,30 +219,34 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
 
 
-def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None):
+def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None, memo=None):
     """(cost, shifts) of the least (cost, l1) two-pass winner cheaper than
-    ``below`` on the option ``rows``, one (prices, gains) pair per voter,
-    for actions on top of ``start``: the winner test runs on ``table`` at
-    ``start`` plus the shifts returned.  ``budget`` is the total of the
-    rows' largest prices, and ``below``, at least 1, defaults to ``budget``
-    + 1, which every action is cheaper than.  Returns None only when the
-    cap cut every winner off, and raises ``Infeasible`` when no action wins.
+    ``below`` among the actions on top of ``start``, swept on the option
+    ``rows``, one (prices, gains) pair per voter indexed by the shift, of
+    which voter i's entries from ``start[i]`` on are read: every sweep is
+    offset at ``start`` plus its first action.  The winner test runs on
+    ``table`` at the shifts returned.  ``budget`` is the total of the
+    rows' largest prices rebased at ``start``, and ``below``, at least 1,
+    defaults to ``budget`` + 1, which every action is cheaper than.
+    Returns None only when the cap cut every winner off, and raises
+    ``Infeasible`` when no action wins.
 
     The inner sweep of l1 is built only if l1 passes the skip test below.
     After l1's action the preferred candidate trails rival c by ``need_c``,
     and c can still lose ``room_c``: its score there minus its score when
-    every voter takes its largest shift.  In each vote a rival passed by
-    the preferred candidate loses one step of the scoring vector, weighted,
-    and the preferred candidate gains that step too, so an action gaining
-    g on top of l1 takes at most min(g, room_c) from c, and wins only if
-    g + min(g, room_c) >= need_c for every rival.  First and inner action
-    together cost at most l1 + the inner budget, so g is at most the outer
-    frontier's gain there minus l1's gain; an l1 whose bound fails the
-    test holds no winner.
+    every voter takes its largest shift (``table.top``).  In each vote a
+    rival passed by the preferred candidate loses one step of the scoring
+    vector, weighted, and the preferred candidate gains that step too, so
+    an action gaining g on top of l1 takes at most min(g, room_c) from c,
+    and wins only if g + min(g, room_c) >= need_c for every rival.  First
+    and inner action together cost at most l1 + the inner budget, so g is
+    at most the outer frontier's gain there minus l1's gain; an l1 whose
+    bound fails the test holds no winner.
 
-    The call's sweeps share one memo, so the inner sweep of l1, offset at
-    l1's action, builds only the suffixes no earlier sweep built; inner
-    budgets never rise, as the memo requires.
+    The call's sweeps share ``memo``, a fresh one by default, so the inner
+    sweep of l1, offset at l1's action, builds only the suffixes no earlier
+    sweep built at a budget as high (see ``_BudgetSweep``); ``solve_bootstrap``
+    passes each guess a copy of its baseline's memo.
 
     The scan starts as if an answer of cost ``below`` (first lowered to
     ``budget`` + 1) were already found: the outer sweep is built at
@@ -225,13 +260,12 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None):
     finds the least winner below ``below``.  ``solve_bootstrap`` passes the
     cost a guess must beat."""
     below = budget + 1 if below is None else min(below, budget + 1)
-    memo = {}
-    outer = _BudgetSweep(rows, below - 1, memo=memo)
-    firsts = outer.trace(np.arange(len(outer.costs)))
-    after = table.rows_after(start + firsts)
-    top = table.rows_after(start + np.array([[len(g) - 1 for _, g in rows]]))
+    memo = {} if memo is None else memo
+    outer = _BudgetSweep(rows, below - 1, tuple(start.tolist()), memo)
+    firsts = start + outer.trace(np.arange(len(outer.costs)))
+    after = table.rows_after(firsts)
     need = after[:, 1:] - after[:, :1]
-    room = after[:, 1:] - top[:, 1:]
+    room = after[:, 1:] - table.top[1:]
     gains = outer.gains.tolist()
     best = (below, None)
     for f, (l1, gain) in enumerate(zip(outer.costs.tolist(), gains)):
@@ -241,7 +275,7 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None):
         if not (g + np.minimum(g, room[f]) >= need[f]).all():
             continue
         inner = _BudgetSweep(rows, best[0] - l1 - 1, tuple(firsts[f].tolist()), memo)
-        shifts = start + firsts[f] + inner.trace(np.arange(len(inner.costs)))
+        shifts = firsts[f] + inner.trace(np.arange(len(inner.costs)))
         won = np.flatnonzero(table.wins(table.rows_after(shifts)))
         if len(won):
             w = won[0]
@@ -286,8 +320,9 @@ def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     _require_scoring(inst)
     table = ShiftTable(inst)
     hint = "; use solve_two_pass_scaled instead"
-    budget, rows = _sweep_rows(_price_lists(inst), table.gains, hint)
-    cost, shifts = _two_pass(table, rows, 0, budget)
+    zero = np.zeros(inst.num_voters, dtype=np.int64)
+    budget, rows = _sweep_rows(_price_lists(inst), table, zero, hint)
+    cost, shifts = _two_pass(table, rows, zero, budget)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
@@ -303,7 +338,8 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """
     _require_scoring(inst)
     table = ShiftTable(inst)
-    budget, rows = _sweep_rows(_price_lists(inst), table.gains)
+    zero = np.zeros(inst.num_voters, dtype=np.int64)
+    budget, rows = _sweep_rows(_price_lists(inst), table, zero)
     sweep = _BudgetSweep(rows, budget)
     shifts = sweep.trace(np.arange(len(sweep.costs)))
     won = np.flatnonzero(table.wins(table.rows_after(shifts)))
@@ -313,25 +349,33 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_rounds(price_lists, table, start, eps, below=None):
+def _scaled_rounds(price_lists, table, start, eps, below=None, shared=None, memo=None):
     """(cost, shifts) of ``solve_two_pass_scaled``, with internal ``eps``,
-    for actions on top of ``start``.  Each voter's options are rebased over
-    its start shift s: prices ``p[s:] - p[s]`` of its ``price_lists`` entry
-    (``bribery._price_lists`` of the instance), gains ``g[s:] - g[s]`` of
-    ``table``.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``, with P the
-    rebased price total, one ``_two_pass`` on these rows runs alone;
-    otherwise every round re-prices them and calls ``_two_pass`` on
-    ``table``.  The cost is under the rebased prices.  ``below``, at least
-    1, caps only the exact path's scan (see ``_two_pass``), which returns
-    None when no winner costs less; the rounds' sweep costs are re-priced,
-    not the cost it bounds, so they scan below their own price totals + 1.
-    """
+    for actions on top of ``start``.  Each voter's prices are rebased over
+    its start shift s: ``p[k] - p[s]`` for k >= s of its ``price_lists``
+    entry (``bribery._price_lists`` of the instance), and 0 below s, where
+    no sweep reads; its gains are ``table``'s row, which every sweep reads
+    at offsets of at least s.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``,
+    with P the rebased price total, one ``_two_pass`` on these rows runs
+    alone, through ``memo``; otherwise every round re-prices them and calls
+    ``_two_pass`` on ``table`` with a fresh memo.  The cost is under the
+    rebased prices.  ``below``, at least 1, caps only the exact path's scan
+    (see ``_two_pass``), which returns None when no winner costs less; the
+    rounds' sweep costs are re-priced, not the cost it bounds, so they scan
+    below their own price totals + 1.
+
+    On the exact path a voter of start 0 reads its int64 row from
+    ``shared`` (see ``_sweep_rows``).  An admitted sweep bounds every such
+    row's largest price by P, so none is converted from a price the sweep
+    itself could not hold."""
     n = len(price_lists)
-    prices = [[q - p[s] for q in p[s:]] for p, s in zip(price_lists, start.tolist())]
-    gains = [g[s:] - g[s] for g, s in zip(table.gains, start.tolist())]
-    if (n + 1) * (sum(p[-1] for p in prices) + 1) <= DEFAULT_EXACT_THRESHOLD:
-        budget, rows = _sweep_rows(prices, gains)
-        return _two_pass(table, rows, start, budget, below)
+    prices = [
+        [0] * s + [q - p[s] for q in p[s:]] if s else p for p, s in zip(price_lists, start.tolist())
+    ]
+    total = sum(p[-1] for p in prices)
+    if (n + 1) * (total + 1) <= DEFAULT_EXACT_THRESHOLD:
+        budget, rows = _sweep_rows(prices, table, start, shared=shared)
+        return _two_pass(table, rows, start, budget, below, memo)
     num, den = eps.numerator, eps.denominator
     big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
     top = max(p[-1] for p in prices)
@@ -342,11 +386,11 @@ def _scaled_rounds(price_lists, table, start, eps, below=None):
     for rho in rhos:
         # ceil(price / K), exactly, with K = rho*eps/n for prices at most rho
         scaled = [[-(-q * n * den // (rho * num)) if q <= rho else big for q in p] for p in prices]
-        budget, rows = _sweep_rows(scaled, gains)
+        budget, rows = _sweep_rows(scaled, table, start)
         _, shifts = _two_pass(table, rows, start, budget)
-        moved = (shifts - start).tolist()
-        if all(p[k] < big for p, k in zip(scaled, moved)):
-            cost = _check_i64(sum(p[k] for p, k in zip(prices, moved)), "total bribery cost")
+        taken = shifts.tolist()
+        if all(p[k] < big for p, k in zip(scaled, taken)):
+            cost = _check_i64(sum(p[k] for p, k in zip(prices, taken)), "total bribery cost")
             if best is None or cost < best[0]:
                 best = (cost, shifts)
     return best
@@ -387,15 +431,23 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     Some coordinate of an optimal action carries at least a 1/n fraction of
     its cost, and there are only n * m candidate (voter, amount) guesses.
     For every guess the remainder is solved by ``solve_two_pass_scaled``
-    with eps = 1/n, started from the guess: the guessed voter's option rows
-    are sliced at the guessed shift, and every guess reads the instance's
-    one shift table and one set of price lists.  Where that remainder's
+    with eps = 1/n, started from the guess.  Where that remainder's
     unscaled sweep is admitted it runs alone, at most twice the optimal
     remainder, so the correct guess costs at most twice the optimum either
-    way.  The no-guess
-    run (``solve_two_pass`` where admitted) is the baseline, and a candidate
-    that already wins yields cost 0 before any guard is consulted.  Returns
-    the cheapest successful combination found.
+    way.  The no-guess run (``solve_two_pass`` where admitted) is the
+    baseline, and a candidate that already wins yields cost 0 before any
+    guard is consulted.  Returns the cheapest successful combination found.
+
+    The work that is the same for every guess is done once per solve: the
+    shift table and price lists; one winner test of every single shift,
+    which settles a guess that wins alone; and, for the admitted sweeps,
+    each voter's int64 option row, converted when a sweep first reads it.
+    An admitted guess (voter i, shift t) sweeps these rows offset at the
+    guess, with voter i's row alone replaced by its prices rebased at t
+    (``_scaled_rounds``).  Where the baseline's sweep is admitted, its
+    suffix frontiers seed each guess's memo, a shallow copy dropped when
+    the guess ends, so a guess builds only the frontiers the baseline did
+    not build at a budget as high (``_BudgetSweep``).
 
     A guess is kept only if it is strictly cheaper than the best so far, so
     its remainder is sought only below the best cost less the guessed price,
@@ -412,17 +464,20 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     zero = np.zeros(n, dtype=np.int64)
     table = ShiftTable(inst)
     price_lists = _price_lists(inst)
-    best = _scaled_rounds(price_lists, table, zero, eps)
-    for i, p in enumerate(price_lists):
+    shared, memo = [None] * n, {}
+    best = _scaled_rounds(price_lists, table, zero, eps, None, shared, memo)
+    single = table.wins(table.base + table.flat)  # after each (voter, shift) alone
+    for i, (p, row) in enumerate(zip(price_lists, table.starts.tolist())):
         for t in range(1, len(p)):
             if p[t] >= best[0]:
                 break  # prices are non-decreasing; nothing cheaper follows
             guess = zero.copy()
             guess[i] = t
-            if table.wins(table.rows_after(guess[None]))[0]:
+            if single[row + t]:
                 cand = (p[t], guess)
             else:
-                rest = _scaled_rounds(price_lists, table, guess, eps, best[0] - p[t])
+                below = best[0] - p[t]
+                rest = _scaled_rounds(price_lists, table, guess, eps, below, shared, dict(memo))
                 if rest is None:
                     continue
                 cand = (p[t] + rest[0], rest[1])

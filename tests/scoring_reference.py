@@ -77,7 +77,8 @@ def double_gain_check(inst, s, r) -> bool:
 def bootstrap_uncapped(inst):
     """``solve_bootstrap``'s guess loop with every guess's remainder solved
     in full by ``_scaled_rounds`` and then compared with the best so far:
-    the reference its capped sweeps are checked against."""
+    the reference its capped sweeps are checked against.  Each guess has
+    its own winner test, rows and memo, shared with no other guess."""
     rule = _require_scoring(inst)
     n = inst.num_voters
     if 0 in sb.winners(sb.scoring_scores(inst.election, rule.vector)):

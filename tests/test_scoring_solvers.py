@@ -322,6 +322,48 @@ class TestSuffixMemo:
         # a quarter of the layers were memo hits
         assert inner >= 300 and cut >= 100
         assert nodes < layers * 3 // 4
+        # B and Bw sweep the solve's shared rows, each guess through a copy
+        # of its baseline's memo: every sweep still equals a fresh one, and
+        # some guesses rebuilt a node asked above the budget it was built at
+        guessed = rebuilt = 0
+        insts = [admitted_instance(seed) for seed in ADMITTED_SEEDS]
+        for inst in insts + [sb.gen_random(1, 12, 8, 20, weighted=w) for w in (False, True)]:
+            weighted = inst.election.weights is not None
+            for solve in [sb.solve_bootstrap] + [sb.solve_bootstrap_weighted] * weighted:
+                built.clear()
+                solve(inst)
+                for rows, budget, offsets, memo, sweep in built:
+                    rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, offsets)]
+                    assert_same_sweep(sweep, _BudgetSweep(rebased, budget))
+                    guessed += memo is not built[0][3]
+                baseline = built[0][3]
+                for memo in {id(m): m for _, _, _, m, _ in built}.values():
+                    rebuilt += sum(key in baseline and node is not baseline[key] for key, node in memo.items())
+        assert guessed >= 700 and rebuilt >= 5, (guessed, rebuilt)
+
+    def test_memo_asked_at_rising_and_falling_budgets(self):
+        # One memo serves sweeps whose budgets rise and fall, at offsets
+        # that change from sweep to sweep: every sweep equals a memo-less
+        # sweep of the rebased rows at its budget, and a node asked above
+        # the budget it was built at is rebuilt there.
+        rebuilt = 0
+        for seed in range(56):
+            inst = memo_instance(seed)
+            rows = option_rows(inst)
+            rng = random.Random(seed)
+            top = price_total(inst)
+            memo = {}
+            for k, budget in enumerate((top // 3, top, 0, top // 2, top, 1, top - 1, top)):
+                offsets = tuple(rng.randint(0, len(p) - 1) * (k % 3 == 2) for p, _ in rows)
+                before = dict(memo)
+                sweep = _BudgetSweep(rows, budget, offsets, memo)
+                rebased = [(p[t:] - p[t], g[t:] - g[t]) for (p, g), t in zip(rows, offsets)]
+                assert_same_sweep(sweep, _BudgetSweep(rebased, budget))
+                for key, node in before.items():
+                    if memo[key] is not node:
+                        assert node[4] < budget == memo[key][4]
+                        rebuilt += 1
+        assert rebuilt >= 50, rebuilt
 
     def test_node_cut_to_lower_budget_equals_sweep_built_there(self):
         for seed in range(24):
@@ -434,17 +476,17 @@ def scores_after(inst, t):
 
 def scan_without_skips(table, rows, start, budget):
     """``_two_pass`` with every inner sweep built and no memo: its answer,
-    or None, and per l1 visited, l1's action and whether its inner sweep
-    holds a winner."""
-    outer = _BudgetSweep(rows, budget)
-    firsts = outer.trace(np.arange(len(outer.costs)))
+    or None, and per l1 visited, the offsets of l1's inner sweep (``start``
+    plus l1's action) and whether that sweep holds a winner."""
+    outer = _BudgetSweep(rows, budget, tuple(start.tolist()))
+    firsts = start + outer.trace(np.arange(len(outer.costs)))
     best, visited = None, []
     for l1, first in zip(outer.costs.tolist(), firsts):
         if best is not None and l1 >= best[0]:
             break
         inner_budget = budget if best is None else best[0] - l1 - 1
         inner = _BudgetSweep(rows, inner_budget, tuple(first.tolist()))
-        shifts = start + first + inner.trace(np.arange(len(inner.costs)))
+        shifts = first + inner.trace(np.arange(len(inner.costs)))
         won = np.flatnonzero(table.wins(table.rows_after(shifts)))
         visited.append((tuple(first.tolist()), len(won) > 0))
         if len(won):
@@ -500,11 +542,10 @@ class TestSkipTest:
         class RecordingSweep(_BudgetSweep):
             def __init__(self, rows, budget, offsets=None, memo=None):
                 super().__init__(rows, budget, offsets, memo)
-                if offsets is not None:
-                    calls[-1][2].add(offsets)
+                calls[-1][2].append(offsets)
 
         def recording_two_pass(*args):
-            calls.append((args, [None], set()))
+            calls.append((args, [None], []))
             calls[-1][1][0] = two_pass(*args)
             return calls[-1][1][0]
 
@@ -517,8 +558,9 @@ class TestSkipTest:
         for inst, solve in solves:
             calls.clear()
             solve(inst)
-            for args, (answer,), built in calls:
+            for args, (answer,), swept in calls:
                 best, visited = scan_without_skips(*args[:4])
+                built = set(swept[1:])  # the first sweep is the outer one
                 assert built <= {first for first, _ in visited}
                 below = args[4] if len(args) > 4 else None
                 if below is not None:
@@ -537,12 +579,12 @@ class TestSkipTest:
 
 
 def rebased_rows(inst, start):
-    """(table, option rows, price total) of ``inst`` rebased at ``start``,
-    as ``_scaled_rounds`` builds them on its exact path."""
+    """(table, option rows, price total) of ``inst`` on top of ``start``,
+    as ``_scaled_rounds`` builds them on its exact path: each voter's
+    prices rebased at its start shift, and 0 below it."""
     table = ShiftTable(inst)
-    prices = [[q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start)]
-    gains = [g[s:] - g[s] for g, s in zip(table.gains, start)]
-    budget, rows = scoring_solvers._sweep_rows(prices, gains)
+    prices = [[0] * s + [q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start)]
+    budget, rows = scoring_solvers._sweep_rows(prices, table, np.array(start, dtype=np.int64))
     return table, rows, budget
 
 
@@ -840,6 +882,68 @@ class TestSolveBootstrap:
             if inst.election.weights is not None:
                 assert repr(sb.solve_bootstrap_weighted(inst)) == want
 
+    def test_admitted_guesses_after_scaled_baseline_rounds(self, monkeypatch):
+        # The baseline's unscaled sweep is refused, so the baseline runs the
+        # scaled rounds, while some guesses' remainders are admitted and read
+        # the solve's shared rows; the answer, or the exception, is still
+        # that of the uncapped loop, which solves each remainder afresh.
+        # The instances: 4 voters rank c over p under 2-candidate Borda, at
+        # prices 150000, 150000, inf, inf (P = 300000, and a guess of either
+        # priced voter leaves 150000); one whose guessed voter's largest
+        # price, 2**63 + 100, leaves the 64-bit range while the remainder
+        # above its guess is admitted; and seeded 4-voter instances whose
+        # first two voters' prices are scaled so that the larger of their
+        # largest prices lies just below 199,999, the largest admitted price
+        # total, on every third seed with the other two voters' shifts cut.
+        calls = []
+        two_pass = scoring_solvers._two_pass
+
+        def recording_two_pass(*args):
+            calls.append((len(args) > 4, args[2].tolist()))
+            return two_pass(*args)
+
+        two = sb.Election(("p", "c"), ((1, 0),) * 4)
+        three = sb.Election(("p", "c1", "c2"), ((1, 2, 0), (1, 0, 2)))
+        insts = [
+            sb.ShiftBriberyInstance(
+                two, (sb.CostFunction((150000,)),) * 2 + (sb.CostFunction((None,)),) * 2, sb.ScoringRule(sb.borda(2))
+            ),
+            sb.ShiftBriberyInstance(
+                three,
+                (sb.CostFunction(((1 << 63) - 100, (1 << 63) + 100)), sb.CostFunction((5,))),
+                sb.ScoringRule(sb.borda(3)),
+            ),
+        ]
+        for seed in range(120):
+            base = sb.gen_random(seed, 4, 2 + seed % 3, 6, weighted=seed % 2 == 1)
+            costs = list(base.costs)
+            scale = 199990 // max([1] + [p for cf in costs[:2] for p in cf.prices])
+            costs[:2] = [sb.CostFunction(tuple(scale * p for p in cf.prices)) for cf in costs[:2]]
+            if seed % 3 == 0:
+                costs[2:] = [sb.CostFunction((None,) * cf.cap) for cf in costs[2:]]
+            insts.append(sb.ShiftBriberyInstance(base.election, tuple(costs), base.rule))
+        mixed = []
+        for inst in insts:
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(scoring_solvers, "_two_pass", recording_two_pass)
+                try:
+                    got = repr(sb.solve_bootstrap(inst))
+                except (sb.Infeasible, OverflowError) as err:
+                    got = repr(err)
+            try:
+                want = repr(bootstrap_uncapped(inst))
+            except (sb.Infeasible, OverflowError) as err:
+                want = repr(err)
+            assert got == want
+            baseline_rounds = sum(not admitted and not any(start) for admitted, start in calls)
+            admitted = [start for admitted, start in calls if admitted and any(start)]
+            if baseline_rounds and admitted:
+                mixed.append((got, baseline_rounds, admitted))
+        assert mixed[0] == (repr((300000, sb.ShiftAction((1, 1, 0, 0)))), 19, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        assert mixed[1] == (repr(((1 << 63) - 95, sb.ShiftAction((1, 1)))), 65, [[1, 0]])
+        assert len(mixed) >= 7
+
     def test_theorem6_k1_within_twice_optimal(self, thm6_k1):
         opt, _ = sb.exact_shift_opt(thm6_k1)
         cost, action = sb.solve_bootstrap(thm6_k1)
@@ -943,8 +1047,8 @@ def test_small_gain_totals_pass_the_guard(solver, inst, want):
     ids=["Aeps", "B", "Bw"],
 )
 def test_one_shift_table_per_solve(solve, monkeypatch):
-    # Rounds re-price the option rows and guesses slice them, so no solve
-    # builds a second table.
+    # Rounds re-price the option rows and guesses sweep them offset at the
+    # guess, so no solve builds a second table.
     built = []
     init = ShiftTable.__init__
 

@@ -18,9 +18,10 @@ solved greedily within a logarithmic factor (``cover_targets_greedy``,
 ``solve_maximin_shift``).  The per-voter move lists (prices, and the rivals
 above the preferred candidate) are built once per instance and shared by
 every k; each greedy run is lazy, re-evaluating only the voter at the top
-of its heap, and a k whose per-rival price floor (from ``_passing``) reaches
-the cheapest successful action so far is not run at all.  Both shift
-solvers check their action on one pairwise row (``_wins_after``).
+of its heap.  The k are run cheapest per-rival price floor (from
+``_passing``) first, and a k whose floor reaches the cheapest successful
+action so far is not run at all.  Both shift solvers check their action on
+one pairwise row (``_wins_after``).
 
 Weighted instances are rejected by all solvers in this module; weighted
 microbribery is inapproximable in general and the covering bound is stated
@@ -44,12 +45,12 @@ from .bribery import (
     _pairwise_wins,
     _price_lists,
     _rival_tally,
-    total_cost,
 )
 from .elections import (
     CopelandAlpha,
     Election,
     PairwiseTally,
+    _check_i64,
     _shifted,
     copeland_scores,
     maximin_scores,
@@ -408,19 +409,21 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
 
     The tables are never built: the core (``_solve_copeland``) reads one
     pairwise tally and the flip prices (``_passing``), and the action is
-    checked on that tally (``_wins_after``).
+    checked on that tally (``_wins_after``) and priced from the same lists.
     """
     if not isinstance(inst.rule, CopelandRule):
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
     _require_unweighted(inst, "solve_copeland_shift")
     n = inst.num_voters
-    passing = _passing(_price_lists(inst), inst.election)
+    prices = _price_lists(inst)
+    passing = _passing(prices, inst.election)
     tally = pairwise_tally(inst.election)
     _, flips = _solve_copeland(tally, [(ps, ([], [])) for ps in passing], inst.rule.alpha)
     action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
     if not _wins_after(inst, tally, _pairwise_wins(tally, inst.rule), action.shifts):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
-    return total_cost(inst, action), action
+    cost = sum(p[t] for p, t in zip(prices, action.shifts))
+    return _check_i64(cost, "total bribery cost"), action
 
 
 def _best_move(prices: list, above: list, shift: int, deficits: list, voter: int, scale: int):
@@ -531,11 +534,21 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     against every rival, and at least n - k against every rival currently
     scoring above k (which caps that rival's score at k).  Each k yields a
     covering problem solved by the greedy of ``cover_targets_greedy``, on
-    per-voter move lists built once.  A k runs only if every rival's price
-    floor at its deficit (the d cheapest prices of passing c bound passing c
-    in d voters) exists and lies below the cheapest successful cost so far,
-    and its action gets the winner test only if cheaper still; so the first
-    cheapest successful action is returned, as if every k ran.
+    per-voter move lists built once.  The answer is the least (cost, k)
+    among the successful greedy actions: the first cheapest one in k order.
+
+    One (targets x candidates) table holds every k's deficits, and each k's
+    price floor is the largest over the rivals of the d cheapest prices of
+    passing c in d voters (``_passing``), which bounds any action meeting
+    the deficits and so the greedy's cost; a k asking some rival to be
+    passed by more voters than can pass it is dropped (the greedy would
+    find no action).  The k are covered in ascending (floor, k) order,
+    skipping a k whose (floor, k) is not below the best (cost, k) so far
+    and stopping at the first floor above the best cost; an action is
+    tested (``_wins_after``) only if its (cost, k) is below the best.  A
+    skipped or unvisited k has (cost, k) >= (floor, k) >= the best, so it
+    could not have been the answer, and each k's action is the same
+    whichever order the k are covered in.
     """
     if not isinstance(inst.rule, MaximinRule):
         raise IncompatibleRule("solve_maximin_shift requires the maximin rule")
@@ -544,20 +557,29 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     tally = pairwise_tally(inst.election)
     wins = _pairwise_wins(tally, inst.rule)
     prices, above = _checked_price_lists(inst), _candidates_above(inst)
-    floors = [list(itertools.accumulate(ps, initial=0)) for ps, _ in _passing(prices, inst.election)]
-    scores = maximin_scores(tally)
-    support = tally.n_matrix[0]
-    best: Tuple[float, Optional[list]] = (math.inf, None)
-    for k in range(scores[0], n + 1):
-        deficits = [0] + [
-            max(0, (max(k, n - k) if scores[c] > k else k) - support[c]) for c in range(1, m)
-        ]
-        if max(f[d] if d < len(f) else math.inf for d, f in zip(deficits, floors)) >= best[0]:
+    pools = [ps for ps, _ in _passing(prices, inst.election)]
+    counts = np.array([len(ps) for ps in pools])
+    prefix = np.zeros((m, counts.max() + 1), np.int64)  # fits: the prices were checked
+    for c, ps in enumerate(pools):
+        prefix[c, 1 : len(ps) + 1] = list(itertools.accumulate(ps))
+    scores = np.array(maximin_scores(tally))
+    ks = np.arange(scores[0], n + 1)[:, None]  # row j is the target k = scores[0] + j
+    need = np.where(scores > ks, np.maximum(ks, n - ks), ks)
+    deficits = np.maximum(need - tally.n_matrix[0], 0)
+    deficits[:, 0] = 0  # unused by _cover; with no rival (m = 1) every floor is 0
+    floors = prefix[np.arange(m), np.minimum(deficits, counts)].max(axis=1)
+    kept = np.flatnonzero((deficits <= counts).all(axis=1))
+    order = kept[np.argsort(floors[kept], kind="stable")]  # stable: ties in k order
+    best: Tuple[float, int, Optional[list]] = (math.inf, 0, None)  # (cost, row, shifts)
+    for j, floor in zip(order.tolist(), floors[order].tolist()):
+        if floor > best[0]:
+            break
+        if (floor, j) >= best[:2]:
             continue
-        shifts = _cover(prices, above, deficits)
+        shifts = _cover(prices, above, deficits[j].tolist())
         cost = sum(p[t] for p, t in zip(prices, shifts))
-        if cost < best[0] and _wins_after(inst, tally, wins, shifts):
-            best = (cost, shifts)
-    if best[1] is None:
+        if (cost, j) < best[:2] and _wins_after(inst, tally, wins, shifts):
+            best = (cost, j, shifts)
+    if best[2] is None:
         raise Infeasible("no successful shift action exists")
-    return best[0], ShiftAction(tuple(best[1]))
+    return best[0], ShiftAction(tuple(best[2]))

@@ -1,8 +1,9 @@
-"""The per-rival price floors that let ``solve_maximin_shift`` skip target
-scores, and the solver against the reference loop that runs every one."""
+"""The per-rival price floors that order and skip ``solve_maximin_shift``'s
+target scores, and the solver against the reference loop that runs every
+one."""
 
 import random
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,12 @@ def edge_instance(seed, rule=sb.MAXIMIN):
             prices = prices[:cut] + [None] * (len(prices) - cut)
         costs.append(sb.CostFunction(tuple(prices)))
     return sb.ShiftBriberyInstance(inst.election, tuple(costs), inst.rule)
+
+
+def instance(orders, prices, rule=sb.MAXIMIN):
+    names = tuple(f"c{i}" for i in range(len(orders[0])))
+    costs = tuple(sb.CostFunction(ps) for ps in prices)
+    return sb.ShiftBriberyInstance(sb.Election(names, tuple(orders)), costs, rule)
 
 
 def outcome(solve, inst):
@@ -91,7 +98,7 @@ def test_matches_all_targets_loop_on_the_ladder():
 
 
 @pytest.mark.parametrize(
-    "args, runs, targets", [((1, 200, 20, 50), 12, 110), ((2, 100, 12, 50), 2, 53)]
+    "args, runs, targets", [((1, 200, 20, 50), 7, 110), ((2, 100, 12, 50), 1, 53)]
 )
 def test_priced_out_targets_are_not_run(monkeypatch, args, runs, targets):
     # The counts pin the floor itself: a weaker floor runs more targets.
@@ -106,6 +113,64 @@ def test_priced_out_targets_are_not_run(monkeypatch, args, runs, targets):
     sb.solve_maximin_shift(inst)
     assert sum(1 for _ in target_deficits(inst)) == targets
     assert len(calls) == runs
+
+
+@pytest.mark.parametrize(
+    "inst, want",
+    [
+        # one candidate: no rival, every floor is 0
+        (instance([(0,), (0,)], [(), ()]), (0, (0, 0))),
+        # the preferred candidate already wins 2-1
+        (instance([(0, 1), (0, 1), (1, 0)], [(), (), (3,)]), (0, (0, 0, 0))),
+        # no shift can be bought
+        (
+            instance([(1, 0), (1, 0)], [(None,), (None,)]),
+            "Infeasible('no successful shift action exists')",
+        ),
+    ],
+)
+def test_edge_cases_match_all_targets_loop(inst, want):
+    assert outcome(sb.solve_maximin_shift, inst) == want
+    assert outcome(solve_maximin_all_targets, inst) == want
+
+
+def test_equal_costs_go_to_the_smaller_target():
+    # Targets 0 and 1 (rows from the current score up) both win at the
+    # least cost with different actions, and target 1 has the lower floor,
+    # so it is covered first; target 0, at a floor equal to that cost, must
+    # still be covered and replace it.
+    inst = sb.gen_random(266, 14, 4, 5, rule=sb.MAXIMIN)
+    prices, above = move_lists(inst)
+    runs = []
+    for deficits, floors, cost in islice(cover_runs(inst), 2):
+        floor = max(f[d] for d, f in zip(deficits, floors))
+        runs.append((floor, cost, _cover(prices, above, deficits)))
+    (floor0, cost0, shifts0), (floor1, cost1, shifts1) = runs
+    assert (floor1, cost0) == (1, 2) and floor0 == cost1 == cost0 and shifts0 != shifts1
+    want = solve_maximin_all_targets(inst)
+    assert want == (cost0, sb.ShiftAction(tuple(shifts0)))
+    assert sb.solve_maximin_shift(inst) == want
+
+
+def test_targets_above_the_best_cost_are_not_covered(monkeypatch):
+    covered = 0
+    for seed in range(150):
+        inst = edge_instance(seed)
+        floors = passing_floors(inst)
+        calls = []
+
+        def counted(*cover_args):
+            calls.append(max(f[d] for d, f in zip(cover_args[2], floors)))
+            return _cover(*cover_args)
+
+        monkeypatch.setattr(condorcet_solvers, "_cover", counted)
+        try:
+            cost, _ = sb.solve_maximin_shift(inst)
+        except sb.Infeasible:
+            continue
+        assert max(calls) <= cost, seed
+        covered += len(calls)
+    assert covered >= 150
 
 
 def test_greedy_cost_is_at_least_every_floor():
@@ -175,12 +240,6 @@ def test_passing_reproduces_the_old_groupings(monkeypatch):
 
 
 I64_MAX = (1 << 63) - 1
-
-
-def instance(orders, prices, rule=sb.MAXIMIN):
-    names = tuple(f"c{i}" for i in range(len(orders[0])))
-    costs = tuple(sb.CostFunction(ps) for ps in prices)
-    return sb.ShiftBriberyInstance(sb.Election(names, tuple(orders)), costs, rule)
 
 
 @st.composite

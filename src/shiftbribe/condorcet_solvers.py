@@ -251,7 +251,8 @@ def _solve_copeland(
     rival scoring above k.  A rival's outcomes allowed at k change only at
     the thresholds base[c] + gain, so the cuts of the sorted thresholds
     split the range of k into windows of equal allowed outcomes.  Each
-    window where every rival has an allowed outcome runs one dynamic
+    window where every rival has an allowed outcome, that is each window
+    whose top reaches every rival's least threshold, runs one dynamic
     program over the rivals (``_rival_dp``), and the answer is the cheapest
     state of all windows, ties broken by (wins, ties).  That is the pattern
     that a scan of every pattern in (wins, ties) order picks when it keeps
@@ -275,18 +276,21 @@ def _solve_copeland(
         for c in range(1, m)
     ]
     edges = [current, *sorted(base[c] + gain[o] for c in range(1, m) for o in options[c]), top + 1]
+    floor = max(
+        (min((base[c] + gain[o] for o in options[c]), default=top + 1) for c in range(1, m)),
+        default=current,
+    )  # the least high at which every rival has an allowed outcome
     states = []
     for start, end in zip(edges, edges[1:]):
         low, high = max(current, start), min(top, end - 1)
-        if low > high:
+        if low > high or high < floor:
             continue
         allowed = [
             [step for step in rival_steps if base[c] + gain[step[0]] <= high]
             for c, rival_steps in enumerate(steps, start=1)
         ]
-        if all(allowed):
-            program = _rival_dp(allowed, (low, high), den, num)
-            states += [(cost, w, t, chosen) for (w, t), (cost, chosen) in program.items()]
+        program = _rival_dp(allowed, (low, high), den, num)
+        states += [(cost, w, t, chosen) for (w, t), (cost, chosen) in program.items()]
     if not states:
         raise Infeasible("no flip set makes the preferred candidate a winner")
     cost, _, _, chosen = min(states)

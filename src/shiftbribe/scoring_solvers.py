@@ -25,12 +25,13 @@ builds
 Each solve first builds one per-voter table of score deltas, shared with
 the exact oracle (``bribery.ShiftTable``), reads the gain rows of its
 sweeps from it, and tests whole batches of candidate actions against it.
-The sweep of ``solve_two_pass`` serves ``A``, ``Aeps`` and every ``B``
-guess.  Its option rows are indexed by the shift, and it sweeps them
-offset at its start: a guess starts from its shift.  Where the unscaled
-sweep is admitted it runs alone, on int64 rows that one ``B`` solve
-converts once for its baseline and all its guesses; elsewhere every
-price-scaling round re-prices the (price, gain) option rows and runs it.
+Every sweep, ``buy``'s included, takes its option rows from
+``_sweep_rows``, behind the cell guard.  The sweep of ``solve_two_pass``
+serves ``A``, ``Aeps`` and every ``B`` guess.  Its option rows are indexed
+by the shift, and it sweeps them offset at its start: a guess starts from
+its shift.  Where the unscaled sweep is admitted it runs alone; elsewhere
+every price-scaling round re-prices the (price, gain) option rows and
+runs it.
 Within one such sweep every voter suffix's frontier is built once and kept
 until the sweep returns, trading memory for time, and a voter none of whose
 affordable shifts gains anything passes the next frontier through unbuilt
@@ -76,7 +77,7 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
     return inst.rule
 
 
-def _sweep_rows(prices: list, table: ShiftTable, start, hint: str = "", shared=None):
+def _sweep_rows(prices: list, table: ShiftTable, start, hint: str = ""):
     """(P, option rows) of a sweep on top of ``start``: per voter, its
     ``prices`` list as int64 with the table's gain row, both indexed by the
     shift, of which the entries below the voter's start shift are never
@@ -84,11 +85,7 @@ def _sweep_rows(prices: list, table: ShiftTable, start, hint: str = "", shared=N
     to G, read once ``table.gains`` has passed its own check.  A frontier
     holds at most min(P, G) + 1 points, so (n + 1)(min(P, G) + 1) is
     checked against the cell guard first, and then P against the 64-bit
-    range, so that no sum of frontier costs can wrap.
-
-    A voter of start 0 takes its row from ``shared``, a per-voter list of
-    rows that the caller keeps, where it is converted on first use, so the
-    sweeps of one solve convert it once; every other row is converted anew."""
+    range, so that no sum of frontier costs can wrap."""
     gains = table.gains
     total = sum(p[-1] for p in prices)
     left = sum(int(g[-1] - g[s]) for g, s in zip(gains, start.tolist()))
@@ -96,16 +93,7 @@ def _sweep_rows(prices: list, table: ShiftTable, start, hint: str = "", shared=N
     if cells > DEFAULT_CELL_GUARD:
         raise GuardExceeded(f"budget DP needs {cells} cells (guard {DEFAULT_CELL_GUARD}){hint}")
     _check_i64(total, "total of the largest prices")
-    shared = [None] * len(prices) if shared is None else shared
-    rows = []
-    for i, s in enumerate(start.tolist()):
-        row = None if s else shared[i]
-        if row is None:
-            row = (np.array(prices[i], dtype=np.int64), gains[i])
-            if not s:
-                shared[i] = row
-        rows.append(row)
-    return total, rows
+    return total, [(np.array(p, dtype=np.int64), g) for p, g in zip(prices, gains)]
 
 
 class _BudgetSweep:
@@ -209,12 +197,14 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
 
     Among the gain-maximizing actions within budget, the one of minimum
     cost is returned; remaining ties go to the lexicographically smallest
-    shift vector.  Returns the action and its score gain.
+    shift vector.  Returns the action and its score gain.  The sweep is
+    guarded like ``solve_two_pass``: ``GuardExceeded`` when
+    (n + 1)(min(P, G) + 1) exceeds ``DEFAULT_CELL_GUARD``, whatever the budget.
     """
     _require_scoring(inst)
-    table = ShiftTable(inst)
-    total = sum(int(p[-1]) for p in table.prices)
-    sweep = _BudgetSweep(list(zip(table.prices, table.gains)), min(budget, total))
+    zero = np.zeros(inst.num_voters, dtype=np.int64)
+    total, rows = _sweep_rows(_price_lists(inst), ShiftTable(inst), zero)
+    sweep = _BudgetSweep(rows, min(budget, total))
     last = len(sweep.costs) - 1  # every point is within budget; the last gains most
     return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
 
@@ -349,7 +339,7 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_rounds(price_lists, table, start, eps, below=None, shared=None, memo=None):
+def _scaled_rounds(price_lists, table, start, eps, below=None, memo=None):
     """(cost, shifts) of ``solve_two_pass_scaled``, with internal ``eps``,
     for actions on top of ``start``.  Each voter's prices are rebased over
     its start shift s: ``p[k] - p[s]`` for k >= s of its ``price_lists``
@@ -362,19 +352,14 @@ def _scaled_rounds(price_lists, table, start, eps, below=None, shared=None, memo
     rebased prices.  ``below``, at least 1, caps only the exact path's scan
     (see ``_two_pass``), which returns None when no winner costs less; the
     rounds' sweep costs are re-priced, not the cost it bounds, so they scan
-    below their own price totals + 1.
-
-    On the exact path a voter of start 0 reads its int64 row from
-    ``shared`` (see ``_sweep_rows``).  An admitted sweep bounds every such
-    row's largest price by P, so none is converted from a price the sweep
-    itself could not hold."""
+    below their own price totals + 1."""
     n = len(price_lists)
     prices = [
         [0] * s + [q - p[s] for q in p[s:]] if s else p for p, s in zip(price_lists, start.tolist())
     ]
     total = sum(p[-1] for p in prices)
     if (n + 1) * (total + 1) <= DEFAULT_EXACT_THRESHOLD:
-        budget, rows = _sweep_rows(prices, table, start, shared=shared)
+        budget, rows = _sweep_rows(prices, table, start)
         return _two_pass(table, rows, start, budget, below, memo)
     num, den = eps.numerator, eps.denominator
     big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
@@ -439,15 +424,13 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     guard is consulted.  Returns the cheapest successful combination found.
 
     The work that is the same for every guess is done once per solve: the
-    shift table and price lists; one winner test of every single shift,
-    which settles a guess that wins alone; and, for the admitted sweeps,
-    each voter's int64 option row, converted when a sweep first reads it.
-    An admitted guess (voter i, shift t) sweeps these rows offset at the
-    guess, with voter i's row alone replaced by its prices rebased at t
-    (``_scaled_rounds``).  Where the baseline's sweep is admitted, its
-    suffix frontiers seed each guess's memo, a shallow copy dropped when
-    the guess ends, so a guess builds only the frontiers the baseline did
-    not build at a budget as high (``_BudgetSweep``).
+    shift table and price lists, and one winner test of every single shift,
+    which settles a guess that wins alone.  An admitted guess (voter i,
+    shift t) sweeps the option rows offset at the guess, with voter i's
+    prices rebased at t (``_scaled_rounds``).  Where the baseline's sweep
+    is admitted, its suffix frontiers seed each guess's memo, a shallow
+    copy dropped when the guess ends, so a guess builds only the frontiers
+    the baseline did not build at a budget as high (``_BudgetSweep``).
 
     A guess is kept only if it is strictly cheaper than the best so far, so
     its remainder is sought only below the best cost less the guessed price,
@@ -464,8 +447,8 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     zero = np.zeros(n, dtype=np.int64)
     table = ShiftTable(inst)
     price_lists = _price_lists(inst)
-    shared, memo = [None] * n, {}
-    best = _scaled_rounds(price_lists, table, zero, eps, None, shared, memo)
+    memo = {}
+    best = _scaled_rounds(price_lists, table, zero, eps, None, memo)
     single = table.wins(table.base + table.flat)  # after each (voter, shift) alone
     for i, (p, row) in enumerate(zip(price_lists, table.starts.tolist())):
         for t in range(1, len(p)):
@@ -477,7 +460,7 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
                 cand = (p[t], guess)
             else:
                 below = best[0] - p[t]
-                rest = _scaled_rounds(price_lists, table, guess, eps, below, shared, dict(memo))
+                rest = _scaled_rounds(price_lists, table, guess, eps, below, dict(memo))
                 if rest is None:
                     continue
                 cand = (p[t] + rest[0], rest[1])

@@ -102,6 +102,14 @@ class TestBuy:
         with pytest.raises(sb.IncompatibleRule):
             sb.buy(inst, 3)
 
+    def test_cell_guard(self, monkeypatch):
+        # buy sweeps the rows of every other solver, behind the same guard:
+        # 7 * 10 cells for 6 voters, P = 14 and G = 9, whatever the budget
+        monkeypatch.setattr(scoring_solvers, "DEFAULT_CELL_GUARD", 10)
+        with pytest.raises(sb.GuardExceeded, match=r"needs 70 cells \(guard 10\)$") as err:
+            sb.buy(sb.gen_theorem6(1), 10**6)
+        assert "solve_two_pass_scaled" not in str(err.value)
+
 
 class TestBudgetDpTable:
     def test_base_row(self):
@@ -322,8 +330,7 @@ class TestSuffixMemo:
         # a quarter of the layers were memo hits
         assert inner >= 300 and cut >= 100
         assert nodes < layers * 3 // 4
-        # B and Bw sweep the solve's shared rows, each guess through a copy
-        # of its baseline's memo: every sweep still equals a fresh one, and
+        # B and Bw sweep each guess through a copy of its baseline's memo: every sweep still equals a fresh one, and
         # some guesses rebuilt a node asked above the budget it was built at
         guessed = rebuilt = 0
         insts = [admitted_instance(seed) for seed in ADMITTED_SEEDS]
@@ -884,8 +891,8 @@ class TestSolveBootstrap:
 
     def test_admitted_guesses_after_scaled_baseline_rounds(self, monkeypatch):
         # The baseline's unscaled sweep is refused, so the baseline runs the
-        # scaled rounds, while some guesses' remainders are admitted and read
-        # the solve's shared rows; the answer, or the exception, is still
+        # scaled rounds, while some guesses' remainders are admitted and
+        # sweep rows of their own; the answer, or the exception, is still
         # that of the uncapped loop, which solves each remainder afresh.
         # The instances: 4 voters rank c over p under 2-candidate Borda, at
         # prices 150000, 150000, inf, inf (P = 300000, and a guess of either

@@ -13,6 +13,7 @@ batched scoring solvers and the exact oracles share it, and
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -251,6 +252,29 @@ def _price_lists(inst: ShiftBriberyInstance) -> list:
     return [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
 
 
+def _keep_prices(inst: ShiftBriberyInstance, values: np.ndarray, counts: np.ndarray):
+    """Store the ``_price_table`` of ``inst``, its checked ``values`` and ``counts``, read-only."""
+    values.flags.writeable = counts.flags.writeable = False
+    object.__setattr__(inst, "_prices", (values, counts))  # as Election._keep does
+    return inst
+
+
+def _price_table(inst: ShiftBriberyInstance) -> tuple:
+    """Every voter's finite prices (shifts 1 .. max_reachable), voter after
+    voter in one read-only int64 array, and each voter's count of them.
+
+    Kept on the instance: the bulk reader stores the array it parsed, and
+    for any other instance it is built from ``costs`` on the first call.  A
+    price beyond int64 raises ``OverflowError`` and keeps nothing."""
+    table = getattr(inst, "_prices", None)
+    if table is None:
+        counts = [cf.max_reachable for cf in inst.costs]
+        finite = (cf.prices[:k] for cf, k in zip(inst.costs, counts))
+        values = np.fromiter(chain.from_iterable(finite), np.int64, sum(counts))
+        table = _keep_prices(inst, values, np.array(counts, dtype=np.int64))._prices
+    return table
+
+
 def _checked_price_lists(inst: ShiftBriberyInstance) -> list:
     """``_price_lists``, once the largest prices, which bound any price sum, sum in 64 bits."""
     prices = _price_lists(inst)
@@ -355,21 +379,23 @@ def _rival_tally(tally: PairwiseTally) -> PairwiseTally:
     return PairwiseTally(tuple(row[1:] for row in tally.n_matrix[1:]), tally.total_weight)
 
 
-def _pairwise_wins(tally: PairwiseTally, rule: Rule):
+def _pairwise_wins(tally: PairwiseTally, rule: Rule, rival_scores: Optional[list] = None):
     """Batched winner test on the preferred candidate's pairwise rows, under
     a Copeland ``rule``, else maximin.
 
     Rival-versus-rival pairs cannot change, so each rival's part of its
-    score comes from the rival-only sub-tally.
+    score comes from the rival-only sub-tally: under Copeland its
+    ``copeland_scores``, computed here unless given as ``rival_scores``.
     """
     total, m = tally.total_weight, len(tally.n_matrix)
     if m == 1:
         return lambda rows: np.ones(len(rows), dtype=bool)
-    rivals = _rival_tally(tally)
     if isinstance(rule, CopelandRule):
         num, den = rule.alpha.numerator, rule.alpha.denominator
         _check_i64((m - 1) * den, "scaled Copeland maximum")
-        base_rivals = np.array(copeland_scores(rivals, rule.alpha), dtype=np.int64)
+        if rival_scores is None:
+            rival_scores = copeland_scores(_rival_tally(tally), rule.alpha)
+        base_rivals = np.array(rival_scores, dtype=np.int64)
 
         def wins(rows):
             ours = rows[:, 1:]
@@ -380,7 +406,7 @@ def _pairwise_wins(tally: PairwiseTally, rule: Rule):
             return p_score >= rival.max(axis=1)
 
         return wins
-    fixed_min = np.array(maximin_scores(rivals), dtype=np.int64)
+    fixed_min = np.array(maximin_scores(_rival_tally(tally)), dtype=np.int64)
 
     def wins(rows):
         p_score = rows[:, 1:].min(axis=1)

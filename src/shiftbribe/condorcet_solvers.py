@@ -9,7 +9,11 @@ and translating a shift-bribery instance through it loses at most a factor
 m in cost (``solve_copeland_shift``).  Both feed one core a pairwise tally
 (of the tables, or of the election) and each rival's flip pools, their
 prices and voters in (price, voter) order; for the election these are the
-shifts passing the rival, all sorted in one array (``_passing``).
+shifts passing the rival, all sorted in one array (``_passing``) read from
+the instance's price array (``bribery._price_table``).  The shift solver
+turns the core's flips into shifts with the scatter-max that
+``micro_to_shift`` uses (``_deepest_shifts``) and prices them with one
+gather of that array.
 
 Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
@@ -43,12 +47,11 @@ from .bribery import (
     ShiftBriberyInstance,
     _checked_price_lists,
     _pairwise_wins,
-    _price_lists,
+    _price_table,
     _rival_tally,
 )
 from .elections import (
     CopelandAlpha,
-    Election,
     PairwiseTally,
     _check_i64,
     _shifted,
@@ -201,7 +204,9 @@ def _rival_dp(steps: list, window: Tuple[int, int], den: int, num: int) -> dict:
     cheapest outcomes, one per rival from its ``steps`` (outcome, cost, won,
     tied, score gain den*won + num*tied), for the patterns whose scaled
     score w*den + t*num lies in ``window`` = [low, high]; of equally cheap
-    choices the first found is kept.
+    choices the first found is kept.  A state links to its predecessor's
+    link and its last outcome, and only the final states' links are
+    unrolled into outcome tuples.
 
     A state is dropped as soon as its score is above high, or so low that
     it stays below low even if every remaining rival adds den.  No step
@@ -221,7 +226,7 @@ def _rival_dp(steps: list, window: Tuple[int, int], den: int, num: int) -> dict:
         rest -= 1
         floor = low - rest * den
         nxt: Dict[Tuple[int, int], Tuple[int, tuple]] = {}
-        for (w, t), (cost, chosen) in dp.items():
+        for (w, t), (cost, link) in dp.items():
             score = w * den + t * num
             for outcome, ocost, won, tied, add in rival_steps:
                 if not floor <= score + add <= high:
@@ -229,20 +234,28 @@ def _rival_dp(steps: list, window: Tuple[int, int], den: int, num: int) -> dict:
                 key = (w + won, t + tied)
                 old = nxt.get(key)
                 if old is None or cost + ocost < old[0]:
-                    nxt[key] = (cost + ocost, chosen + (outcome,))
+                    nxt[key] = (cost + ocost, (link, outcome))
         dp = nxt
+    for key, (cost, link) in dp.items():
+        chosen = []
+        while link:
+            link, outcome = link
+            chosen.append(outcome)
+        dp[key] = (cost, tuple(reversed(chosen)))
     return dp
 
 
 def _solve_copeland(
-    tally: PairwiseTally, pools: list, alpha: CopelandAlpha
+    tally: PairwiseTally, pools: list, alpha: CopelandAlpha, base: Optional[list] = None
 ) -> Tuple[int, Dict[int, set]]:
     """Cheapest flips making candidate 0 a Copeland-alpha winner, as (cost,
     voter -> flipped rivals), from a pairwise tally and per rival two pools
     of flips (against, for-preferred), each its prices and voters in
     (price, voter) order.  A rival's margin is the weight preferring it
     minus the weight preferring candidate 0; its base score comes from
-    rival-vs-rival pairs, which no flip changes.
+    rival-vs-rival pairs, which no flip changes: ``base``, the rivals'
+    ``copeland_scores`` of ``_rival_tally(tally)``, computed here unless
+    given.
 
     Candidate 0 needs some pattern (i wins, j ties) whose scaled score
     k = i*den + j*num lies between its current score and (m - 1) * den (a
@@ -264,7 +277,7 @@ def _solve_copeland(
     n_matrix = tally.n_matrix
     m = len(n_matrix)
     margins = [n_matrix[c][0] - n_matrix[0][c] for c in range(m)]
-    base = [0] + copeland_scores(_rival_tally(tally), alpha)
+    base = [0] + (copeland_scores(_rival_tally(tally), alpha) if base is None else base)
     den, num = alpha.denominator, alpha.numerator
     gain = {_WIN: 0, _TIE: num, _LOSS: den}  # the rival's score gain
     current = sum(den if d < 0 else num if d == 0 else 0 for d in margins[1:])
@@ -325,23 +338,21 @@ def _candidates_above(inst: ShiftBriberyInstance) -> list:
     return [o[p - 1 :: -1] if p else () for o, p in zip(e.voters, e.positions[:, 0].tolist())]
 
 
-def _passing(prices: list, election: Election) -> list:
-    """Per candidate c (none for c = 0), the prices and the voters of
-    shifting each voter that can just far enough to pass c, as two lists in
-    (price, voter) order, from the per-voter prices of shifting by
-    0 .. max_reachable.
+def _passing(inst: ShiftBriberyInstance) -> list:
+    """Per candidate c (an empty pool for c = 0), the prices and the voters
+    of shifting each voter that can just far enough to pass c, as two lists
+    in (price, voter) order, read from the instance's ``_price_table``.
 
-    Shifting voter i by t passes the candidate t places above the preferred
-    one (for t = 0, the preferred one itself, whose pool is dropped).  All
-    moves are sorted at once by rival, then price; the sort is stable and
-    the moves come in voter order, so equal prices keep the smaller voter
-    first."""
-    n, m = election.orders.shape
-    sizes = np.fromiter(map(len, prices), np.int64, n)
-    price = np.fromiter(itertools.chain.from_iterable(prices), np.int64, int(sizes.sum()))
-    voter = np.repeat(np.arange(n), sizes)
-    shift = np.arange(len(price)) - np.repeat(sizes.cumsum() - sizes, sizes)
-    rival = election.orders[voter, election.positions[voter, 0] - shift]
+    Shifting voter i by t >= 1 passes the candidate t places above the
+    preferred one.  All moves are sorted at once by rival, then price; the
+    sort is stable and the moves come in voter order, so equal prices keep
+    the smaller voter first."""
+    price, counts = _price_table(inst)
+    e = inst.election
+    n, m = e.orders.shape
+    voter = np.repeat(np.arange(n), counts)
+    shift = np.arange(1, len(price) + 1) - np.repeat(counts.cumsum() - counts, counts)
+    rival = e.orders[voter, e.positions[voter, 0] - shift]
     order = np.lexsort((price, rival))
     ends = np.bincount(rival, minlength=m).cumsum().tolist()
     price, voter = price[order].tolist(), voter[order].tolist()
@@ -365,13 +376,24 @@ def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
     return MicrobriberyInstance(tables, costs)
 
 
+def _deepest_shifts(positions: np.ndarray, flips) -> np.ndarray:
+    """Per voter, the shift up to the highest of its flipped rivals (0 for
+    a voter without flips), from (voter, rivals above the preferred
+    candidate) pairs ``flips``: one scatter-max of every flip's depth, read
+    from ``positions``."""
+    pairs = np.array([(i, c) for i, rivals in flips for c in rivals], np.int64).reshape(-1, 2)
+    voter, rival = pairs.T
+    shifts = np.zeros(len(positions), np.int64)
+    np.maximum.at(shifts, voter, positions[voter, 0] - positions[voter, rival])
+    return shifts
+
+
 def micro_to_shift(inst: ShiftBriberyInstance, flips: FlipSet) -> ShiftAction:
     """Smallest shift action dominating a flip set from ``shift_to_micro``:
     shift each voter up to the position of its highest flipped rival."""
     if len(flips) != inst.num_voters:
         raise ValueError("flip set length must equal the number of voters")
     positions, m = inst.election.positions, inst.num_candidates
-    shifts = [0] * len(flips)
     for i, rivals in enumerate(flips.flips):
         if not rivals:
             continue
@@ -382,8 +404,7 @@ def micro_to_shift(inst: ShiftBriberyInstance, flips: FlipSet) -> ShiftAction:
                     f"voter {i}: flip against rival {c}, who is not above the "
                     "preferred candidate"
                 )
-        shifts[i] = row[0] - min(row[c] for c in rivals)
-    return ShiftAction(tuple(shifts))
+    return ShiftAction(tuple(_deepest_shifts(positions, enumerate(flips.flips)).tolist()))
 
 
 def _require_unweighted(inst: ShiftBriberyInstance, what: str):
@@ -412,22 +433,27 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     times that action; hence the factor m.
 
     The tables are never built: the core (``_solve_copeland``) reads one
-    pairwise tally and the flip prices (``_passing``), and the action is
-    checked on that tally (``_wins_after``) and priced from the same lists.
+    pairwise tally and the flip prices (``_passing``), the flips become
+    shifts as in ``micro_to_shift`` (``_deepest_shifts``), and the action
+    is checked on that tally (``_wins_after``) and priced with one gather
+    of the instance's ``_price_table``, summed as Python ints.  The rivals'
+    fixed scores are computed once, for the core and the check.
     """
     if not isinstance(inst.rule, CopelandRule):
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
     _require_unweighted(inst, "solve_copeland_shift")
-    n = inst.num_voters
-    prices = _price_lists(inst)
-    passing = _passing(prices, inst.election)
+    alpha = inst.rule.alpha
+    values, counts = _price_table(inst)
+    pools = [(ps, ([], [])) for ps in _passing(inst)]
     tally = pairwise_tally(inst.election)
-    _, flips = _solve_copeland(tally, [(ps, ([], [])) for ps in passing], inst.rule.alpha)
-    action = micro_to_shift(inst, FlipSet(tuple(flips.get(i, ()) for i in range(n))))
-    if not _wins_after(inst, tally, _pairwise_wins(tally, inst.rule), action.shifts):
+    base = copeland_scores(_rival_tally(tally), alpha)
+    _, flips = _solve_copeland(tally, pools, alpha, base=base)
+    shifts = _deepest_shifts(inst.election.positions, flips.items())
+    if not _wins_after(inst, tally, _pairwise_wins(tally, inst.rule, base), shifts):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
-    cost = sum(p[t] for p, t in zip(prices, action.shifts))
-    return _check_i64(cost, "total bribery cost"), action
+    index = (counts.cumsum() - counts + shifts - 1)[shifts > 0]  # voter i's price t at start + t - 1
+    cost = sum(values[index].tolist())
+    return _check_i64(cost, "total bribery cost"), ShiftAction(tuple(shifts.tolist()))
 
 
 def _best_move(prices: list, above: list, shift: int, deficits: list, voter: int, scale: int):
@@ -561,7 +587,7 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     tally = pairwise_tally(inst.election)
     wins = _pairwise_wins(tally, inst.rule)
     prices, above = _checked_price_lists(inst), _candidates_above(inst)
-    pools = [ps for ps, _ in _passing(prices, inst.election)]
+    pools = [ps for ps, _ in _passing(inst)]
     counts = np.array([len(ps) for ps in pools])
     prefix = np.zeros((m, counts.max() + 1), np.int64)  # fits: the prices were checked
     for c, ps in enumerate(pools):

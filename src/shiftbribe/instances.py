@@ -18,7 +18,8 @@ file reproduces it byte for byte.
 Voter blocks whose order entries and prices are in canonical form (plain
 digits, entries split by single spaces, prices by single commas) are read
 in bulk, one ``np.fromstring`` call for all order entries and one for all
-prices (``_read_blocks``).  Every other form, such as signs, extra blanks
+prices (``_read_blocks``), whose int64 array the instance keeps for the
+Condorcet solvers (``bribery._price_table``).  Every other form, such as signs, extra blanks
 or ``inf`` marks, and every block holding a fault, goes to the line
 reader, which converts each token with ``int()`` and names the earliest
 fault (``_read_lines``); files with ``inf`` marks therefore parse slower.
@@ -38,6 +39,7 @@ from .bribery import (
     Rule,
     ScoringRule,
     ShiftBriberyInstance,
+    _keep_prices,
 )
 from .elections import _I64_MAX, CopelandAlpha, Election, ScoringVector, borda, k_approval
 from .elections import _are_permutations, _unchecked
@@ -303,9 +305,10 @@ def _read_blocks(
         object.__setattr__(cf, "prices", flat[start:end])
     voters = tuple(map(tuple, orders.tolist()))
     election = _unchecked(Election, candidates=names, voters=voters, weights=weights or None)
-    return _unchecked(
+    inst = _unchecked(
         ShiftBriberyInstance, election=election._keep(orders, positions), costs=costs, rule=rule
     )
+    return _keep_prices(inst, values, positions[:, 0])
 
 
 def _read_lines(

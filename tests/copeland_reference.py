@@ -1,9 +1,14 @@
-"""Reference form of the Copeland core, kept for the equivalence tests,
-which the package never calls: ``condorcet_solvers._solve_copeland`` as it
-was before its programs were cut to their cut's score window and it took
-the cheapest state of all windows.  Here every (wins, ties) pattern is
-scanned, every cut of the thresholds that a pattern reads gets a program,
-and every program fills all (wins, ties) states."""
+"""Reference forms of the Copeland shift solver's parts, kept for the
+equivalence tests, which the package never calls:
+
+- ``condorcet_solvers._solve_copeland`` as it was before its programs were
+  cut to their cut's score window and it took the cheapest state of all
+  windows.  Here every (wins, ties) pattern is scanned, every cut of the
+  thresholds that a pattern reads gets a program, and every program fills
+  all (wins, ties) states;
+- ``micro_to_shift_loop``, ``condorcet_solvers.micro_to_shift`` as it was
+  before it shared one scatter-max with ``solve_copeland_shift``.
+"""
 
 import bisect
 from typing import Dict, Optional, Tuple
@@ -70,3 +75,24 @@ def solve_copeland_all_states(tally, pools: list, alpha) -> Tuple[int, Dict[int,
         for voter in options[c][outcome][1]:
             flips.setdefault(voter, set()).add(c)
     return best[0], flips
+
+
+def micro_to_shift_loop(inst, flips) -> sb.ShiftAction:
+    """Smallest shift action dominating a flip set, one voter at a time:
+    each voter shifts up to the position of its highest flipped rival."""
+    if len(flips) != inst.num_voters:
+        raise ValueError("flip set length must equal the number of voters")
+    positions, m = inst.election.positions, inst.num_candidates
+    shifts = [0] * len(flips)
+    for i, rivals in enumerate(flips.flips):
+        if not rivals:
+            continue
+        row = positions[i].tolist()
+        for c in rivals:
+            if c not in range(m) or row[c] >= row[0]:
+                raise ValueError(
+                    f"voter {i}: flip against rival {c}, who is not above the "
+                    "preferred candidate"
+                )
+        shifts[i] = row[0] - min(row[c] for c in rivals)
+    return sb.ShiftAction(tuple(shifts))

@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftbribe as sb
 from conftest import flips_win, gen_random_micro
+from copeland_reference import micro_to_shift_loop
 from shiftbribe.condorcet_solvers import _LOSS, _TIE, _WIN, _outcome_options, _passing
 
 ALPHAS = (sb.CopelandAlpha(0, 1), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1, 1))
@@ -170,6 +173,42 @@ class TestMicroToShift:
         with pytest.raises(ValueError, match="not above"):
             sb.micro_to_shift(inst, sb.FlipSet((frozenset({2}),)))
 
+    @pytest.mark.parametrize("rival", (3, -1, -2), ids=("past-m", "minus-1", "minus-2"))
+    def test_rival_out_of_range_rejected(self, rival):
+        # checked before any array is read, where -1 would name the last
+        # candidate, who is above the preferred one here
+        inst = copeland_instance([(1, 2, 0)], [(1, 2)])
+        with pytest.raises(ValueError, match=f"rival {rival}, who is not above"):
+            sb.micro_to_shift(inst, sb.FlipSet((frozenset({1, rival}),)))
+
+    def test_wrong_length_rejected(self):
+        inst = copeland_instance([(1, 0), (1, 0)], [(1,), (1,)])
+        with pytest.raises(ValueError, match="length must equal the number of voters"):
+            sb.micro_to_shift(inst, sb.FlipSet((frozenset({1}),)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_voter_loop(self, data):
+        # Flip sets of rivals above the preferred candidate, where about one
+        # in four also names one below it or out of range in some voter:
+        # the same action, or the same error naming the same voter and rival.
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        orders = [tuple(data.draw(st.permutations(range(m)))) for _ in range(n)]
+        inst = copeland_instance(orders, [(1,) * o.index(0) for o in orders])
+        flips = [set(data.draw(st.sets(st.sampled_from(o[: o.index(0)] or (0,))))) for o in orders]
+        if data.draw(st.integers(0, 3)) == 3:
+            i = data.draw(st.integers(0, n - 1))
+            flips[i].add(data.draw(st.sampled_from((m, -1, *orders[i][orders[i].index(0) + 1 :]))))
+        flips = sb.FlipSet(tuple(s - {0} for s in flips))
+
+        def outcome(solve):
+            try:
+                return solve(inst, flips)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(sb.micro_to_shift) == outcome(micro_to_shift_loop)
+
 
 class TestSolveCopelandShift:
     def test_already_winner(self):
@@ -200,12 +239,21 @@ class TestSolveCopelandShift:
         # rather than wrapping below the others.  A price beyond int64 is
         # refused (no parsed file holds one).
         top = (1 << 63) - 1
-        pools = _passing([[0, top], [0, top]], sb.Election(("p", "c"), ((1, 0),) * 2))
+        pools = _passing(copeland_instance([(1, 0)] * 2, [(top,)] * 2))
         assert pools == [([], []), ([top, top], [0, 1])]
         options = _outcome_options(pools[1], ([], []), 2)
         assert options == {_WIN: (2 * top, [0, 1]), _TIE: (top, [0]), _LOSS: (0, [])}
         with pytest.raises(OverflowError):
             sb.solve_copeland_shift(copeland_instance([(1, 0)], [(top + 1,)]))
+
+    def test_witness_total_beyond_int64_raises(self):
+        # Three voters prefer the rival, so candidate 0 must be shifted in
+        # two of them at 2**63 - 1 each: the action's price is summed as
+        # Python ints and refused, not wrapped below zero.
+        top = (1 << 63) - 1
+        inst = copeland_instance([(1, 0)] * 3, [(top,)] * 3)
+        with pytest.raises(OverflowError, match="total bribery cost"):
+            sb.solve_copeland_shift(inst)
 
     def test_m_approximation_on_random_instances(self):
         for seed in range(100):

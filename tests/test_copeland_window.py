@@ -80,13 +80,15 @@ def test_matches_the_all_states_core(alpha, parity, for_preferred, data):
 
 
 def fed_inputs(calls) -> list:
-    """The (tally, pools, alpha) that each solve in ``calls`` feeds the core."""
+    """The (tally, pools, alpha) that each solve in ``calls`` feeds the core;
+    the rivals' scores that a solve may pass along are left for the core to
+    compute from the tally again."""
     fed = []
     original = condorcet_solvers._solve_copeland
 
-    def recorded(*args):
+    def recorded(*args, **known):
         fed.append(args)
-        return original(*args)
+        return original(*args, **known)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condorcet_solvers, "_solve_copeland", recorded)

@@ -64,8 +64,7 @@ def outcome(solve, inst):
 
 def passing_floors(inst):
     """The solver's floors: the prefix sums of each rival's ``_passing`` prices."""
-    prices, _ = move_lists(inst)
-    return [list(accumulate(ps, initial=0)) for ps, _ in _passing(prices, inst.election)]
+    return [list(accumulate(ps, initial=0)) for ps, _ in _passing(inst)]
 
 
 def cover_runs(inst):
@@ -216,10 +215,10 @@ def test_passing_reproduces_the_old_groupings(monkeypatch):
     fed = []
     original = condorcet_solvers._solve_copeland
 
-    def recorded(tally, pools, alpha):
+    def recorded(tally, pools, alpha, **known):
         # each side's prices and voters, zipped back into (price, voter) flips
         fed.append([tuple(list(zip(*side)) for side in pool) for pool in pools])
-        return original(tally, pools, alpha)
+        return original(tally, pools, alpha, **known)
 
     monkeypatch.setattr(condorcet_solvers, "_solve_copeland", recorded)
     zero_prices = unreachable = 0
@@ -270,4 +269,4 @@ def test_passing_matches_the_tuple_loop(inst):
     prices, above = move_lists(inst)
     want = passing(prices, above, inst.num_candidates)
     want = [([p for p, _ in ps], [v for _, v in ps]) for ps in want]
-    assert _passing(prices, inst.election) == want
+    assert _passing(inst) == want

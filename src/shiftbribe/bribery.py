@@ -7,8 +7,9 @@ The goal of all solvers is a cheapest shift action after which candidate 0
 is a winner under the instance's voting rule.  ``ShiftTable``, built in one
 pass over the election's positions, answers "does candidate 0 win after
 these shifts" for whole batches of shift vectors with one gather; the
-batched scoring solvers and the exact oracles share it, and
-``is_successful`` stays the independent reference it is checked against.
+batched scoring solvers and the exact oracles share it, the oracles and
+the Condorcet solvers read prices laid out like its rows (``_price_table``),
+and ``is_successful`` stays the independent reference it is checked against.
 """
 
 from dataclasses import dataclass
@@ -248,20 +249,25 @@ def is_successful(inst: ShiftBriberyInstance, action: ShiftAction) -> bool:
 
 
 def _price_lists(inst: ShiftBriberyInstance) -> list:
-    """Per voter, the prices of shifting by 0 .. max_reachable."""
+    """Per voter, the prices of shifting by 0 .. max_reachable, for the budget
+    sweeps: ``Aeps`` and ``B`` re-price prices beyond what int64 holds."""
     return [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
 
 
-def _keep_prices(inst: ShiftBriberyInstance, values: np.ndarray, counts: np.ndarray):
-    """Store the ``_price_table`` of ``inst``, its checked ``values`` and ``counts``, read-only."""
-    values.flags.writeable = counts.flags.writeable = False
-    object.__setattr__(inst, "_prices", (values, counts))  # as Election._keep does
+def _keep_prices(inst: ShiftBriberyInstance, finite: np.ndarray, counts: np.ndarray):
+    """Store the ``_price_table`` of ``inst`` from its checked ``finite`` prices and ``counts``."""
+    ends = (counts + 1).cumsum()
+    starts = ends - counts - 1
+    values = np.zeros(len(finite) + len(counts), dtype=np.int64)  # shifting by 0 is free
+    values[np.arange(len(finite)) + np.arange(1, len(counts) + 1).repeat(counts)] = finite
+    values.flags.writeable = starts.flags.writeable = ends.flags.writeable = False
+    object.__setattr__(inst, "_prices", (values, starts, ends))  # as Election._keep does
     return inst
 
 
 def _price_table(inst: ShiftBriberyInstance) -> tuple:
-    """Every voter's finite prices (shifts 1 .. max_reachable), voter after
-    voter in one read-only int64 array, and each voter's count of them.
+    """(values, starts, ends), read-only int64: voter i's price of shifting by t <=
+    max_reachable at ``values[starts[i] + t]``, up to ``ends[i]``, as in ``ShiftTable.flat``.
 
     Kept on the instance: the bulk reader stores the array it parsed, and
     for any other instance it is built from ``costs`` on the first call.  A
@@ -275,39 +281,38 @@ def _price_table(inst: ShiftBriberyInstance) -> tuple:
     return table
 
 
-def _checked_price_lists(inst: ShiftBriberyInstance) -> list:
-    """``_price_lists``, once the largest prices, which bound any price sum, sum in 64 bits."""
-    prices = _price_lists(inst)
-    _check_i64(sum(p[-1] for p in prices), "total of the largest prices")
-    return prices
+def _price_runs(inst: ShiftBriberyInstance) -> list:
+    """Each voter's ``_price_table`` run, once the largest prices, which bound any, sum in int64."""
+    values, starts, ends = _price_table(inst)
+    _check_i64(sum(values[ends - 1].tolist()), "total of the largest prices")
+    return [values[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 class ShiftTable:
-    """Per-voter prices and row deltas of shifting the preferred candidate
-    up, with one batched winner test.
+    """Per-voter row deltas of shifting the preferred candidate up, with one
+    batched winner test.
 
-    For voter i and t = 0 .. max_reachable, ``prices[i][t]`` is the price of
-    shifting by t and ``deltas[i][t]`` the change of the row it causes.  The
-    row is every candidate's score (weight-scaled) for scoring rules, and
-    the preferred candidate's row ``tally.n_matrix[0]`` for Copeland and
-    maximin (else ``tally`` is None; a table of the instance under ``MAXIMIN``
-    has them for any rule).  ``base`` is the unshifted row, ``top`` the row
-    after every voter's largest shift, and ``wins`` maps a (K x m) array of
-    rows to whether the preferred candidate wins after each.  All rows are
-    built at once from the positions shifted by t for each (voter, t), into
-    one flat array, voter i's from ``starts[i]`` on; ``deltas`` holds
-    per-voter views of it.
+    For voter i and t = 0 .. max_reachable, ``deltas[i][t]`` is the change
+    of the row that shifting by t causes; ``_price_table`` holds its price
+    at the same index of its flat array.  The row is every candidate's
+    score (weight-scaled) for scoring rules, and the preferred candidate's
+    row ``tally.n_matrix[0]`` for Copeland and maximin (else ``tally`` is
+    None; a table of the instance under ``MAXIMIN`` has them for any rule).
+    ``base`` is the unshifted row, ``top`` the row after every voter's
+    largest shift, and ``wins`` maps a (K x m) array of rows to whether the
+    preferred candidate wins after each.  All rows are built at once from
+    the positions shifted by t for each (voter, t), into one flat array,
+    voter i's from ``starts[i]`` on; ``deltas`` holds per-voter views of it.
 
     The 64-bit range of the rows is checked once, here: only the preferred
     candidate's score grows, so its fully shifted score bounds every scoring
     row; (m - 1) * den bounds every scaled Copeland score; pairwise rows
-    stay within the total weight.  The prices, and the gains that the
-    scoring solvers sweep over, are checked when first read.
+    stay within the total weight.  The gains that the scoring solvers
+    sweep over are checked when first read.
     """
 
     def __init__(self, inst: ShiftBriberyInstance):
         e = inst.election
-        self._inst = inst
         scoring = isinstance(inst.rule, ScoringRule)
         self.tally = None if scoring else pairwise_tally(e)  # checks the total weight
         counts = np.array([cf.max_reachable + 1 for cf in inst.costs], dtype=np.int64)
@@ -346,11 +351,6 @@ class ShiftTable:
     def top(self) -> np.ndarray:
         """The row after every voter's largest shift, built on first read."""
         return self.base + self.flat[self._ends - 1].sum(axis=0)
-
-    @cached_property
-    def prices(self) -> list:
-        """Per voter, the int64 ``_checked_price_lists``, built on first read."""
-        return [np.array(p, dtype=np.int64) for p in _checked_price_lists(self._inst)]
 
     @cached_property
     def gains(self) -> list:

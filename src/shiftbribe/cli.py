@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 incompatible algorithm/rule, invalid parameters
 or a value outside the checked 64-bit integer range (also a weight or
-price in the input file), 3 parse error or a path that cannot be read or
-written, 4 enumeration or table guard exceeded.
+price in the input file), 3 parse error (also a file that is not UTF-8)
+or a path that cannot be read or written, 4 enumeration or table guard
+exceeded.
 """
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -130,8 +132,14 @@ def _print_report(report: dict, as_json: bool):
 
 
 def cmd_solve(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        inst = parse_instance(fh.read())
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1) from exc
+    # universal newlines, as a file opened in text mode reads them
+    inst = parse_instance(io.StringIO(text, newline=None).read())
     report = _solve_report(inst, args.algo, args.oracle)
     _print_report(report, args.json)
     return 0

@@ -19,13 +19,13 @@ Maximin is handled through pairwise-support covering: for every target
 score k, the preferred candidate needs a minimum pairwise support against
 every rival, which is a set-multicover problem over (voter, shift) moves
 solved greedily within a logarithmic factor (``cover_targets_greedy``,
-``solve_maximin_shift``).  The per-voter move lists (prices, and the rivals
-above the preferred candidate) are built once per instance and shared by
-every k; each greedy run is lazy, re-evaluating only the voter at the top
-of its heap.  The k are run cheapest per-rival price floor (from
-``_passing``) first, and a k whose floor reaches the cheapest successful
-action so far is not run at all.  Both shift solvers check their action on
-one pairwise row (``_wins_after``).
+``solve_maximin_shift``).  The per-voter move lists (prices, each voter's
+run of the price array, and the rivals above the preferred candidate) are
+built once per solve and shared by every k; each greedy run is lazy,
+re-evaluating only the voter at the top of its heap.  The k are run
+cheapest per-rival price floor (from ``_passing``) first, and a k whose
+floor reaches the cheapest successful action so far is not run at all.
+Both shift solvers check their action on one pairwise row (``_wins_after``).
 
 Weighted instances are rejected by all solvers in this module; weighted
 microbribery is inapproximable in general and the covering bound is stated
@@ -45,8 +45,8 @@ from .bribery import (
     MaximinRule,
     ShiftAction,
     ShiftBriberyInstance,
-    _checked_price_lists,
     _pairwise_wins,
+    _price_runs,
     _price_table,
     _rival_tally,
 )
@@ -344,19 +344,19 @@ def _passing(inst: ShiftBriberyInstance) -> list:
     in (price, voter) order, read from the instance's ``_price_table``.
 
     Shifting voter i by t >= 1 passes the candidate t places above the
-    preferred one.  All moves are sorted at once by rival, then price; the
-    sort is stable and the moves come in voter order, so equal prices keep
-    the smaller voter first."""
-    price, counts = _price_table(inst)
+    preferred one, at price ``values[starts[i] + t]``.  All moves are
+    sorted at once by rival, then price; the sort is stable and the moves
+    come in voter order, so equal prices keep the smaller voter first."""
+    values, starts, ends = _price_table(inst)
     e = inst.election
     n, m = e.orders.shape
-    voter = np.repeat(np.arange(n), counts)
-    shift = np.arange(1, len(price) + 1) - np.repeat(counts.cumsum() - counts, counts)
-    rival = e.orders[voter, e.positions[voter, 0] - shift]
-    order = np.lexsort((price, rival))
-    ends = np.bincount(rival, minlength=m).cumsum().tolist()
-    price, voter = price[order].tolist(), voter[order].tolist()
-    return [([], []), *((price[a:b], voter[a:b]) for a, b in zip(ends, ends[1:]))]
+    voter = np.repeat(np.arange(n), ends - starts - 1)  # one move per shift t >= 1
+    index = np.arange(1, len(voter) + 1) + voter  # voter i's shift t is at starts[i] + t
+    rival = e.orders[voter, e.positions[voter, 0] - (index - starts[voter])]
+    order = np.lexsort((values[index], rival))
+    cuts = np.bincount(rival, minlength=m).cumsum().tolist()
+    price, voter = values[index[order]].tolist(), voter[order].tolist()
+    return [([], []), *((price[a:b], voter[a:b]) for a, b in zip(cuts, cuts[1:]))]
 
 
 def shift_to_micro(inst: ShiftBriberyInstance) -> MicrobriberyInstance:
@@ -443,7 +443,7 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
         raise IncompatibleRule("solve_copeland_shift requires the Copeland rule")
     _require_unweighted(inst, "solve_copeland_shift")
     alpha = inst.rule.alpha
-    values, counts = _price_table(inst)
+    values, starts, _ = _price_table(inst)
     pools = [(ps, ([], [])) for ps in _passing(inst)]
     tally = pairwise_tally(inst.election)
     base = copeland_scores(_rival_tally(tally), alpha)
@@ -451,8 +451,7 @@ def solve_copeland_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     shifts = _deepest_shifts(inst.election.positions, flips.items())
     if not _wins_after(inst, tally, _pairwise_wins(tally, inst.rule, base), shifts):
         raise AssertionError("microbribery reduction produced an unsuccessful action")
-    index = (counts.cumsum() - counts + shifts - 1)[shifts > 0]  # voter i's price t at start + t - 1
-    cost = sum(values[index].tolist())
+    cost = sum(values[starts + shifts].tolist())
     return _check_i64(cost, "total bribery cost"), ShiftAction(tuple(shifts.tolist()))
 
 
@@ -553,7 +552,8 @@ def cover_targets_greedy(
     deficits = [0] + [
         max(0, min(support[c] + targets[c - 1], n) - support[c]) for c in range(1, m)
     ]
-    return ShiftAction(tuple(_cover(_checked_price_lists(inst), _candidates_above(inst), deficits)))
+    prices = [run.tolist() for run in _price_runs(inst)]
+    return ShiftAction(tuple(_cover(prices, _candidates_above(inst), deficits)))
 
 
 def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -586,7 +586,7 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     n, m = inst.num_voters, inst.num_candidates
     tally = pairwise_tally(inst.election)
     wins = _pairwise_wins(tally, inst.rule)
-    prices, above = _checked_price_lists(inst), _candidates_above(inst)
+    prices, above = [run.tolist() for run in _price_runs(inst)], _candidates_above(inst)
     pools = [ps for ps, _ in _passing(inst)]
     counts = np.array([len(ps) for ps in pools])
     prefix = np.zeros((m, counts.max() + 1), np.int64)  # fits: the prices were checked

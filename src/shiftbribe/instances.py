@@ -18,15 +18,16 @@ file reproduces it byte for byte.
 Voter blocks whose order entries and prices are in canonical form (plain
 digits, entries split by single spaces, prices by single commas) are read
 in bulk, one ``np.fromstring`` call for all order entries and one for all
-prices (``_read_blocks``), whose int64 array the instance keeps for the
-Condorcet solvers (``bribery._price_table``).  Every other form, such as signs, extra blanks
-or ``inf`` marks, and every block holding a fault, goes to the line
+prices (``_read_blocks``), whose int64 array, with a 0 put at each voter's
+start, the instance keeps for the Condorcet solvers and the exact oracles
+(``bribery._price_table``).  Every other form, such as signs, extra
+blanks or ``inf`` marks, and every block holding a fault, goes to the line
 reader, which converts each token with ``int()`` and names the earliest
 fault (``_read_lines``); files with ``inf`` marks therefore parse slower.
 """
 
 import random
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import Optional
 
@@ -159,11 +160,17 @@ def _format_rule(rule: Rule, m: int) -> str:
 def serialize_instance(inst: ShiftBriberyInstance) -> str:
     """Render an instance in canonical ``shiftbribe v1`` form.  Candidate
     names that would not parse back (empty, or holding whitespace or ``#``)
-    raise ``ValueError``."""
+    raise ``ValueError``, and a weight or price beyond 2**63 - 1, which the
+    parser refuses, ``OverflowError``."""
     e = inst.election
     for name in e.candidates:
         if not name or "#" in name or any(ch.isspace() for ch in name):
             raise ValueError(f"candidate name {name!r} cannot be written (empty, space or '#')")
+    if max(e.weights or (0,)) > _I64_MAX:
+        raise OverflowError("weight exceeds the 64-bit integer range")
+    prices = chain.from_iterable(cf.prices for cf in inst.costs)
+    if max(filter(None, prices), default=0) > _I64_MAX:  # filter drops the inf marks
+        raise OverflowError("price exceeds the 64-bit integer range")
     lines = ["shiftbribe v1", _format_rule(inst.rule, e.num_candidates)]
     size = f"{e.num_candidates} {e.num_voters}"
     if e.weights is not None:

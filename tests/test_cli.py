@@ -133,6 +133,22 @@ class TestSolve:
         bad.write_text("not an instance\n", encoding="utf-8")
         assert main(["solve", str(bad), "--algo", "A"]) == 3
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"shiftbribe v1\nrule borda\n2 1\np c\norder: 1 0\nprices: \xff\n", 6),
+            (b"shiftbribe v1\xc3", 1),
+        ],
+        ids=("invalid-byte", "cut-sequence"),
+    )
+    def test_non_utf8_file_exits_3(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad8.sb"
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--algo", "A"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: not UTF-8 (") and err.endswith(f") at line {line}\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("name", ["missing.sb", "."])
     def test_unreadable_path_exits_3(self, tmp_path, capsys, name):
         assert main(["solve", str(tmp_path / name), "--algo", "A"]) == 3
@@ -244,6 +260,22 @@ class TestGen:
         assert main(["gen", "--family", "theorem6", "--k", "1", "-o", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, refused",
+        [
+            (["--max-price", "9999999999999999999"], "price"),
+            (["--weighted", "--max-price", "99999999999999999999"], "weight"),
+        ],
+        ids=("price", "weight"),
+    )
+    def test_values_beyond_int64_exit_2(self, tmp_path, capsys, flags, refused):
+        # solve would refuse the file, so gen writes none
+        out = tmp_path / "hp.sb"
+        args = ["gen", "--family", "random", "--n", "2", "--m", "3", *flags, "-o", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {refused} exceeds the 64-bit integer range\n"
+        assert not out.exists()
 
     def test_invalid_params_exit_2(self, tmp_path):
         assert main(["gen", "--family", "theorem6", "--k", "0"]) == 2

@@ -102,6 +102,24 @@ class TestRoundTrip:
         assert sb.parse_instance(text) == inst
 
 
+    @pytest.mark.parametrize(
+        "weight, price, refused",
+        [(1, I64_MAX + 1, "price"), (I64_MAX + 1, 1, "weight"), (I64_MAX, I64_MAX, None)],
+        ids=("price", "weight", "at-the-limit"),
+    )
+    def test_values_beyond_int64_rejected(self, weight, price, refused):
+        # The parser refuses a weight or price beyond 2**63 - 1, so the
+        # serializer does too; the limit itself writes and parses back.  The
+        # other voters hold an inf mark, a zero price and no price at all.
+        e = sb.Election(("p", "c"), ((1, 0), (1, 0), (1, 0), (0, 1)), (weight, 1, 1, 1))
+        prices = ((price,), (None,), (0,), ())
+        inst = sb.ShiftBriberyInstance(e, tuple(map(sb.CostFunction, prices)), sb.MAXIMIN)
+        if refused is None:
+            assert sb.parse_instance(sb.serialize_instance(inst)) == inst
+            return
+        with pytest.raises(OverflowError, match=f"^{refused} exceeds the 64-bit integer range$"):
+            sb.serialize_instance(inst)
+
     @pytest.mark.parametrize("name", ["a#b", "a b", ""])
     def test_unwritable_candidate_name_rejected(self, name):
         # "a#b" would parse back as "a"; "a b" and "" would not parse back

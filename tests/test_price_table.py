@@ -1,7 +1,9 @@
-"""The per-instance price array that the Condorcet solvers read
-(``bribery._price_table``): every voter's finite prices, voter after voter,
-in one int64 array with a count per voter.  The bulk reader stores the
-array it parsed; any other instance builds it from ``costs`` once."""
+"""The per-instance price array that the Condorcet solvers and the exact
+oracles read (``bribery._price_table``): every voter's prices of shifting
+by 0 .. max_reachable, voter after voter, in one int64 array with each
+voter's start and end, laid out like the shift table's rows.  The bulk
+reader stores the array it parsed; any other instance builds it from
+``costs`` once."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
-from shiftbribe.bribery import _price_table
+from shiftbribe.bribery import ShiftTable, _price_table
 
 I64_MAX = (1 << 63) - 1
 COPELAND = sb.CopelandRule(sb.CopelandAlpha(1, 2))
@@ -21,13 +23,26 @@ def finite_prefixes(inst) -> list:
 
 
 def split(inst) -> list:
-    """Per voter, its slice of the price array, after checking the array's form."""
-    values, counts = _price_table(inst)
-    assert values.dtype == counts.dtype == np.int64
-    assert not (values.flags.writeable or counts.flags.writeable)
-    assert len(counts) == inst.num_voters and counts.sum() == len(values)
-    ends = counts.cumsum().tolist()
-    return [values[end - k : end].tolist() for end, k in zip(ends, counts.tolist())]
+    """Per voter, its run of the price array after the shift-0 entry, after
+    checking the array's form."""
+    values, starts, ends = _price_table(inst)
+    assert values.dtype == starts.dtype == ends.dtype == np.int64
+    assert not any(a.flags.writeable for a in (values, starts, ends))
+    assert len(starts) == inst.num_voters and starts.tolist() == [0, *ends[:-1].tolist()]
+    assert ends[-1] == len(values) and (values[starts] == 0).all()
+    return [values[a + 1 : b].tolist() for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def assert_shift_table_layout(inst):
+    """The array prices voter i's shift t at ``starts[i] + t``, as
+    ``CostFunction.price`` does, for every t up to its max_reachable, and
+    its starts and ends are the shift table's."""
+    values, starts, ends = _price_table(inst)
+    for cf, start in zip(inst.costs, starts.tolist()):
+        ts = range(cf.max_reachable + 1)
+        assert [values[start + t] for t in ts] == [cf.price(t) for t in ts]
+    table = ShiftTable(inst)
+    assert starts.tolist() == table.starts.tolist() and ends.tolist() == table._ends.tolist()
 
 
 @pytest.fixture
@@ -47,12 +62,18 @@ def reach_calls(monkeypatch):
 @pytest.mark.parametrize("weighted", (False, True), ids=("unweighted", "weighted"))
 def test_bulk_reader_keeps_its_array(weighted, reach_calls):
     # Canonical blocks: the parser stores the prices it parsed, so reading
-    # the array reads no cost function.
+    # the array, and solving maximin from its runs, reads no cost function.
     inst = sb.gen_random(5, 40, 9, 50, weighted=weighted, rule=COPELAND)
     parsed = sb.parse_instance(sb.serialize_instance(inst))
     got = split(parsed)
+    if not weighted:
+        maximin = sb.gen_random(4, 40, 8, 50, rule=sb.MAXIMIN)
+        maximin = sb.parse_instance(sb.serialize_instance(maximin))
+        sb.solve_maximin_shift(maximin)
+        sb.cover_targets_greedy(maximin, (2,) * 7)
     assert reach_calls == []
     assert got == finite_prefixes(inst)
+    assert_shift_table_layout(parsed)
 
 
 @pytest.mark.parametrize("respell", ("inf", "blanks"))
@@ -75,6 +96,7 @@ def test_line_reader_builds_it_from_costs(respell):
     parsed = sb.parse_instance(text)
     assert getattr(parsed, "_prices", None) is None
     assert split(parsed) == finite_prefixes(inst)
+    assert_shift_table_layout(parsed)
     assert any(cf.max_reachable < cf.cap for cf in inst.costs) == (respell == "inf")
 
 
@@ -98,6 +120,26 @@ def code_built(draw):
 @given(code_built())
 def test_code_built_instances(inst):
     assert split(inst) == finite_prefixes(inst)
+    assert_shift_table_layout(inst)
+
+
+@pytest.mark.parametrize(
+    "orders, prices",
+    [
+        (((0,), (0,)), ((), ())),  # m = 1
+        (((0, 1, 2), (0, 2, 1)), ((), ())),  # every voter already on top
+        (((0, 1, 2), (2, 1, 0), (1, 0, 2)), ((), (3, None), (0,))),
+    ],
+    ids=("m1", "all-on-top", "some-on-top"),
+)
+def test_voters_with_no_shift(orders, prices):
+    # A voter of cap 0 (or of max_reachable 0) holds only its shift-0 entry.
+    m = len(orders[0])
+    costs = tuple(map(sb.CostFunction, prices))
+    election = sb.Election(tuple(f"c{i}" for i in range(m)), orders)
+    inst = sb.ShiftBriberyInstance(election, costs, COPELAND)
+    assert split(inst) == finite_prefixes(inst)
+    assert_shift_table_layout(inst)
 
 
 def test_built_once_per_instance(reach_calls):

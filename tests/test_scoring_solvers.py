@@ -11,7 +11,7 @@ import shiftbribe as sb
 from conftest import scaled_rounds_alone
 from scoring_reference import bootstrap_uncapped, build_budget_dp, double_gain_check
 from shiftbribe import scoring_solvers
-from shiftbribe.bribery import ShiftTable, _price_lists
+from shiftbribe.bribery import ShiftTable, _price_lists, _price_runs
 from shiftbribe.scoring_solvers import _BudgetSweep
 
 
@@ -21,9 +21,10 @@ def price_total(inst):
 
 
 def option_rows(inst):
-    """Per voter, the (prices, gains) rows of the instance's shift table."""
+    """Per voter, its run of the instance's price array and the gain row of
+    its shift table."""
     table = ShiftTable(inst)
-    return list(zip(table.prices, table.gains))
+    return list(zip(_price_runs(inst), table.gains))
 
 
 def caps_product(inst):

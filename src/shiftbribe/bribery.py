@@ -7,9 +7,9 @@ The goal of all solvers is a cheapest shift action after which candidate 0
 is a winner under the instance's voting rule.  ``ShiftTable``, built in one
 pass over the election's positions, answers "does candidate 0 win after
 these shifts" for whole batches of shift vectors with one gather; the
-batched scoring solvers and the exact oracles share it, the oracles and
-the Condorcet solvers read prices laid out like its rows (``_price_table``),
-and ``is_successful`` stays the independent reference it is checked against.
+batched scoring solvers and the exact oracles share it, every solver reads
+prices laid out like its rows (``_price_table``), and ``is_successful``
+stays the independent reference it is checked against.
 """
 
 from dataclasses import dataclass
@@ -248,12 +248,6 @@ def is_successful(inst: ShiftBriberyInstance, action: ShiftAction) -> bool:
     return 0 in winners(rule_scores(shifted, inst.rule))
 
 
-def _price_lists(inst: ShiftBriberyInstance) -> list:
-    """Per voter, the prices of shifting by 0 .. max_reachable, for the budget
-    sweeps: ``Aeps`` and ``B`` re-price prices beyond what int64 holds."""
-    return [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
-
-
 def _keep_prices(inst: ShiftBriberyInstance, finite: np.ndarray, counts: np.ndarray):
     """Store the ``_price_table`` of ``inst`` from its checked ``finite`` prices and ``counts``."""
     ends = (counts + 1).cumsum()
@@ -282,10 +276,16 @@ def _price_table(inst: ShiftBriberyInstance) -> tuple:
 
 
 def _price_runs(inst: ShiftBriberyInstance) -> list:
-    """Each voter's ``_price_table`` run, once the largest prices, which bound any, sum in int64."""
+    """Each voter's run of the ``_price_table`` array, for sweeps that check their own totals."""
     values, starts, ends = _price_table(inst)
-    _check_i64(sum(values[ends - 1].tolist()), "total of the largest prices")
     return [values[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _checked_price_runs(inst: ShiftBriberyInstance) -> list:
+    """``_price_runs``, once the largest prices, which bound any, sum in int64."""
+    values, _, ends = _price_table(inst)
+    _check_i64(sum(values[ends - 1].tolist()), "total of the largest prices")
+    return _price_runs(inst)
 
 
 class ShiftTable:
@@ -302,7 +302,7 @@ class ShiftTable:
     largest shift, and ``wins`` maps a (K x m) array of rows to whether the
     preferred candidate wins after each.  All rows are built at once from
     the positions shifted by t for each (voter, t), into one flat array,
-    voter i's from ``starts[i]`` on; ``deltas`` holds per-voter views of it.
+    voter i's from ``_price_table``'s ``starts[i]`` on; ``deltas`` views it per voter.
 
     The 64-bit range of the rows is checked once, here: only the preferred
     candidate's score grows, so its fully shifted score bounds every scoring
@@ -315,9 +315,8 @@ class ShiftTable:
         e = inst.election
         scoring = isinstance(inst.rule, ScoringRule)
         self.tally = None if scoring else pairwise_tally(e)  # checks the total weight
-        counts = np.array([cf.max_reachable + 1 for cf in inst.costs], dtype=np.int64)
-        self._ends = counts.cumsum()
-        self.starts = self._ends - counts
+        _, self.starts, self._ends = _price_table(inst)
+        counts = self._ends - self.starts
         voter = np.arange(len(counts)).repeat(counts)
         before = e.positions[voter]
         after = _shifted(before, np.arange(len(voter)) - self.starts[voter])

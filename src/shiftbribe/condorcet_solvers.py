@@ -45,8 +45,8 @@ from .bribery import (
     MaximinRule,
     ShiftAction,
     ShiftBriberyInstance,
+    _checked_price_runs,
     _pairwise_wins,
-    _price_runs,
     _price_table,
     _rival_tally,
 )
@@ -552,7 +552,7 @@ def cover_targets_greedy(
     deficits = [0] + [
         max(0, min(support[c] + targets[c - 1], n) - support[c]) for c in range(1, m)
     ]
-    prices = [run.tolist() for run in _price_runs(inst)]
+    prices = [run.tolist() for run in _checked_price_runs(inst)]
     return ShiftAction(tuple(_cover(prices, _candidates_above(inst), deficits)))
 
 
@@ -586,7 +586,7 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     n, m = inst.num_voters, inst.num_candidates
     tally = pairwise_tally(inst.election)
     wins = _pairwise_wins(tally, inst.rule)
-    prices, above = [run.tolist() for run in _price_runs(inst)], _candidates_above(inst)
+    prices, above = [run.tolist() for run in _checked_price_runs(inst)], _candidates_above(inst)
     pools = [ps for ps, _ in _passing(inst)]
     counts = np.array([len(ps) for ps in pools])
     prefix = np.zeros((m, counts.max() + 1), np.int64)  # fits: the prices were checked

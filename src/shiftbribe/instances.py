@@ -19,11 +19,11 @@ Voter blocks whose order entries and prices are in canonical form (plain
 digits, entries split by single spaces, prices by single commas) are read
 in bulk, one ``np.fromstring`` call for all order entries and one for all
 prices (``_read_blocks``), whose int64 array, with a 0 put at each voter's
-start, the instance keeps for the Condorcet solvers and the exact oracles
-(``bribery._price_table``).  Every other form, such as signs, extra
-blanks or ``inf`` marks, and every block holding a fault, goes to the line
-reader, which converts each token with ``int()`` and names the earliest
-fault (``_read_lines``); files with ``inf`` marks therefore parse slower.
+start, the instance keeps for every solver (``bribery._price_table``).
+Every other form, such as signs, extra blanks or ``inf`` marks, and every
+block holding a fault, goes to the line reader, which converts each token
+with ``int()`` and names the earliest fault (``_read_lines``); files with
+``inf`` marks therefore parse slower.
 """
 
 import random

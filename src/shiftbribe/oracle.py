@@ -11,9 +11,9 @@ vectors in rounds of rising cost threshold, in batches of at most
 round that accepts a vector; its docstring explains why that round holds
 every cheapest accepted vector, so the witness is still the one a
 vector-by-vector scan returns.  The shift-vector oracles pass the rows of
-``bribery.ShiftTable`` (of the maximin view for covers) and the instance's
-price runs (``bribery._price_runs``); the microbribery oracle passes one
-two-row "voter" per available flip and the Copeland test of that table.
+``bribery.ShiftTable`` (of the maximin view for covers) and the checked
+price runs (``bribery._checked_price_runs``); the microbribery oracle passes
+one two-row "voter" per available flip and the Copeland test of that table.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bribery import MAXIMIN, CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable
-from .bribery import _pairwise_wins, _price_runs
+from .bribery import _checked_price_runs, _pairwise_wins
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _check_targets, _micro_tally
 from .elections import CopelandAlpha, _check_i64
 from .errors import GuardExceeded, Infeasible
@@ -180,7 +180,7 @@ def exact_shift_opt(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """
     _check_enumeration(inst)
     table = ShiftTable(inst)
-    found = _cheapest(_price_runs(inst), table.deltas, table.base, table.wins)
+    found = _cheapest(_checked_price_runs(inst), table.deltas, table.base, table.wins)
     if found is None:
         raise Infeasible("no successful shift action exists")
     return found[0], ShiftAction(found[1])
@@ -197,7 +197,7 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     support, total = table.base.tolist(), inst.election.total_weight
     required = np.array([0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)])
     accept = lambda rows: (rows >= required).all(axis=1)
-    found = _cheapest(_price_runs(inst), table.deltas, table.base, accept)
+    found = _cheapest(_checked_price_runs(inst), table.deltas, table.base, accept)
     if found is None:
         raise Infeasible("no shift action meets the targets")
     return found[0], ShiftAction(found[1])

@@ -60,7 +60,7 @@ from .bribery import (
     ShiftAction,
     ShiftBriberyInstance,
     ShiftTable,
-    _price_lists,
+    _price_runs,
 )
 from .elections import _check_i64, scoring_scores, winners
 from .errors import GuardExceeded, IncompatibleRule, Infeasible
@@ -79,21 +79,22 @@ def _require_scoring(inst: ShiftBriberyInstance) -> ScoringRule:
 
 def _sweep_rows(prices: list, table: ShiftTable, start, hint: str = ""):
     """(P, option rows) of a sweep on top of ``start``: per voter, its
-    ``prices`` list as int64 with the table's gain row, both indexed by the
-    shift, of which the entries below the voter's start shift are never
-    read.  The largest prices sum to P, and the gains left above ``start``
-    to G, read once ``table.gains`` has passed its own check.  A frontier
-    holds at most min(P, G) + 1 points, so (n + 1)(min(P, G) + 1) is
-    checked against the cell guard first, and then P against the 64-bit
-    range, so that no sum of frontier costs can wrap."""
+    ``prices`` as int64 (a run of the price array is not copied) with the
+    table's gain row, both indexed by the shift, of which the entries below
+    the voter's start shift are never read.  The largest prices sum, as
+    Python ints, to P, and the gains left above ``start`` to G, read once
+    ``table.gains`` has passed its own check.  A frontier holds at most
+    min(P, G) + 1 points, so (n + 1)(min(P, G) + 1) is checked against the
+    cell guard first, and then P against the 64-bit range, so that no sum
+    of frontier costs can wrap."""
     gains = table.gains
-    total = sum(p[-1] for p in prices)
+    total = sum(int(p[-1]) for p in prices)
     left = sum(int(g[-1] - g[s]) for g, s in zip(gains, start.tolist()))
     cells = (len(prices) + 1) * (min(total, left) + 1)
     if cells > DEFAULT_CELL_GUARD:
         raise GuardExceeded(f"budget DP needs {cells} cells (guard {DEFAULT_CELL_GUARD}){hint}")
     _check_i64(total, "total of the largest prices")
-    return total, [(np.array(p, dtype=np.int64), g) for p, g in zip(prices, gains)]
+    return total, [(np.asarray(p, dtype=np.int64), g) for p, g in zip(prices, gains)]
 
 
 class _BudgetSweep:
@@ -203,7 +204,7 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     """
     _require_scoring(inst)
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    total, rows = _sweep_rows(_price_lists(inst), ShiftTable(inst), zero)
+    total, rows = _sweep_rows(_price_runs(inst), ShiftTable(inst), zero)
     sweep = _BudgetSweep(rows, min(budget, total))
     last = len(sweep.costs) - 1  # every point is within budget; the last gains most
     return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
@@ -311,7 +312,7 @@ def solve_two_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     table = ShiftTable(inst)
     hint = "; use solve_two_pass_scaled instead"
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    budget, rows = _sweep_rows(_price_lists(inst), table, zero, hint)
+    budget, rows = _sweep_rows(_price_runs(inst), table, zero, hint)
     cost, shifts = _two_pass(table, rows, zero, budget)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
@@ -329,7 +330,7 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     _require_scoring(inst)
     table = ShiftTable(inst)
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    budget, rows = _sweep_rows(_price_lists(inst), table, zero)
+    budget, rows = _sweep_rows(_price_runs(inst), table, zero)
     sweep = _BudgetSweep(rows, budget)
     shifts = sweep.trace(np.arange(len(sweep.costs)))
     won = np.flatnonzero(table.wins(table.rows_after(shifts)))
@@ -339,28 +340,27 @@ def solve_single_pass(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     return int(sweep.costs[w]), ShiftAction(tuple(shifts[w].tolist()))
 
 
-def _scaled_rounds(price_lists, table, start, eps, below=None, memo=None):
+def _scaled_rounds(runs, table, start, eps, below=None, memo=None):
     """(cost, shifts) of ``solve_two_pass_scaled``, with internal ``eps``,
-    for actions on top of ``start``.  Each voter's prices are rebased over
-    its start shift s: ``p[k] - p[s]`` for k >= s of its ``price_lists``
-    entry (``bribery._price_lists`` of the instance), and 0 below s, where
-    no sweep reads; its gains are ``table``'s row, which every sweep reads
-    at offsets of at least s.  If (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``,
-    with P the rebased price total, one ``_two_pass`` on these rows runs
-    alone, through ``memo``; otherwise every round re-prices them and calls
-    ``_two_pass`` on ``table`` with a fresh memo.  The cost is under the
-    rebased prices.  ``below``, at least 1, caps only the exact path's scan
-    (see ``_two_pass``), which returns None when no winner costs less; the
-    rounds' sweep costs are re-priced, not the cost it bounds, so they scan
-    below their own price totals + 1."""
-    n = len(price_lists)
-    prices = [
-        [0] * s + [q - p[s] for q in p[s:]] if s else p for p, s in zip(price_lists, start.tolist())
-    ]
-    total = sum(p[-1] for p in prices)
+    for actions on top of ``start``.  Each voter's prices are its int64
+    ``runs`` entry p (``bribery._price_runs``) rebased over its start shift
+    s, ``p - p[s]``, whose entries below s no sweep reads; its gains are
+    ``table``'s row, which every sweep reads at offsets of at least s.  If
+    (n + 1)(P + 1) <= ``DEFAULT_EXACT_THRESHOLD``, with P the rebased price
+    total, one ``_two_pass`` on these rows runs alone, through ``memo``;
+    otherwise every round re-prices them as Python ints, which may leave
+    int64, and calls ``_two_pass`` on ``table`` with a fresh memo.  The cost
+    is under the rebased prices.  ``below``, at least 1, caps only the exact
+    path's scan (see ``_two_pass``), which returns None when no winner costs
+    less; the rounds' sweep costs are re-priced, not the cost it bounds, so
+    they scan below their own price totals + 1."""
+    n = len(runs)
+    prices = [p - p[s] if s else p for p, s in zip(runs, start.tolist())]
+    total = sum(int(p[-1]) for p in prices)
     if (n + 1) * (total + 1) <= DEFAULT_EXACT_THRESHOLD:
         budget, rows = _sweep_rows(prices, table, start)
         return _two_pass(table, rows, start, budget, below, memo)
+    prices = [p.tolist() for p in prices]
     num, den = eps.numerator, eps.denominator
     big = int(2 * (n * n / eps + n)) + 1  # smallest integer strictly above the keep threshold
     top = max(p[-1] for p in prices)
@@ -406,7 +406,7 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
     if eps <= 0:
         raise ValueError("eps must be positive")
     zero = np.zeros(inst.num_voters, dtype=np.int64)
-    cost, shifts = _scaled_rounds(_price_lists(inst), ShiftTable(inst), zero, eps / 4)
+    cost, shifts = _scaled_rounds(_price_runs(inst), ShiftTable(inst), zero, eps / 4)
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
@@ -424,7 +424,7 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     guard is consulted.  Returns the cheapest successful combination found.
 
     The work that is the same for every guess is done once per solve: the
-    shift table and price lists, and one winner test of every single shift,
+    shift table and price runs, and one winner test of every single shift,
     which settles a guess that wins alone.  An admitted guess (voter i,
     shift t) sweeps the option rows offset at the guess, with voter i's
     prices rebased at t (``_scaled_rounds``).  Where the baseline's sweep
@@ -446,11 +446,11 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     eps = Fraction(1, 4 * n)  # internal eps of 1/n
     zero = np.zeros(n, dtype=np.int64)
     table = ShiftTable(inst)
-    price_lists = _price_lists(inst)
+    runs = _price_runs(inst)
     memo = {}
-    best = _scaled_rounds(price_lists, table, zero, eps, None, memo)
+    best = _scaled_rounds(runs, table, zero, eps, None, memo)
     single = table.wins(table.base + table.flat)  # after each (voter, shift) alone
-    for i, (p, row) in enumerate(zip(price_lists, table.starts.tolist())):
+    for i, (p, row) in enumerate(zip([run.tolist() for run in runs], table.starts.tolist())):
         for t in range(1, len(p)):
             if p[t] >= best[0]:
                 break  # prices are non-decreasing; nothing cheaper follows
@@ -460,7 +460,7 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
                 cand = (p[t], guess)
             else:
                 below = best[0] - p[t]
-                rest = _scaled_rounds(price_lists, table, guess, eps, below, dict(memo))
+                rest = _scaled_rounds(runs, table, guess, eps, below, dict(memo))
                 if rest is None:
                     continue
                 cand = (p[t] + rest[0], rest[1])

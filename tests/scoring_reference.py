@@ -10,7 +10,7 @@ from typing import List, Optional
 import numpy as np
 
 import shiftbribe as sb
-from shiftbribe.bribery import ShiftTable, _price_lists
+from shiftbribe.bribery import ShiftTable, _price_runs
 from shiftbribe.scoring_solvers import _require_scoring, _scaled_rounds
 
 
@@ -86,9 +86,10 @@ def bootstrap_uncapped(inst):
     eps = Fraction(1, 4 * n)
     zero = np.zeros(n, dtype=np.int64)
     table = ShiftTable(inst)
-    price_lists = _price_lists(inst)
-    best = _scaled_rounds(price_lists, table, zero, eps)
-    for i, p in enumerate(price_lists):
+    runs = _price_runs(inst)
+    best = _scaled_rounds(runs, table, zero, eps)
+    for i, run in enumerate(runs):
+        p = run.tolist()
         for t in range(1, len(p)):
             if p[t] >= best[0]:
                 break
@@ -97,7 +98,7 @@ def bootstrap_uncapped(inst):
             if table.wins(table.rows_after(guess[None]))[0]:
                 cand = (p[t], guess)
             else:
-                rest_cost, shifts = _scaled_rounds(price_lists, table, guess, eps)
+                rest_cost, shifts = _scaled_rounds(runs, table, guess, eps)
                 cand = (p[t] + rest_cost, shifts)
             if cand[0] < best[0]:
                 best = cand

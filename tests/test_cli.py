@@ -199,15 +199,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_exact_price_total_overflow_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("algo,code", [("exact", 2), ("A", 2), ("G", 2), ("Aeps", 0), ("B", 0)])
+    def test_exact_price_total_overflow_exits_2(self, tmp_path, capsys, algo, code):
+        # The largest prices sum to 2**63: the oracle, A and G refuse the
+        # total, while Aeps and B check only the re-priced totals they sweep
+        # and answer, though the file's total leaves the 64-bit range.
         e = sb.Election(("p", "c"), ((1, 0), (1, 0)))
         costs = (sb.CostFunction((1 << 62,)), sb.CostFunction((1 << 62,)))
         inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
         path = tmp_path / "pricey.sb"
         path.write_text(sb.serialize_instance(inst), encoding="utf-8")
-        assert main(["solve", str(path), "--algo", "exact"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: total of the largest prices") and err.count("\n") == 1
+        assert main(["solve", str(path), "--algo", algo, "--json"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("error: total of the largest prices") and err.count("\n") == 1
+        else:
+            assert json.loads(out)["cost"] == 4611686018427387904
 
     def test_price_beyond_int64_exits_2(self, tmp_path, capsys):
         # copeland-m sums prices as Python ints and would answer, at cost 1.

@@ -1,9 +1,10 @@
-"""The per-instance price array that the Condorcet solvers and the exact
-oracles read (``bribery._price_table``): every voter's prices of shifting
-by 0 .. max_reachable, voter after voter, in one int64 array with each
-voter's start and end, laid out like the shift table's rows.  The bulk
-reader stores the array it parsed; any other instance builds it from
-``costs`` once."""
+"""The per-instance price array that every solver reads
+(``bribery._price_table``): every voter's prices of shifting by
+0 .. max_reachable, voter after voter, in one int64 array with each voter's
+start and end, which the shift table's rows follow.  The bulk reader stores
+the array it parsed; any other instance builds it from ``costs`` once."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,23 @@ def test_bulk_reader_keeps_its_array(weighted, reach_calls):
     assert reach_calls == []
     assert got == finite_prefixes(inst)
     assert_shift_table_layout(parsed)
+
+
+def test_shift_table_reads_the_kept_layout(reach_calls):
+    # On a bulk-read instance the shift table's starts and ends are the
+    # array's, read rather than scanned again, and the scoring solvers
+    # sweep runs of the array, so no solve reads a cost function.
+    inst = sb.gen_random(7, 8, 5, 10)
+    parsed = sb.parse_instance(sb.serialize_instance(inst))
+    reach_calls.clear()
+    table = ShiftTable(parsed)
+    _, starts, ends = _price_table(parsed)
+    assert table.starts.tolist() == starts.tolist() and table._ends.tolist() == ends.tolist()
+    sb.buy(parsed, 5)
+    sb.solve_two_pass_scaled(parsed, Fraction(1, 4))
+    for solve in (sb.solve_two_pass, sb.solve_single_pass, sb.solve_bootstrap):
+        solve(parsed)
+    assert reach_calls == []
 
 
 @pytest.mark.parametrize("respell", ("inf", "blanks"))

@@ -11,7 +11,7 @@ import shiftbribe as sb
 from conftest import scaled_rounds_alone
 from scoring_reference import bootstrap_uncapped, build_budget_dp, double_gain_check
 from shiftbribe import scoring_solvers
-from shiftbribe.bribery import ShiftTable, _price_lists, _price_runs
+from shiftbribe.bribery import ShiftTable, _price_runs
 from shiftbribe.scoring_solvers import _BudgetSweep
 
 
@@ -588,10 +588,12 @@ class TestSkipTest:
 
 def rebased_rows(inst, start):
     """(table, option rows, price total) of ``inst`` on top of ``start``,
-    as ``_scaled_rounds`` builds them on its exact path: each voter's
-    prices rebased at its start shift, and 0 below it."""
+    as ``_scaled_rounds`` builds them on its exact path, from the cost
+    functions' prices as Python ints: each voter's prices rebased at its
+    start shift, and 0 below it, where no sweep reads."""
     table = ShiftTable(inst)
-    prices = [[0] * s + [q - p[s] for q in p[s:]] for p, s in zip(_price_lists(inst), start)]
+    lists = ([0, *cf.prices[: cf.max_reachable]] for cf in inst.costs)
+    prices = [[0] * s + [q - p[s] for q in p[s:]] for p, s in zip(lists, start)]
     budget, rows = scoring_solvers._sweep_rows(prices, table, np.array(start, dtype=np.int64))
     return table, rows, budget
 
@@ -897,9 +899,9 @@ class TestSolveBootstrap:
         # that of the uncapped loop, which solves each remainder afresh.
         # The instances: 4 voters rank c over p under 2-candidate Borda, at
         # prices 150000, 150000, inf, inf (P = 300000, and a guess of either
-        # priced voter leaves 150000); one whose guessed voter's largest
-        # price, 2**63 + 100, leaves the 64-bit range while the remainder
-        # above its guess is admitted; and seeded 4-voter instances whose
+        # priced voter leaves 150000); one whose largest prices sum to
+        # exactly 2**63 - 1, the guessed voter's at 2**63 - 6, while the
+        # remainder above its guess is admitted; and seeded 4-voter instances whose
         # first two voters' prices are scaled so that the larger of their
         # largest prices lies just below 199,999, the largest admitted price
         # total, on every third seed with the other two voters' shifts cut.
@@ -918,7 +920,7 @@ class TestSolveBootstrap:
             ),
             sb.ShiftBriberyInstance(
                 three,
-                (sb.CostFunction(((1 << 63) - 100, (1 << 63) + 100)), sb.CostFunction((5,))),
+                (sb.CostFunction(((1 << 63) - 100, (1 << 63) - 6)), sb.CostFunction((5,))),
                 sb.ScoringRule(sb.borda(3)),
             ),
         ]
@@ -949,7 +951,7 @@ class TestSolveBootstrap:
             if baseline_rounds and admitted:
                 mixed.append((got, baseline_rounds, admitted))
         assert mixed[0] == (repr((300000, sb.ShiftAction((1, 1, 0, 0)))), 19, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        assert mixed[1] == (repr(((1 << 63) - 95, sb.ShiftAction((1, 1)))), 65, [[1, 0]])
+        assert mixed[1] == (repr(((1 << 63) - 95, sb.ShiftAction((1, 1)))), 64, [[1, 0]])
         assert len(mixed) >= 7
 
     def test_theorem6_k1_within_twice_optimal(self, thm6_k1):
@@ -980,6 +982,14 @@ class TestSolveBootstrap:
             assert sb.solve_bootstrap(inst) == (0, sb.ShiftAction((0, 0)))
         with pytest.raises(OverflowError, match="fully shifted score"):
             sb.solve_two_pass_scaled(inst, Fraction(1, 4))
+        # A code-built price beyond 2**63 - 1: B answers before reading any
+        # price, and Aeps refuses the instance as its price array is built.
+        e = sb.Election(("p", "c"), ((0, 1), (1, 0)))
+        costs = (sb.CostFunction(()), sb.CostFunction((1 << 70,)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
+        assert sb.solve_bootstrap(inst) == (0, sb.ShiftAction((0, 0)))
+        with pytest.raises(OverflowError):
+            sb.solve_two_pass_scaled(inst, Fraction(1, 4))
 
 
 @pytest.mark.parametrize(
@@ -988,18 +998,31 @@ class TestSolveBootstrap:
     ids=["Aeps", "B"],
 )
 @pytest.mark.parametrize(
-    "prices,want",
-    [((1 << 62, 1 << 62), (1 << 62, (0, 1, 0))), ((1 << 70, 1), (1, (0, 1, 0)))],
+    "orders,prices,want",
+    [
+        (((1, 0), (1, 0), (0, 1)), ((1 << 62,), (1 << 62,), ()), (1 << 62, (0, 1, 0))),
+        (((1, 0), (1, 0), (0, 1)), ((1 << 70,), (1,), ()), OverflowError),
+        (((1, 2, 0), (1, 0, 2)), (((1 << 63) - 100, (1 << 63) + 100), (5,)), OverflowError),
+    ],
+    ids=["total-2**63", "price-2**70", "guessed-price-2**63+100"],
 )
-def test_prices_beyond_int64_still_answer(solver, prices, want):
-    # Aeps and B price their rounds as Python ints: an original price or
-    # price total beyond 2**63 does not stop them, while A raises
-    # OverflowError on its 64-bit price-total check (CLI exit 2).
-    e = sb.Election(("p", "c"), ((1, 0), (1, 0), (0, 1)))
-    costs = tuple(sb.CostFunction((p,)) for p in prices) + (sb.CostFunction(()),)
-    inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
-    cost, action = solver(inst)
-    assert (cost, action.shifts) == want
+def test_price_total_beyond_int64_answers_a_price_beyond_raises(solver, orders, prices, want):
+    # Aeps and B sweep int64 runs of the instance's price array and check
+    # only the price totals they sweep: largest prices summing to 2**63
+    # still answer (A raises OverflowError on its 64-bit price-total check,
+    # CLI exit 2), while a code-built price beyond 2**63 - 1, also one that
+    # only B's guess of voter 0's second shift would read, raises
+    # OverflowError as the array is built, as for every other solver (the
+    # parser refuses such a price).
+    m = len(orders[0])
+    e = sb.Election(("p", "c1", "c2")[:m], orders)
+    inst = sb.ShiftBriberyInstance(e, tuple(map(sb.CostFunction, prices)), sb.ScoringRule(sb.borda(m)))
+    if want is OverflowError:
+        with pytest.raises(OverflowError):
+            solver(inst)
+    else:
+        cost, action = solver(inst)
+        assert (cost, action.shifts) == want
 
 
 @pytest.mark.parametrize(

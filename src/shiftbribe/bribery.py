@@ -28,6 +28,7 @@ from .elections import (
     _check_i64,
     _shifted,
     _sum_dtype,
+    _unchecked,
     apply_shift,
     copeland_scores,
     maximin_scores,
@@ -146,6 +147,8 @@ class ShiftBriberyInstance:
 
     Candidate 0 is the preferred candidate.  Every cost function's table
     length must equal that voter's current rank of candidate 0 minus one.
+    An instance kept from arrays alone (``_keep_prices``) builds ``costs``
+    from them when it is first read, and then stores it.
     """
 
     election: Election
@@ -164,6 +167,21 @@ class ShiftBriberyInstance:
                 )
         if isinstance(self.rule, ScoringRule) and len(self.rule.vector) != self.num_candidates:
             raise ValueError("scoring vector length must match the number of candidates")
+
+    def __getattr__(self, name):
+        """``costs`` from the ``_price_table`` and the caps, on the first read
+        of an instance kept without it; shifts beyond a voter's run are
+        unreachable."""
+        if name != "costs":
+            raise AttributeError(f"'ShiftBriberyInstance' object has no attribute '{name}'")
+        values, starts, ends = self._prices
+        flat, caps = values.tolist(), self.election.positions[:, 0].tolist()
+        costs = tuple(
+            _unchecked(CostFunction, prices=tuple(flat[a + 1 : b]) + (None,) * (cap + a + 1 - b))
+            for a, b, cap in zip(starts.tolist(), ends.tolist(), caps)
+        )
+        object.__setattr__(self, "costs", costs)
+        return costs
 
     @property
     def num_voters(self) -> int:

@@ -334,8 +334,8 @@ def solve_copeland_micro(
 
 def _candidates_above(inst: ShiftBriberyInstance) -> list:
     """Per voter, the rivals ranked above the preferred candidate, nearest first."""
-    e = inst.election
-    return [o[p - 1 :: -1] if p else () for o, p in zip(e.voters, e.positions[:, 0].tolist())]
+    orders, caps = inst.election.orders.tolist(), inst.election.positions[:, 0].tolist()
+    return [o[p - 1 :: -1] if p else [] for o, p in zip(orders, caps)]
 
 
 def _passing(inst: ShiftBriberyInstance) -> list:

@@ -6,13 +6,16 @@ positional (scoring-rule) scores, pairwise tallies, Copeland scores for any
 rational tie value alpha, and maximin scores, and applies upward shifts of a
 designated candidate to a profile.
 
-The orders are kept as the tuple ``voters`` and as int64 arrays ``orders``
-and ``positions``, which ranks, shifts, scores and tallies read.
+The orders are kept as int64 arrays ``orders`` and ``positions``, which
+ranks, shifts, scores and tallies read.  An election built in code also
+keeps them as the tuple ``voters``; one that the bulk reader parsed, or that
+``apply_shift`` made, builds that tuple from ``orders`` on its first read.
 
 All values are immutable and all operations are pure functions, so they can
-be shared freely across threads.  Scores and tallies use exact integer
-arithmetic; any value that leaves the signed 64-bit range is a hard error
-rather than a silent wraparound.
+be shared freely across threads; two threads that read a ``voters`` not yet
+built may each build it, with equal results.  Scores and tallies use exact
+integer arithmetic; any value that leaves the signed 64-bit range is a hard
+error rather than a silent wraparound.
 """
 
 from dataclasses import dataclass
@@ -65,6 +68,8 @@ class Election:
 
     Built from ``voters``: read-only int64 arrays ``orders`` and ``positions``
     (candidate c's 0-based position in voter i's order is ``positions[i, c]``).
+    An election kept from arrays alone builds ``voters`` from ``orders`` when
+    it is first read, and then stores it.
     """
 
     candidates: tuple
@@ -106,21 +111,29 @@ class Election:
     def num_candidates(self) -> int:
         return len(self.candidates)
 
+    def __getattr__(self, name):
+        """``voters`` from ``orders``, on the first read of an election kept without it."""
+        if name != "voters":
+            raise AttributeError(f"'Election' object has no attribute '{name}'")
+        voters = tuple(map(tuple, self.orders.tolist()))
+        object.__setattr__(self, "voters", voters)
+        return voters
+
     @property
     def num_voters(self) -> int:
-        return len(self.voters)
+        return len(self.orders)
 
     def weight(self, voter: int) -> int:
         return 1 if self.weights is None else self.weights[voter]
 
     @property
     def total_weight(self) -> int:
-        return len(self.voters) if self.weights is None else sum(self.weights)
+        return len(self.orders) if self.weights is None else sum(self.weights)
 
     def _keep(self, orders=None, positions=None) -> "Election":
         """Store checked ``orders`` (default: ``voters``) and inverse, read-only."""
         if orders is None:  # voters of ints
-            orders = np.fromiter(chain(*self.voters), np.int64).reshape(self.num_voters, -1)
+            orders = np.fromiter(chain(*self.voters), np.int64).reshape(len(self.voters), -1)
         positions = orders.argsort(axis=1) if positions is None else positions
         orders.flags.writeable = positions.flags.writeable = False
         object.__setattr__(self, "orders", orders)  # as _unchecked does
@@ -334,7 +347,5 @@ def apply_shift(election: Election, shifts: Sequence) -> Election:
     if min(amounts) < 0:
         raise ValueError("shift amounts must be non-negative")
     positions = _shifted(election.positions, np.minimum(amounts, election.positions[:, 0]))
-    orders = positions.argsort(axis=1)
-    voters = tuple(map(tuple, orders.tolist()))
-    fields = dict(candidates=election.candidates, voters=voters, weights=election.weights)
-    return _unchecked(Election, **fields)._keep(orders, positions)
+    fields = dict(candidates=election.candidates, weights=election.weights)
+    return _unchecked(Election, **fields)._keep(positions.argsort(axis=1), positions)

@@ -20,6 +20,8 @@ digits, entries split by single spaces, prices by single commas) are read
 in bulk, one ``np.fromstring`` call for all order entries and one for all
 prices (``_read_blocks``), whose int64 array, with a 0 put at each voter's
 start, the instance keeps for every solver (``bribery._price_table``).
+Such an instance keeps only its arrays: ``Election.voters`` and
+``ShiftBriberyInstance.costs`` are built from them when first read.
 Every other form, such as signs, extra blanks or ``inf`` marks, and every
 block holding a fault, goes to the line reader, which converts each token
 with ``int()`` and names the earliest fault (``_read_lines``); files with
@@ -306,15 +308,8 @@ def _read_blocks(
     drops = (values[1:] < values[:-1]).nonzero()[0] + 1
     if not set(drops.tolist()) <= set(ends):  # a voter's table may start lower
         raise ValueError("a decreasing price table")
-    flat = tuple(values.tolist())
-    costs = tuple(map(object.__new__, repeat(CostFunction, n)))
-    for cf, start, end in zip(costs, ends, ends[1:]):  # unchecked; no __dict__
-        object.__setattr__(cf, "prices", flat[start:end])
-    voters = tuple(map(tuple, orders.tolist()))
-    election = _unchecked(Election, candidates=names, voters=voters, weights=weights or None)
-    inst = _unchecked(
-        ShiftBriberyInstance, election=election._keep(orders, positions), costs=costs, rule=rule
-    )
+    election = _unchecked(Election, candidates=names, weights=weights or None)
+    inst = _unchecked(ShiftBriberyInstance, election=election._keep(orders, positions), rule=rule)
     return _keep_prices(inst, values, positions[:, 0])
 
 

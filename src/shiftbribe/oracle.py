@@ -21,9 +21,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bribery import MAXIMIN, CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable
-from .bribery import _checked_price_runs, _pairwise_wins
+from .bribery import _checked_price_runs, _pairwise_wins, _price_table
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _check_targets, _micro_tally
-from .elections import CopelandAlpha, _check_i64
+from .elections import CopelandAlpha, _check_i64, _unchecked
 from .errors import GuardExceeded, Infeasible
 
 DEFAULT_ENUM_GUARD = 10**7
@@ -36,9 +36,12 @@ _BATCH_CELLS = 2**16
 
 
 def _check_enumeration(inst: ShiftBriberyInstance):
+    """Refuse more shift vectors than the guard: the product of the voters'
+    run lengths in the ``_price_table``, which is built first if need be."""
+    _, starts, ends = _price_table(inst)
     count = 1
-    for cf in inst.costs:
-        count *= cf.max_reachable + 1
+    for size in (ends - starts).tolist():
+        count *= size
         if count > DEFAULT_ENUM_GUARD:
             raise GuardExceeded(
                 f"exhaustive search needs more than {DEFAULT_ENUM_GUARD} shift vectors"
@@ -193,7 +196,10 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     _check_enumeration(inst)
     m = inst.num_candidates
     _check_targets(targets, m)
-    table = ShiftTable(ShiftBriberyInstance(inst.election, inst.costs, MAXIMIN))
+    prices = _price_table(inst)  # the view shares the instance's arrays
+    table = ShiftTable(
+        _unchecked(ShiftBriberyInstance, election=inst.election, rule=MAXIMIN, _prices=prices)
+    )
     support, total = table.base.tolist(), inst.election.total_weight
     required = np.array([0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)])
     accept = lambda rows: (rows >= required).all(axis=1)

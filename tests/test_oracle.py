@@ -1,6 +1,7 @@
 """Brute-force oracles: exactness anchors, invariances, guards."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import shiftbribe as sb
 from conftest import flips_win, gen_random_micro
 from shiftbribe import oracle
+from shiftbribe.bribery import ShiftTable, _price_table
 
 
 class TestExactShiftOpt:
@@ -35,6 +37,18 @@ class TestExactShiftOpt:
         monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 3)
         with pytest.raises(sb.GuardExceeded):
             sb.exact_shift_opt(inst)
+
+    def test_price_beyond_int64_is_refused_before_the_guard(self, monkeypatch):
+        # The guard counts the runs of the price array, whose build refuses
+        # a price beyond int64 first: 4 vectors over a guard of 3.
+        e = sb.Election(("p", "a"), ((1, 0),) * 2)
+        costs = (sb.CostFunction((1 << 63,)),) * 2
+        inst = sb.ShiftBriberyInstance(e, costs, sb.ScoringRule(sb.borda(2)))
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_GUARD", 3)
+        with pytest.raises(OverflowError):
+            sb.exact_shift_opt(inst)
+        with pytest.raises(OverflowError):
+            sb.exact_cover_opt(inst, (1,))
 
     def test_cost_invariant_under_voter_permutation(self):
         for seed in range(20):
@@ -292,6 +306,40 @@ class TestExactCoverOpt:
         assert sb.exact_cover_opt(inst, [0]) == (0, sb.ShiftAction((0,)))
         with pytest.raises(sb.Infeasible):
             sb.exact_cover_opt(inst, [1])
+
+    @pytest.mark.parametrize(
+        "inf, expected",
+        [(False, (53, (0, 0, 0, 3, 0, 1, 0, 4))), (True, (55, (0, 0, 1, 2, 0, 2, 0, 3)))],
+        ids=("bulk-read", "line-read"),
+    )
+    def test_maximin_view_shares_the_instance_arrays(self, inf, expected, monkeypatch):
+        # The table's MAXIMIN view holds the parsed instance's election and
+        # price arrays themselves; the cost and witness are the code-built
+        # instance's.  An inf mark on the last shift of every voter that has
+        # two or more sends the blocks to the line reader.
+        inst = sb.gen_random(0, 8, 5, 10, rule=sb.MAXIMIN)
+        if inf:
+            costs = [
+                sb.CostFunction(cf.prices[:-1] + (None,)) if cf.cap >= 2 else cf
+                for cf in inst.costs
+            ]
+            inst = sb.ShiftBriberyInstance(inst.election, tuple(costs), sb.MAXIMIN)
+        parsed = sb.parse_instance(sb.serialize_instance(inst))
+        views = []
+
+        def table(view):
+            views.append(view)
+            return ShiftTable(view)
+
+        monkeypatch.setattr(oracle, "ShiftTable", table)
+        got = sb.exact_cover_opt(parsed, (2,) * 4)
+        (view,) = views
+        assert view.election is parsed.election and view.rule == sb.MAXIMIN
+        assert all(map(operator.is_, _price_table(view), _price_table(parsed)))
+        assert view.costs == parsed.costs  # built from the arrays, inf marks included
+        monkeypatch.undo()
+        expected = (expected[0], sb.ShiftAction(expected[1]))
+        assert got == sb.exact_cover_opt(inst, (2,) * 4) == expected
 
     @pytest.mark.parametrize("targets", [(0.5, 0), (1.7, 0), (-1, 0), (True, 0), (0, False)])
     def test_rejects_non_integer_or_negative_targets(self, targets):

@@ -413,14 +413,15 @@ def _pairwise_wins(tally: PairwiseTally, rule: Rule, rival_scores: Optional[list
         if rival_scores is None:
             rival_scores = copeland_scores(_rival_tally(tally), rule.alpha)
         base_rivals = np.array(rival_scores, dtype=np.int64)
+        ours_gain = np.array([0, num, den], dtype=np.int64)  # by outcome: lost, tied, won
+        rival_gain = ours_gain[::-1].copy()
 
         def wins(rows):
             ours = rows[:, 1:]
             against = total - ours
-            tie = num * (ours == against)
-            p_score = (den * (ours > against) + tie).sum(axis=1)
-            rival = base_rivals + den * (against > ours) + tie
-            return p_score >= rival.max(axis=1)
+            outcome = (ours > against).view(np.int8) + (ours >= against).view(np.int8)
+            rival = base_rivals + rival_gain.take(outcome)
+            return ours_gain.take(outcome).sum(axis=1) >= rival.max(axis=1)
 
         return wins
     fixed_min = np.array(maximin_scores(_rival_tally(tally)), dtype=np.int64)

@@ -345,17 +345,20 @@ def _passing(inst: ShiftBriberyInstance) -> list:
 
     Shifting voter i by t >= 1 passes the candidate t places above the
     preferred one, at price ``values[starts[i] + t]``.  All moves are
-    sorted at once by rival, then price; the sort is stable and the moves
-    come in voter order, so equal prices keep the smaller voter first."""
+    sorted at once by price, then by rival in the narrowest type that holds
+    it; both sorts are stable and the moves come in voter order, so equal
+    prices keep the smaller voter first."""
     values, starts, ends = _price_table(inst)
     e = inst.election
     n, m = e.orders.shape
     voter = np.repeat(np.arange(n), ends - starts - 1)  # one move per shift t >= 1
     index = np.arange(1, len(voter) + 1) + voter  # voter i's shift t is at starts[i] + t
     rival = e.orders[voter, e.positions[voter, 0] - (index - starts[voter])]
-    order = np.lexsort((values[index], rival))
+    price = values[index]
+    order = price.argsort(kind="stable")
+    order = order[rival[order].astype(np.min_scalar_type(m)).argsort(kind="stable")]
     cuts = np.bincount(rival, minlength=m).cumsum().tolist()
-    price, voter = values[index[order]].tolist(), voter[order].tolist()
+    price, voter = price[order].tolist(), voter[order].tolist()
     return [([], []), *((price[a:b], voter[a:b]) for a, b in zip(cuts, cuts[1:]))]
 
 

@@ -270,16 +270,19 @@ def scoring_scores(election: Election, alpha: ScoringVector) -> list:
 def pairwise_tally(election: Election) -> PairwiseTally:
     """Count, for every ordered pair, the total weight preferring the first
     candidate to the second: weighted sums of position comparisons over
-    blocks of voters.  The total weight, checked first, bounds every sum.
+    blocks of voters, with positions in their narrowest type.  The total
+    weight, checked first, bounds every sum.
     """
     total = _check_i64(election.total_weight, "total voter weight")
     n, m = election.num_voters, election.num_candidates
-    weights = np.array(election.weights or (1,) * n, dtype=np.int64)
+    positions = election.positions.astype(np.min_scalar_type(m))
+    weights = None if election.weights is None else np.array(election.weights, dtype=np.int64)
     n_matrix = np.zeros(m * m, dtype=np.int64)
     block = max(1, _TALLY_BLOCK // (m * m))
     for lo in range(0, n, block):
-        p = election.positions[lo : lo + block]
-        n_matrix += weights[lo : lo + block] @ (p[:, :, None] < p[:, None, :]).reshape(len(p), -1)
+        p = positions[lo : lo + block]
+        less = (p[:, :, None] < p[:, None, :]).reshape(len(p), -1)
+        n_matrix += less.sum(axis=0) if weights is None else weights[lo : lo + block] @ less
     return PairwiseTally(n_matrix.reshape(m, m).tolist(), total)
 
 

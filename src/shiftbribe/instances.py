@@ -258,10 +258,11 @@ def _after(lines: list, key: str) -> list:
 def _canonical(joined: str, sep: str) -> bool:
     """Whether ``joined`` is ASCII digit runs, each pair split by one ``sep``:
     the only form that ``np.fromstring`` reads as ``int()`` does, since it
-    reads a lone sign as 0 and takes blanks and repeated separators."""
+    reads a lone sign as 0 and takes blanks and repeated separators.  The
+    digit test runs on bytes, skipping ``str.isdigit``'s Unicode lookup."""
     return (
         joined.isascii()
-        and joined.replace(sep, "").isdigit()
+        and joined.encode().translate(None, sep.encode()).isdigit()
         and not (joined.startswith(sep) or joined.endswith(sep) or sep + sep in joined)
     )
 

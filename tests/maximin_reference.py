@@ -8,7 +8,9 @@ tests, which the package never calls:
   ``condorcet_solvers._passing`` replaced: the maximin price floors and the
   Copeland flip pools;
 - ``passing``, the loop of (price, voter) tuples that ``_passing`` was
-  before it sorted all moves in one array.
+  before it sorted all moves in one array;
+- ``lexsort_passing``, that one array sorted by a two-key ``lexsort``,
+  before ``_passing`` came to sort by price and then by narrow rival keys.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 import shiftbribe as sb
-from shiftbribe.bribery import ShiftTable
+from shiftbribe.bribery import ShiftTable, _price_table
 from shiftbribe.condorcet_solvers import _candidates_above, _cover
 
 
@@ -46,6 +48,21 @@ def passing(prices: list, above: list, m: int) -> list:
         for rival, price in zip(a, p[1:]):
             passing[rival].append((price, i))
     return [sorted(ps) for ps in passing]
+
+
+def lexsort_passing(inst) -> list:
+    """``_passing`` with all moves sorted by one ``lexsort`` on (rival,
+    price), which keeps equal keys in voter order."""
+    values, starts, ends = _price_table(inst)
+    e = inst.election
+    n, m = e.orders.shape
+    voter = np.repeat(np.arange(n), ends - starts - 1)
+    index = np.arange(1, len(voter) + 1) + voter
+    rival = e.orders[voter, e.positions[voter, 0] - (index - starts[voter])]
+    order = np.lexsort((values[index], rival))
+    cuts = np.bincount(rival, minlength=m).cumsum().tolist()
+    price, voter = values[index[order]].tolist(), voter[order].tolist()
+    return [([], []), *((price[a:b], voter[a:b]) for a, b in zip(cuts, cuts[1:]))]
 
 
 def copeland_pools(inst) -> list:

@@ -2,6 +2,8 @@
 their per-voter loop forms (``loop_reference``), including one voter, one
 candidate, weights, unreachable price suffixes and tied scoring entries."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,19 @@ def test_rows_after_in_gather_blocks(monkeypatch, block):
         check_table(inst, vectors)
         none = np.zeros((0, inst.num_voters), dtype=np.int64)
         assert ShiftTable(inst).rows_after(none).shape == (0, inst.num_candidates)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+@pytest.mark.parametrize("weights", [None, (3, 1, 1 << 40, 2, 7)])
+def test_tally_where_the_key_type_widens(m, weights):
+    # the tally compares positions as uint8 up to m = 255 and as uint16
+    # from m = 256; the first two voters put candidates at positions 0 and
+    # m - 1, and the five voters span more than one block of the tally
+    rng = random.Random(m)
+    orders = [tuple(range(m)), tuple(reversed(range(m)))]
+    orders += [tuple(rng.sample(range(m), m)) for _ in range(3)]
+    e = sb.Election(tuple(f"x{i}" for i in range(m)), tuple(orders), weights)
+    assert sb.pairwise_tally(e).n_matrix == loop_tally(e)
 
 
 @given(instances())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
-from shiftbribe.bribery import ShiftTable
+from shiftbribe.bribery import ShiftTable, _pairwise_wins, _rival_tally
 
 
 def borda_instance(orders, prices, weights=None):
@@ -218,3 +218,47 @@ class TestShiftTableRange:
         assert table.base.tolist() == [1 << 62, 1 << 62]
         assert [d.tolist() for d in table.deltas] == [[[0, 0]], [[0, 0]]]
         assert table.rows_after(np.zeros((1, 2), dtype=np.int64)).tolist() == [[1 << 62] * 2]
+
+
+I64_MAX = (1 << 63) - 1
+
+
+def old_copeland_wins(tally, alpha, rows):
+    """The Copeland winner test before it read one outcome table: the
+    preferred candidate's scaled wins and ties against each rival's score
+    from the rival-only sub-tally plus its result against the preferred one."""
+    num, den = alpha.numerator, alpha.denominator
+    base = np.array(sb.copeland_scores(_rival_tally(tally), alpha), dtype=np.int64)
+    ours = rows[:, 1:]
+    against = tally.total_weight - ours
+    tie = num * (ours == against)
+    p_score = (den * (ours > against) + tie).sum(axis=1)
+    return p_score >= (base + den * (against > ours) + tie).max(axis=1)
+
+
+class TestCopelandWinnerTest:
+    ALPHAS = [sb.CopelandAlpha(0), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1), sb.CopelandAlpha(2, 3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(ALPHAS),
+        st.integers(2, 6),
+        st.sampled_from([1, 2, 7, 10, 1 << 62, I64_MAX - 1, I64_MAX]),
+        st.data(),
+    )
+    def test_matches_the_old_formula(self, alpha, m, total, data):
+        # a tally whose every pair sums to the total, and rows of the
+        # preferred candidate's counts; ties, and counts near 2**63 - 1
+        # where twice a count would overflow
+        count = st.one_of(
+            st.sampled_from([0, total // 2, (total + 1) // 2, total]), st.integers(0, total)
+        )
+        n_matrix = [[0] * m for _ in range(m)]
+        for a, b in itertools.combinations(range(m), 2):
+            n_matrix[a][b] = data.draw(count)
+            n_matrix[b][a] = total - n_matrix[a][b]
+        tally = sb.PairwiseTally(n_matrix, total)
+        k = data.draw(st.integers(1, 6))
+        rows = np.array([[data.draw(count) for _ in range(m)] for _ in range(k)], dtype=np.int64)
+        got = _pairwise_wins(tally, sb.CopelandRule(alpha))(rows)
+        assert got.tolist() == old_copeland_wins(tally, alpha, rows).tolist()

@@ -1,14 +1,15 @@
 """Generators and the shiftbribe v1 text format."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
-from shiftbribe.instances import _Lines, _read_blocks, _read_lines
+from shiftbribe.instances import _canonical, _Lines, _read_blocks, _read_lines
 
 I64_MAX = (1 << 63) - 1
 
@@ -535,6 +536,34 @@ class TestOneReaderPerForm:
         with pytest.raises(sb.ParseError) as err:
             sb.parse_instance("shiftbribe v1\nrule borda\n" + blocks)
         assert str(err.value) == message
+
+    # ASCII digits, both separators, signs, blanks, the separators that
+    # str.split takes (\x1c-\x1f), and digits that int() or str.isdigit
+    # read but np.fromstring does not: Arabic-Indic, full-width, superscript
+    TOKENS = st.sampled_from(
+        ["0", "7", "42", " ", ",", "+", "-", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u0663", "\uff13", "\u00b2"]
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(TOKENS, max_size=8).map("".join), st.sampled_from(" ,"))
+    @example("1  2", " ")
+    @example("1,,2", ",")
+    def test_canonical_is_digit_runs_split_by_one_separator(self, text, sep):
+        want = re.fullmatch(f"[0-9]+(?:{re.escape(sep)}[0-9]+)*", text) is not None
+        assert _canonical(text, sep) == want
+
+    def test_non_ascii_digits_go_to_the_line_reader(self):
+        # int() reads an Arabic-Indic 2 and a full-width 3 as 2 and 3; only
+        # the line reader takes them, and the instance is the ASCII one
+        inst = sb.parse_instance(self.BASE)
+        odd = self.BASE.replace("order: 2 0 1", "order: \u0662 0 1").replace("prices: 3\n", "prices: \uff13\n")
+        with pytest.raises(ValueError):
+            read_alone(_read_blocks, odd, inst)
+        assert_parsed(sb.parse_instance(odd), inst)
+        # a superscript 2 is a digit to str.isdigit, not to int()
+        with pytest.raises(sb.ParseError) as err:
+            sb.parse_instance(self.BASE.replace("order: 2 0 1", "order: \u00b2 0 1"))
+        assert str(err.value) == "order entries must be integers at line 7"
 
     def test_largest_price_parses(self):
         text = self.BASE.replace("prices: 1,2", f"prices: 1,{I64_MAX}")

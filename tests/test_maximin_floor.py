@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import shiftbribe as sb
 from maximin_reference import (
     copeland_pools,
+    lexsort_passing,
     move_lists,
     pass_floors,
     passing,
@@ -270,3 +271,25 @@ def test_passing_matches_the_tuple_loop(inst):
     want = passing(prices, above, inst.num_candidates)
     want = [([p for p, _ in ps], [v for _, v in ps]) for ps in want]
     assert _passing(inst) == want
+
+
+@pytest.mark.parametrize("m", [255, 256, 300])
+def test_passing_matches_the_lexsort_where_the_key_type_widens(m):
+    # rivals are sorted as uint8 keys up to m = 255 and as uint16 from
+    # m = 256; every voter has the same price table, so each rival's moves
+    # tie on price and must stay in voter order
+    rng = random.Random(m)
+    orders = [tuple(rng.sample(range(m), m)) for _ in range(6)]
+    orders.append(tuple(range(m - 1, -1, -1)))  # the preferred candidate last
+    prices = [tuple(min(t // 3, 5) for t in range(order.index(0))) for order in orders]
+    inst = instance(orders, prices)
+    pools = _passing(inst)
+    assert pools == lexsort_passing(inst)
+    ties = [c for c, (ps, _) in enumerate(pools) if len(set(ps)) < len(ps)]
+    assert len(ties) > m // 2 and ties[-1] >= 250
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_instances())
+def test_passing_matches_the_lexsort(inst):
+    assert _passing(inst) == lexsort_passing(inst)

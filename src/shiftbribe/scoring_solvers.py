@@ -44,6 +44,10 @@ preferred candidate win, by a bound on what each rival can still lose
 (see ``_two_pass``).
 Every two-pass scan runs below a cost: the price total + 1, or for a ``B``
 guess whose unscaled sweep runs, the best cost so far less its guessed price.
+Before any guess is swept, one vectorized reach test over all of them rules
+out those after which no action cheaper than the baseline's cost can make
+the preferred candidate win, by the same bound on what each rival can lose
+with every voter at its last affordable shift (see ``solve_bootstrap``).
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -61,6 +65,7 @@ from .bribery import (
     ShiftBriberyInstance,
     ShiftTable,
     _price_runs,
+    _price_table,
 )
 from .elections import _check_i64, scoring_scores, winners
 from .errors import GuardExceeded, IncompatibleRule, Infeasible
@@ -410,6 +415,32 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
+def _screen_guesses(table: ShiftTable, prices: tuple, best: int) -> Tuple[list, list]:
+    """(single, hopeless), lists over the flat index starts[i] + t of
+    ``prices``, the instance's ``_price_table``, whose layout ``table``
+    shares: whether the guess (voter i, shift t) wins alone, and whether the
+    reach test of ``solve_bootstrap`` rules it out below the cost ``best``.
+    Only guesses with t >= 1, priced below ``best``, that do not win alone
+    are tested, all at once: a voter's reach is the count of its prices
+    within the cap, less one, and the rows at the reaches one ``rows_after``."""
+    values, starts, ends = prices
+    alone = table.base + table.flat  # the row after each (voter, shift) alone
+    single = table.wins(alone)
+    voter = np.arange(len(starts)).repeat(ends - starts)
+    cheap = values < best
+    guessed = np.flatnonzero((np.arange(len(values)) > starts[voter]) & cheap & ~single)
+    caps = (best - 1) - values[guessed]
+    reach = np.add.reduceat(values <= caps[:, None], starts, axis=1, dtype=np.int64) - 1
+    own = voter[guessed]
+    reach[np.arange(len(guessed)), own] = np.add.reduceat(cheap, starts, dtype=np.int64)[own] - 1
+    after, low = alone[guessed], table.rows_after(reach)
+    g = low[:, :1] - after[:, :1]
+    loss, need = after[:, 1:] - low[:, 1:], after[:, 1:] - after[:, :1]
+    hopeless = np.zeros(len(values), dtype=bool)
+    hopeless[guessed] = (g + np.minimum(g, loss) < need).any(axis=1)
+    return single.tolist(), hopeless.tolist()
+
+
 def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     """Guess-and-rescale solver; 2-approximation in polynomial time.
 
@@ -438,6 +469,25 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     best cost: an admitted unscaled sweep is built no further than that and
     a guess that finds nothing there is dropped, with the answer of the loop
     that solves every remainder in full.
+
+    Before the loop, one reach test over every guess with t >= 1 priced
+    below the baseline's cost ``best`` that does not win alone rules out
+    the guesses that cannot win below ``best`` (``_screen_guesses``).  With
+    cap = best - 1 - p_i(t), voter j != i reaches its last shift k with
+    p_j(k) <= cap and voter i its last with p_i(k) <= best - 1; no price
+    is added to a budget.  S is the row after the guess alone and R the
+    row with every voter at its reach, and with g = R[0] - S[0], loss_c =
+    S[c] - R[c] and need_c = S[c] - S[0], the guess is hopeless if some
+    rival c has g + min(g, loss_c) < need_c.  This is sound: an action on
+    top of the guess that costs less than ``best`` in all keeps each voter
+    at or below its reach, and the preferred candidate's score rises with
+    the shift while each rival's falls (weighted or not), so the action
+    gains some G <= g over S and c loses at most loss_c; in each vote c
+    loses no more than the preferred candidate gains (the skip lemma of
+    ``_two_pass``), so if it wins, need_c <= G + min(G, loss_c) <= g +
+    min(g, loss_c).
+    ``best`` only falls during the loop, so a guess hopeless at the
+    baseline's cost stays hopeless and skipping it keeps the answer.
     """
     rule = _require_scoring(inst)
     n = inst.num_voters
@@ -449,11 +499,13 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     runs = _price_runs(inst)
     memo = {}
     best = _scaled_rounds(runs, table, zero, eps, None, memo)
-    single = table.wins(table.base + table.flat)  # after each (voter, shift) alone
+    single, hopeless = _screen_guesses(table, _price_table(inst), best[0])
     for i, (p, row) in enumerate(zip([run.tolist() for run in runs], table.starts.tolist())):
         for t in range(1, len(p)):
             if p[t] >= best[0]:
                 break  # prices are non-decreasing; nothing cheaper follows
+            if hopeless[row + t]:
+                continue
             guess = zero.copy()
             guess[i] = t
             if single[row + t]:

@@ -537,15 +537,59 @@ class TestSkipTest:
         # the inequality also rules out most losing actions
         assert pairs >= 3000 and ruled_out >= 1000
 
+    def test_winning_actions_pass_the_reach_test(self):
+        # The reach test of B's guesses, for any start s and cap: voter j's
+        # reach is its last shift priced at most the cap above its price at
+        # s_j, R the score row at the reaches and S the row at s.  With
+        # g = R[0] - S[0], loss_c = S[c] - R[c] and need_c = S[c] - S[0],
+        # (s, cap) passes when g + min(g, loss_c) >= need_c for every rival
+        # c.  Every winning v >= s whose price above s is at most the cap
+        # passes; scores from rule_scores on the shifted election, prices
+        # from the cost functions.
+        rules = (
+            lambda m: sb.borda(m),
+            lambda m: sb.k_approval(m, 1 + m // 3),
+            lambda m: sb.ScoringVector((9, 4, 4, 1, 0)[:m]),
+        )
+        pairs = ruled_out = 0
+        for seed in range(240):
+            m = 2 + seed % 4
+            rule = sb.ScoringRule(rules[seed % 3](m))
+            inst = sb.gen_random(seed, 1 + seed % 3, m, 4, weighted=seed // 3 % 2 == 1, rule=rule)
+            prices = [[0, *cf.prices[: cf.max_reachable]] for cf in inst.costs]
+            vectors = list(caps_product(inst))
+            score = {t: scores_after(inst, t) for t in vectors}
+            price = {t: sum(p[k] for p, k in zip(prices, t)) for t in vectors}
+            for s in vectors:
+                passes = []
+                for cap in range(sum(p[-1] - p[k] for p, k in zip(prices, s)) + 1):
+                    reach = tuple(
+                        max(k for k in range(len(p)) if p[k] - p[sj] <= cap) for p, sj in zip(prices, s)
+                    )
+                    low, at = score[reach], score[s]
+                    g = low[0] - at[0]
+                    passes.append(all(g + min(g, c - r) >= c - at[0] for c, r in zip(at[1:], low[1:])))
+                ruled_out += passes.count(False)
+                for v in (v for v in vectors if all(a >= b for a, b in zip(v, s))):
+                    if 0 in sb.winners(score[v]):
+                        assert all(passes[price[v] - price[s] :]), (seed, s, v)
+                        pairs += 1
+        # the test also rules out many (start, cap) pairs
+        assert pairs >= 8000 and ruled_out >= 2000, (pairs, ruled_out)
+
     def test_skipped_inner_sweeps_hold_no_winner(self, monkeypatch):
         # Every _two_pass of seeded A, Aeps-round and B solves is replayed
         # uncapped with every inner sweep built: the answer is the same,
         # and each inner sweep the skip test left out holds no winner
         # within its budget.  A call capped below a cost (a B guess) finds
         # nothing exactly when the replay's answer costs at least that
-        # much, and otherwise the replay's answer.
-        calls = []
+        # much, and otherwise the replay's answer.  Every guess that the
+        # reach test rules out before any sweep is replayed the same way
+        # on its rebased rows: its answer costs at least the cap the guess
+        # would have been swept below, the baseline's cost less its price.
+        calls, screens = [], []
         two_pass = scoring_solvers._two_pass
+        screen = scoring_solvers._screen_guesses
 
         class RecordingSweep(_BudgetSweep):
             def __init__(self, rows, budget, offsets=None, memo=None):
@@ -557,14 +601,22 @@ class TestSkipTest:
             calls[-1][1][0] = two_pass(*args)
             return calls[-1][1][0]
 
+        def recording_screen(table, prices, best):
+            screened = screen(table, prices, best)
+            screens.append((prices[1], best, screened[1]))
+            return screened
+
         monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
         monkeypatch.setattr(scoring_solvers, "_two_pass", recording_two_pass)
+        monkeypatch.setattr(scoring_solvers, "_screen_guesses", recording_screen)
         solves = [(memo_instance(seed), sb.solve_two_pass) for seed in range(56)]
         solves += [(memo_instance(seed), lambda i: scaled_rounds_alone(i, 1)) for seed in range(24)]
         solves += [(admitted_instance(seed), sb.solve_bootstrap) for seed in ADMITTED_SEEDS]
-        skipped = capped_none = 0
+        solves += [(inst, bootstrap_solver(inst)) for inst in map(guess_instance, range(12))]
+        skipped = capped_none = ruled_out = 0
         for inst, solve in solves:
             calls.clear()
+            screens.clear()
             solve(inst)
             for args, (answer,), swept in calls:
                 best, visited = scan_without_skips(*args[:4])
@@ -583,7 +635,16 @@ class TestSkipTest:
                     if first not in built:
                         assert not won
                         skipped += 1
-        assert skipped >= 100 and capped_none >= 10
+            for starts, cost, hopeless in screens:
+                for flat in np.flatnonzero(hopeless).tolist():
+                    i = int(starts.searchsorted(flat, "right")) - 1
+                    guess = [0] * inst.num_voters
+                    guess[i] = flat - int(starts[i])
+                    table, rows, budget = rebased_rows(inst, guess)
+                    best, _ = scan_without_skips(table, rows, np.array(guess), budget)
+                    assert best[0] >= cost - inst.costs[i].price(guess[i]), (guess, cost)
+                    ruled_out += 1
+        assert skipped >= 100 and capped_none >= 10 and ruled_out >= 40, (skipped, capped_none, ruled_out)
 
 
 def rebased_rows(inst, start):
@@ -756,6 +817,25 @@ def admitted_instance(seed):
 ADMITTED_SEEDS = range(36)
 
 
+def guess_instance(seed):
+    """Seeded 5x4 instance with prices <= 6 that the preferred candidate
+    does not already win: Borda on odd seeds, else k-approval with k = 1 +
+    seed // 2 % 3, weighted on seeds 6..11 mod 12; the size of ``B``'s
+    benchmark requests."""
+    rule = sb.ScoringRule(sb.borda(4) if seed % 2 else sb.k_approval(4, 1 + seed // 2 % 3))
+    draw = seed
+    while True:
+        inst = sb.gen_random(draw, 5, 4, 6, weighted=seed // 6 % 2 == 1, rule=rule)
+        if 0 not in sb.winners(sb.rule_scores(inst.election, inst.rule)):
+            return inst
+        draw += 1000
+
+
+def bootstrap_solver(inst):
+    """``solve_bootstrap_weighted`` for a weighted instance, else ``solve_bootstrap``."""
+    return sb.solve_bootstrap if inst.election.weights is None else sb.solve_bootstrap_weighted
+
+
 class TestSolveTwoPassScaled:
     def test_equals_two_pass_when_admitted(self):
         # the exact sweep runs alone: A's cost and witness, byte for byte
@@ -875,16 +955,7 @@ class TestSolveBootstrap:
         # full, cost and witness, on 5x4 instances with prices <= 6 that
         # the preferred candidate does not already win (Borda and
         # k-approval, weighted and not) and at 12x8 with prices <= 20.
-        insts = []
-        for seed in range(120):
-            rule = sb.ScoringRule(sb.borda(4) if seed % 2 else sb.k_approval(4, 1 + seed // 2 % 3))
-            draw = seed
-            while True:
-                inst = sb.gen_random(draw, 5, 4, 6, weighted=seed // 6 % 2 == 1, rule=rule)
-                if 0 not in sb.winners(sb.rule_scores(inst.election, inst.rule)):
-                    break
-                draw += 1000
-            insts.append(inst)
+        insts = [guess_instance(seed) for seed in range(120)]
         insts += [sb.gen_random(seed, 12, 8, 20, weighted=w) for seed in (1, 2, 3) for w in (False, True)]
         for inst in insts:
             want = repr(bootstrap_uncapped(inst))
@@ -905,12 +976,21 @@ class TestSolveBootstrap:
         # first two voters' prices are scaled so that the larger of their
         # largest prices lies just below 199,999, the largest admitted price
         # total, on every third seed with the other two voters' shifts cut.
-        calls = []
+        # In the first, the reach test rules out both guesses before any
+        # sweep: the other priced voter's shift costs more than the cap, so
+        # a guess leaves c a lead that nothing affordable closes.
+        calls, screens = [], []
         two_pass = scoring_solvers._two_pass
+        screen = scoring_solvers._screen_guesses
 
         def recording_two_pass(*args):
             calls.append((len(args) > 4, args[2].tolist()))
             return two_pass(*args)
+
+        def recording_screen(table, prices, best):
+            screened = screen(table, prices, best)
+            screens.append(screened[1])
+            return screened
 
         two = sb.Election(("p", "c"), ((1, 0),) * 4)
         three = sb.Election(("p", "c1", "c2"), ((1, 2, 0), (1, 0, 2)))
@@ -924,7 +1004,7 @@ class TestSolveBootstrap:
                 sb.ScoringRule(sb.borda(3)),
             ),
         ]
-        for seed in range(120):
+        for seed in range(360):
             base = sb.gen_random(seed, 4, 2 + seed % 3, 6, weighted=seed % 2 == 1)
             costs = list(base.costs)
             scale = 199990 // max([1] + [p for cf in costs[:2] for p in cf.prices])
@@ -935,8 +1015,10 @@ class TestSolveBootstrap:
         mixed = []
         for inst in insts:
             calls.clear()
+            screens.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(scoring_solvers, "_two_pass", recording_two_pass)
+                mp.setattr(scoring_solvers, "_screen_guesses", recording_screen)
                 try:
                     got = repr(sb.solve_bootstrap(inst))
                 except (sb.Infeasible, OverflowError) as err:
@@ -948,11 +1030,31 @@ class TestSolveBootstrap:
             assert got == want
             baseline_rounds = sum(not admitted and not any(start) for admitted, start in calls)
             admitted = [start for admitted, start in calls if admitted and any(start)]
+            if inst is insts[0]:
+                # the price array holds shifts 0 and 1 of voters 0 and 1, then shift 0 of 2 and 3
+                assert screens == [[False, True, False, True, False, False]]
+                assert (got, baseline_rounds, admitted) == (repr((300000, sb.ShiftAction((1, 1, 0, 0)))), 19, [])
             if baseline_rounds and admitted:
                 mixed.append((got, baseline_rounds, admitted))
-        assert mixed[0] == (repr((300000, sb.ShiftAction((1, 1, 0, 0)))), 19, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        assert mixed[1] == (repr(((1 << 63) - 95, sb.ShiftAction((1, 1)))), 64, [[1, 0]])
+        assert mixed[0] == (repr(((1 << 63) - 95, sb.ShiftAction((1, 1)))), 64, [[1, 0]])
+        assert mixed[1] == (repr((50005, sb.ShiftAction((0, 2, 1, 3)))), 19, [[1, 0, 0, 0], [0, 2, 0, 0]])
         assert len(mixed) >= 7
+
+    def test_reach_test_halves_the_guess_sweeps(self, monkeypatch):
+        # On B's benchmark size the reach test rules out about half of the
+        # guesses the loop would sweep: 56 _two_pass calls on these 24 B and
+        # Bw solves, baseline included, against 110 with every guess swept.
+        calls = []
+        two_pass = scoring_solvers._two_pass
+
+        def counting_two_pass(*args):
+            calls.append(args[2])
+            return two_pass(*args)
+
+        monkeypatch.setattr(scoring_solvers, "_two_pass", counting_two_pass)
+        for inst in map(guess_instance, range(24)):
+            bootstrap_solver(inst)(inst)
+        assert len(calls) == 56
 
     def test_theorem6_k1_within_twice_optimal(self, thm6_k1):
         opt, _ = sb.exact_shift_opt(thm6_k1)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bribery import MAXIMIN, CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable
-from .bribery import _checked_price_runs, _pairwise_wins, _price_table
+from .bribery import _checked_price_runs, _columns, _pairwise_wins, _price_table
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _check_targets, _micro_tally
 from .elections import CopelandAlpha, _check_i64, _unchecked
 from .errors import GuardExceeded, Infeasible
@@ -202,7 +202,7 @@ def exact_cover_opt(inst: ShiftBriberyInstance, targets: Sequence) -> Tuple[int,
     )
     support, total = table.base.tolist(), inst.election.total_weight
     required = np.array([0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)])
-    accept = lambda rows: (rows >= required).all(axis=1)
+    accept = lambda rows: (_columns(rows) >= required[:, None]).all(axis=0)
     found = _cheapest(_checked_price_runs(inst), table.deltas, table.base, accept)
     if found is None:
         raise Infeasible("no shift action meets the targets")

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftbribe as sb
-from shiftbribe.bribery import ShiftTable, _pairwise_wins, _rival_tally
+from shiftbribe import oracle
+from shiftbribe.bribery import ShiftTable, _pairwise_wins, _rival_tally, _scoring_wins
 
 
 def borda_instance(orders, prices, weights=None):
@@ -236,29 +237,135 @@ def old_copeland_wins(tally, alpha, rows):
     return p_score >= (base + den * (against > ours) + tie).max(axis=1)
 
 
+def old_scoring_wins(rows):
+    """The scoring winner test before it read candidate-major rows."""
+    return rows[:, 0] == rows.max(axis=1)
+
+
+def old_maximin_wins(tally, rows):
+    """The maximin winner test before it read candidate-major rows: each
+    rival's worst pairwise count, from the rival-only sub-tally or against
+    the preferred candidate, is at most the preferred candidate's."""
+    fixed_min = np.array(sb.maximin_scores(_rival_tally(tally)), dtype=np.int64)
+    p_score = rows[:, 1:].min(axis=1)
+    rival = np.minimum(fixed_min, tally.total_weight - rows[:, 1:])
+    return (rival <= p_score[:, None]).all(axis=1)
+
+
+def old_cover_accepts(required, rows):
+    """The acceptance test of ``exact_cover_opt`` before it read
+    candidate-major rows: every count meets its required support."""
+    return (rows >= np.array(required, dtype=np.int64)).all(axis=1)
+
+
+# Batches as the exact oracle's rounds and the scoring solvers make them:
+# empty, one row, full 4,096-row batches and sizes between, of 1 to 20
+# candidates and of 201, whose rows are longer than most batches.
+BATCH_ROWS = st.one_of(st.sampled_from([0, 1, 4096]), st.integers(2, 4095))
+CANDIDATES = st.one_of(st.sampled_from([1, 2, 201]), st.integers(3, 20))
+TOTALS = st.sampled_from([1, 2, 7, 10, 1 << 62, I64_MAX - 1, I64_MAX])
+
+
+def batches(data, values, k, m):
+    """A (k x m) batch of ``values`` and two non-contiguous ones: every
+    second row of a (2k x m) batch and the middle m columns of a
+    (k x m + 2) batch."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = np.array(sorted(set(values)), dtype=np.int64)
+    return [
+        rng.choice(values, size=(k, m)),
+        rng.choice(values, size=(2 * k, m))[::2],
+        rng.choice(values, size=(k, m + 2))[:, 1:-1],
+    ]
+
+
+def counts(data, total, extra=()):
+    """Pairwise counts up to ``total``: ties, halves, the ends and a few
+    drawn ones, near 2**63 - 1 where twice a count would overflow."""
+    drawn = data.draw(st.lists(st.integers(0, total), min_size=1, max_size=4))
+    return [0, total // 2, (total + 1) // 2, total, *drawn, *extra]
+
+
+def random_tally(data, m, total):
+    """A tally of m candidates whose every pair sums to ``total``."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.choice(np.array(counts(data, total), dtype=np.int64), size=(m, m)), 1)
+    n_matrix = upper + np.triu(total - upper, 1).T
+    return sb.PairwiseTally(n_matrix.tolist(), total)
+
+
+class TestScoringWinnerTest:
+    @settings(max_examples=150, deadline=None)
+    @given(BATCH_ROWS, CANDIDATES, st.data())
+    def test_matches_the_old_formula(self, k, m, data):
+        # scores up to 2**63 - 1, few distinct so that the top ties
+        scores = data.draw(st.lists(st.integers(0, I64_MAX), min_size=1, max_size=6))
+        for rows in batches(data, [0, I64_MAX, *scores], k, m):
+            got = _scoring_wins(rows)
+            assert got.tolist() == old_scoring_wins(rows).tolist()
+
+    def test_is_the_scoring_tables_test(self):
+        inst = borda_instance([(1, 2, 0), (0, 1, 2)], [(1, 2), ()])
+        assert ShiftTable(inst).wins is _scoring_wins
+
+
 class TestCopelandWinnerTest:
     ALPHAS = [sb.CopelandAlpha(0), sb.CopelandAlpha(1, 2), sb.CopelandAlpha(1), sb.CopelandAlpha(2, 3)]
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from(ALPHAS),
-        st.integers(2, 6),
-        st.sampled_from([1, 2, 7, 10, 1 << 62, I64_MAX - 1, I64_MAX]),
-        st.data(),
-    )
-    def test_matches_the_old_formula(self, alpha, m, total, data):
+    @given(st.sampled_from(ALPHAS), CANDIDATES, TOTALS, BATCH_ROWS, st.data())
+    def test_matches_the_old_formula(self, alpha, m, total, k, data):
         # a tally whose every pair sums to the total, and rows of the
-        # preferred candidate's counts; ties, and counts near 2**63 - 1
-        # where twice a count would overflow
-        count = st.one_of(
-            st.sampled_from([0, total // 2, (total + 1) // 2, total]), st.integers(0, total)
-        )
-        n_matrix = [[0] * m for _ in range(m)]
-        for a, b in itertools.combinations(range(m), 2):
-            n_matrix[a][b] = data.draw(count)
-            n_matrix[b][a] = total - n_matrix[a][b]
-        tally = sb.PairwiseTally(n_matrix, total)
-        k = data.draw(st.integers(1, 6))
-        rows = np.array([[data.draw(count) for _ in range(m)] for _ in range(k)], dtype=np.int64)
-        got = _pairwise_wins(tally, sb.CopelandRule(alpha))(rows)
-        assert got.tolist() == old_copeland_wins(tally, alpha, rows).tolist()
+        # preferred candidate's counts; with one candidate it always wins
+        tally = random_tally(data, m, total)
+        for rows in batches(data, counts(data, total), k, m):
+            got = _pairwise_wins(tally, sb.CopelandRule(alpha))(rows)
+            want = old_copeland_wins(tally, alpha, rows) if m > 1 else [True] * k
+            assert got.tolist() == list(want)
+
+
+class TestMaximinWinnerTest:
+    @settings(max_examples=150, deadline=None)
+    @given(CANDIDATES, TOTALS, BATCH_ROWS, st.data())
+    def test_matches_the_old_formula(self, m, total, k, data):
+        tally = random_tally(data, m, total)
+        for rows in batches(data, counts(data, total), k, m):
+            got = _pairwise_wins(tally, sb.MAXIMIN)(rows)
+            want = old_maximin_wins(tally, rows) if m > 1 else [True] * k
+            assert got.tolist() == list(want)
+
+
+def cover_accept(inst, targets):
+    """The acceptance test that ``exact_cover_opt`` hands its search."""
+    handed = []
+
+    def capture(prices, deltas, base, accept):
+        handed.append(accept)
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_cheapest", capture)
+        with pytest.raises(sb.Infeasible):
+            sb.exact_cover_opt(inst, targets)
+    return handed[0]
+
+
+class TestCoverAcceptanceTest:
+    @settings(max_examples=150, deadline=None)
+    @given(CANDIDATES, TOTALS, BATCH_ROWS, st.data())
+    def test_matches_the_old_formula(self, m, total, k, data):
+        # one voter, or two whose weights sum to the total, in random
+        # orders with free shifts; targets up to the total
+        weights = (total,) if total == 1 else (w := data.draw(st.integers(1, total - 1)), total - w)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        orders = [tuple(rng.permutation(m).tolist()) for _ in weights]
+        e = sb.Election(tuple(f"x{i}" for i in range(m)), tuple(orders), weights)
+        costs = tuple(sb.CostFunction((0,) * (e.rank_of(i, 0) - 1)) for i in range(len(weights)))
+        inst = sb.ShiftBriberyInstance(e, costs, sb.MAXIMIN)
+        targets = rng.choice(np.array(counts(data, total)), size=m - 1).tolist()
+        support = sb.pairwise_tally(e).n_matrix[0]
+        required = [0] + [min(support[c] + targets[c - 1], total) for c in range(1, m)]
+        near = [r - 1 for r in required if r]
+        accept = cover_accept(inst, targets)
+        for rows in batches(data, counts(data, total, required + near), k, m):
+            assert accept(rows).tolist() == old_cover_accepts(required, rows).tolist()

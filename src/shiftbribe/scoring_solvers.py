@@ -47,7 +47,8 @@ guess whose unscaled sweep runs, the best cost so far less its guessed price.
 Before any guess is swept, one vectorized reach test over all of them rules
 out those after which no action cheaper than the baseline's cost can make
 the preferred candidate win, by the same bound on what each rival can lose
-with every voter at its last affordable shift (see ``solve_bootstrap``).
+with every voter at its last affordable shift, the preferred candidate's
+gain capped by the baseline's frontier (see ``solve_bootstrap``).
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -415,11 +416,12 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
-def _screen_guesses(table: ShiftTable, prices: tuple, best: int) -> Tuple[list, list]:
+def _screen_guesses(table: ShiftTable, prices: tuple, best: int, frontier: int) -> Tuple[list, list]:
     """(single, hopeless), lists over the flat index starts[i] + t of
     ``prices``, the instance's ``_price_table``, whose layout ``table``
     shares: whether the guess (voter i, shift t) wins alone, and whether the
-    reach test of ``solve_bootstrap`` rules it out below the cost ``best``.
+    reach test of ``solve_bootstrap`` rules it out below the cost ``best``,
+    with ``frontier`` bounding the preferred candidate's gain there.
     Only guesses with t >= 1, priced below ``best``, that do not win alone
     are tested, all at once: a voter's reach is the count of its prices
     within the cap, less one, and the rows at the reaches one ``rows_after``."""
@@ -434,7 +436,7 @@ def _screen_guesses(table: ShiftTable, prices: tuple, best: int) -> Tuple[list, 
     own = voter[guessed]
     reach[np.arange(len(guessed)), own] = np.add.reduceat(cheap, starts, dtype=np.int64)[own] - 1
     after, low = alone[guessed], table.rows_after(reach)
-    g = low[:, :1] - after[:, :1]
+    g = np.minimum(low[:, :1] - after[:, :1], frontier - table.flat[guessed, :1])
     loss, need = after[:, 1:] - low[:, 1:], after[:, 1:] - after[:, :1]
     hopeless = np.zeros(len(values), dtype=bool)
     hopeless[guessed] = (g + np.minimum(g, loss) < need).any(axis=1)
@@ -475,17 +477,19 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     the guesses that cannot win below ``best`` (``_screen_guesses``).  With
     cap = best - 1 - p_i(t), voter j != i reaches its last shift k with
     p_j(k) <= cap and voter i its last with p_i(k) <= best - 1; no price
-    is added to a budget.  S is the row after the guess alone and R the
-    row with every voter at its reach, and with g = R[0] - S[0], loss_c =
-    S[c] - R[c] and need_c = S[c] - S[0], the guess is hopeless if some
-    rival c has g + min(g, loss_c) < need_c.  This is sound: an action on
-    top of the guess that costs less than ``best`` in all keeps each voter
-    at or below its reach, and the preferred candidate's score rises with
-    the shift while each rival's falls (weighted or not), so the action
-    gains some G <= g over S and c loses at most loss_c; in each vote c
-    loses no more than the preferred candidate gains (the skip lemma of
-    ``_two_pass``), so if it wins, need_c <= G + min(G, loss_c) <= g +
-    min(g, loss_c).
+    is added to a budget.  S is the row after the guess alone, R the row
+    with every voter at its reach, and F the largest gain of the baseline's
+    frontier at cost at most best - 1 (the total gain after scaled rounds).
+    With g = min(R[0] - S[0], F - (S[0] - base[0])), loss_c = S[c] - R[c]
+    and need_c = S[c] - S[0], the guess is hopeless if some rival c has
+    g + min(g, loss_c) < need_c.  This is sound: an action on top of the
+    guess that costs less than ``best`` in all keeps each voter at or below
+    its reach and, with the guess, gains at most F; the preferred
+    candidate's score rises with the shift while each rival's falls
+    (weighted or not), so the action gains some G <= g over S and c loses
+    at most loss_c; in each vote c loses no more than the preferred
+    candidate gains (the skip lemma of ``_two_pass``), so if it wins,
+    need_c <= G + min(G, loss_c) <= g + min(g, loss_c).
     ``best`` only falls during the loop, so a guess hopeless at the
     baseline's cost stays hopeless and skipping it keeps the answer.
     """
@@ -499,7 +503,13 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     runs = _price_runs(inst)
     memo = {}
     best = _scaled_rounds(runs, table, zero, eps, None, memo)
-    single, hopeless = _screen_guesses(table, _price_table(inst), best[0])
+    frontier = table.top[0] - table.base[0]
+    if memo:  # the unscaled sweep ran: its full frontier tops the offset-0 chain
+        node = _EMPTY_SUFFIX
+        for _ in range(n):
+            node = memo[0, id(node)]
+        frontier = node[1][node[0].searchsorted(best[0] - 1, "right") - 1]
+    single, hopeless = _screen_guesses(table, _price_table(inst), best[0], int(frontier))
     for i, (p, row) in enumerate(zip([run.tolist() for run in runs], table.starts.tolist())):
         for t in range(1, len(p)):
             if p[t] >= best[0]:

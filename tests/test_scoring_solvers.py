@@ -543,15 +543,17 @@ class TestSkipTest:
         # s_j, R the score row at the reaches and S the row at s.  With
         # g = R[0] - S[0], loss_c = S[c] - R[c] and need_c = S[c] - S[0],
         # (s, cap) passes when g + min(g, loss_c) >= need_c for every rival
-        # c.  Every winning v >= s whose price above s is at most the cap
-        # passes; scores from rule_scores on the shifted election, prices
-        # from the cost functions.
+        # c.  With the frontier cap, g is at most F - gain(s), F the largest
+        # gain of any vector priced at most price(s) + cap.  Every winning
+        # v >= s whose price above s is at most the cap passes both; scores
+        # from rule_scores on the shifted election, prices from the cost
+        # functions, F by enumeration.
         rules = (
             lambda m: sb.borda(m),
             lambda m: sb.k_approval(m, 1 + m // 3),
             lambda m: sb.ScoringVector((9, 4, 4, 1, 0)[:m]),
         )
-        pairs = ruled_out = 0
+        pairs = ruled_out = capped_out = 0
         for seed in range(240):
             m = 2 + seed % 4
             rule = sb.ScoringRule(rules[seed % 3](m))
@@ -561,7 +563,7 @@ class TestSkipTest:
             score = {t: scores_after(inst, t) for t in vectors}
             price = {t: sum(p[k] for p, k in zip(prices, t)) for t in vectors}
             for s in vectors:
-                passes = []
+                passes, capped = [], []
                 for cap in range(sum(p[-1] - p[k] for p, k in zip(prices, s)) + 1):
                     reach = tuple(
                         max(k for k in range(len(p)) if p[k] - p[sj] <= cap) for p, sj in zip(prices, s)
@@ -569,13 +571,16 @@ class TestSkipTest:
                     low, at = score[reach], score[s]
                     g = low[0] - at[0]
                     passes.append(all(g + min(g, c - r) >= c - at[0] for c, r in zip(at[1:], low[1:])))
+                    g = min(g, max(score[u][0] for u in vectors if price[u] <= price[s] + cap) - at[0])
+                    capped.append(all(g + min(g, c - r) >= c - at[0] for c, r in zip(at[1:], low[1:])))
                 ruled_out += passes.count(False)
+                capped_out += capped.count(False) - passes.count(False)
                 for v in (v for v in vectors if all(a >= b for a, b in zip(v, s))):
                     if 0 in sb.winners(score[v]):
-                        assert all(passes[price[v] - price[s] :]), (seed, s, v)
+                        assert all(capped[price[v] - price[s] :]), (seed, s, v)
                         pairs += 1
-        # the test also rules out many (start, cap) pairs
-        assert pairs >= 8000 and ruled_out >= 2000, (pairs, ruled_out)
+        # the test also rules out many (start, cap) pairs, and the cap more
+        assert pairs >= 8000 and ruled_out >= 2000 and capped_out >= 60, (pairs, ruled_out, capped_out)
 
     def test_skipped_inner_sweeps_hold_no_winner(self, monkeypatch):
         # Every _two_pass of seeded A, Aeps-round and B solves is replayed
@@ -584,9 +589,10 @@ class TestSkipTest:
         # within its budget.  A call capped below a cost (a B guess) finds
         # nothing exactly when the replay's answer costs at least that
         # much, and otherwise the replay's answer.  Every guess that the
-        # reach test rules out before any sweep is replayed the same way
-        # on its rebased rows: its answer costs at least the cap the guess
-        # would have been swept below, the baseline's cost less its price.
+        # reach test, its gain capped by the baseline's frontier, rules out
+        # before any sweep is replayed the same way on its rebased rows:
+        # its answer costs at least the cap the guess would have been swept
+        # below, the baseline's cost less its price.
         calls, screens = [], []
         two_pass = scoring_solvers._two_pass
         screen = scoring_solvers._screen_guesses
@@ -601,8 +607,8 @@ class TestSkipTest:
             calls[-1][1][0] = two_pass(*args)
             return calls[-1][1][0]
 
-        def recording_screen(table, prices, best):
-            screened = screen(table, prices, best)
+        def recording_screen(table, prices, best, frontier):
+            screened = screen(table, prices, best, frontier)
             screens.append((prices[1], best, screened[1]))
             return screened
 
@@ -987,8 +993,8 @@ class TestSolveBootstrap:
             calls.append((len(args) > 4, args[2].tolist()))
             return two_pass(*args)
 
-        def recording_screen(table, prices, best):
-            screened = screen(table, prices, best)
+        def recording_screen(table, prices, best, frontier):
+            screened = screen(table, prices, best, frontier)
             screens.append(screened[1])
             return screened
 
@@ -1040,10 +1046,11 @@ class TestSolveBootstrap:
         assert mixed[1] == (repr((50005, sb.ShiftAction((0, 2, 1, 3)))), 19, [[1, 0, 0, 0], [0, 2, 0, 0]])
         assert len(mixed) >= 7
 
-    def test_reach_test_halves_the_guess_sweeps(self, monkeypatch):
-        # On B's benchmark size the reach test rules out about half of the
-        # guesses the loop would sweep: 56 _two_pass calls on these 24 B and
-        # Bw solves, baseline included, against 110 with every guess swept.
+    def test_reach_test_rules_out_most_guess_sweeps(self, monkeypatch):
+        # On B's benchmark size the reach test, its gain capped by the
+        # baseline's frontier, rules out most of the guesses the loop would
+        # sweep: 35 _two_pass calls on these 24 B and Bw solves, baseline
+        # included, against 56 without the cap and 110 with every guess swept.
         calls = []
         two_pass = scoring_solvers._two_pass
 
@@ -1054,7 +1061,7 @@ class TestSolveBootstrap:
         monkeypatch.setattr(scoring_solvers, "_two_pass", counting_two_pass)
         for inst in map(guess_instance, range(24)):
             bootstrap_solver(inst)(inst)
-        assert len(calls) == 56
+        assert len(calls) == 35
 
     def test_theorem6_k1_within_twice_optimal(self, thm6_k1):
         opt, _ = sb.exact_shift_opt(thm6_k1)

@@ -41,7 +41,8 @@ hands its frontiers to every admitted guess, each guess reading them
 through its own copy of the memo.  The sweep builds no inner frontier for
 a first-round buy after which no affordable follow-up can make the
 preferred candidate win, by a bound on what each rival can still lose
-(see ``_two_pass``).
+(see ``_two_pass``); a scan that shares no memo builds its follow-ups'
+inner frontiers together, gain-indexed, once it finds a winner.
 Every two-pass scan runs below a cost: the price total + 1, or for a ``B``
 guess whose unscaled sweep runs, the best cost so far less its guessed price.
 Before any guess is swept, one vectorized reach test over all of them rules
@@ -65,6 +66,7 @@ from .bribery import (
     ShiftAction,
     ShiftBriberyInstance,
     ShiftTable,
+    _GATHER_BLOCK,
     _price_runs,
     _price_table,
 )
@@ -73,6 +75,16 @@ from .errors import GuardExceeded, IncompatibleRule, Infeasible
 
 DEFAULT_CELL_GUARD = 10**8
 DEFAULT_EXACT_THRESHOLD = 10**6
+# A scan batches its follow-ups (``_follow_ups``) only if it admits at
+# least this many per voter: a batch costs as much as 7.5 follow-ups swept
+# one by one at n = 15-19, and 8.8 at n = 20-24 (A on the seed-1 and -2
+# benchmark pools, in-process, 2-CPU host).
+_FOLLOW_UPS_PER_VOTER = 1
+# ... and only if the outer frontier's top gain, in units of the gains' gcd,
+# is at most this many times its point count: unweighted scans read
+# 1.00-1.06, a weighted 20x10 3,061 units against 611 points, and batched
+# weighted A at 50x20/p<=50 took 13-15 s (6 s) at 3.35 GB (217 MB) peak RSS.
+_DENSE_GAIN_AXIS = 2
 
 _EMPTY_SUFFIX = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))  # no voters: (0, 0)
 
@@ -216,6 +228,76 @@ def buy(inst: ShiftBriberyInstance, budget: int) -> Tuple[ShiftAction, int]:
     return ShiftAction(tuple(sweep.trace([last])[0].tolist())), int(sweep.gains[last])
 
 
+def _follow_ups(table: ShiftTable, rows: list, firsts, l1s, cap: int, unit: int, width: int):
+    """(cost, shifts) of the least l1 + l2 below ``cap`` over the follow-ups
+    whose first actions are the distinct rows of ``firsts``, priced ``l1s``
+    ascending, the first l1 on ties, or None: l2 is a winning point of the
+    frontier of ``rows`` offset at l1's action and cut at cap - l1 - 1.
+
+    All frontiers are built at once, back to front, gain-indexed: at voter
+    i the groups are the distinct suffixes firsts[:, i:], and a group's row
+    holds, per gain of 0 .. ``width`` - 1 units of ``unit``, the least cost,
+    capped at ``cap``, of an action gaining exactly that: the least over the
+    group's options k of price(k) plus the next group's row at the gain
+    less k's.  ``argmin`` takes the smallest k on equal cost, so a gain
+    traces to the lexicographically smallest least-cost action, the
+    frontier's tie-break; the frontier points are the gains within the cut
+    that cost less than every larger gain.  Levels are built in chunks of
+    groups, and points traced and tested, least total first, in blocks of
+    at most ``bribery._GATHER_BLOCK`` entries.  2 * cap must fit in int64."""
+    n = len(rows)
+    order = np.lexsort(firsts.T)  # suffixes firsts[:, i:] that are equal lie together
+    firsts = firsts[order]
+    fresh = np.ones((len(firsts), n + 1), dtype=bool)  # row j starts a suffix group at voter i
+    fresh[1:, n] = False
+    np.logical_or.accumulate((firsts[1:] != firsts[:-1])[:, ::-1], axis=1, out=fresh[1:, n - 1 :: -1])
+    group = fresh.cumsum(axis=0) - 1
+    cost = np.full((1, 2 * width), cap, dtype=np.int64)  # each row at [width:], after cap
+    cost[0, width] = 0  # the empty suffix gains 0 at no cost
+    levels = []
+    for i in reversed(range(n)):
+        prices, gains = rows[i]
+        heads = np.flatnonzero(fresh[:, i])
+        offset, parent = firsts[heads, i], group[heads, i + 1]
+        shift = offset[:, None] + np.arange(len(prices) - offset.min())
+        valid = shift < len(prices)
+        shift = np.minimum(shift, len(prices) - 1)
+        price = np.where(valid, np.minimum(prices[shift] - prices[offset, None], cap), cap)
+        step = np.minimum(np.where(valid, (gains[shift] - gains[offset, None]) // unit, 0), width)
+        choice = np.empty((len(heads), width), dtype=np.min_scalar_type(shift.shape[1]))
+        last, cost = cost, np.full((len(heads), 2 * width), cap, dtype=np.int64)
+        chunk = max(1, _GATHER_BLOCK // step[0].size // width)
+        for lo in range(0, len(heads), chunk):
+            part = slice(lo, lo + chunk)
+            reads = width + np.arange(width) - step[part, :, None]
+            cand = last[parent[part, None, None], reads] + price[part, :, None]
+            choice[part] = cand.argmin(axis=1)
+            cost[part, width:] = cand.min(axis=1)
+        np.minimum(cost, cap, out=cost)
+        levels.append((offset, parent, step, choice))
+    cost = cost[:, width:]
+    later = np.minimum.accumulate(cost[:, ::-1], axis=1)[:, ::-1]
+    kept = cost <= (cap - 1 - l1s[order])[:, None]
+    kept[:, :-1] &= cost[:, :-1] < later[:, 1:]
+    points, gains = kept.nonzero()
+    totals = l1s[order[points]] + cost[points, gains]
+    ranked = np.lexsort((order[points], totals))  # least total first, then the first l1
+    block = max(1, _GATHER_BLOCK // n)
+    for lo in range(0, len(ranked), block):
+        part = ranked[lo : lo + block]
+        shifts = np.empty((len(part), n), dtype=np.int64)
+        at, gain = points[part], gains[part]
+        for i, (offset, parent, step, choice) in enumerate(reversed(levels)):
+            k = choice[at, gain]
+            shifts[:, i] = offset[at] + k
+            gain = gain - step[at, k]
+            at = parent[at]
+        won = np.flatnonzero(table.wins(table.rows_after(shifts)))
+        if len(won):
+            return int(totals[part[won[0]]]), shifts[won[0]]
+    return None
+
+
 def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None, memo=None):
     """(cost, shifts) of the least (cost, l1) two-pass winner cheaper than
     ``below`` among the actions on top of ``start``, swept on the option
@@ -255,8 +337,19 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None, mem
     rule of ``_BudgetSweep``), so a capped inner sweep holds the uncut one's
     first winner whenever that winner costs less than the cap, and the scan
     finds the least winner below ``below``.  ``solve_bootstrap`` passes the
-    cost a guess must beat."""
+    cost a guess must beat.
+
+    A scan with its own memo (``memo`` None) whose first winner costs cap
+    builds the inner frontiers of the later l1s that the skip test admits
+    at cap together (``_follow_ups``) if they number at least n and the
+    gain axis is dense (``_DENSE_GAIN_AXIS``), and keeps the least total
+    l1 + l2 below cap, the first l1 on ties.  That is the loop's answer: a
+    sweep cut below the falling best is a prefix of the one cut below cap;
+    the loop keeps the first l1 that reaches the least total, its best
+    still above that total there; and the skip test's gain bound grows
+    with the cap, so it admits at cap every l1 the loop admits."""
     below = budget + 1 if below is None else min(below, budget + 1)
+    batch = memo is None
     memo = {} if memo is None else memo
     outer = _BudgetSweep(rows, below - 1, tuple(start.tolist()), memo)
     firsts = start + outer.trace(np.arange(len(outer.costs)))
@@ -274,9 +367,24 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None, mem
         inner = _BudgetSweep(rows, best[0] - l1 - 1, tuple(firsts[f].tolist()), memo)
         shifts = firsts[f] + inner.trace(np.arange(len(inner.costs)))
         won = np.flatnonzero(table.wins(table.rows_after(shifts)))
-        if len(won):
-            w = won[0]
-            best = (l1 + int(inner.costs[w]), shifts[w])
+        if not len(won):
+            continue
+        w = won[0]
+        best = (l1 + int(inner.costs[w]), shifts[w])
+        if not batch or best[0] >= 1 << 62:  # the batch sums two costs of at most best[0]
+            continue
+        batch = False
+        cap = best[0]
+        top = gains[outer.costs.searchsorted(cap - 1, "right") - 1]
+        rest = np.arange(f + 1, outer.costs.searchsorted(cap))
+        g = top - outer.gains[rest, None]
+        rest = rest[(g + np.minimum(g, room[rest]) >= need[rest]).all(axis=1)]
+        unit = int(np.gcd.reduce(table.flat[:, 0])) or 1
+        dense = gains[-1] // unit <= _DENSE_GAIN_AXIS * len(gains)
+        if dense and len(rest) >= _FOLLOW_UPS_PER_VOTER * len(rows):
+            width = (top - gains[rest[0]]) // unit + 1
+            found = _follow_ups(table, rows, firsts[rest], outer.costs[rest], cap, unit, width)
+            return best if found is None else found
     if best[1] is None and below > budget:
         raise Infeasible("no successful shift action exists")
     return None if best[1] is None else best
@@ -454,7 +562,8 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     remainder, so the correct guess costs at most twice the optimum either
     way.  The no-guess run (``solve_two_pass`` where admitted) is the
     baseline, and a candidate that already wins yields cost 0 before any
-    guard is consulted.  Returns the cheapest successful combination found.
+    guard is consulted, a baseline of cost 0 before any guess is screened.
+    Returns the cheapest successful combination found.
 
     The work that is the same for every guess is done once per solve: the
     shift table and price runs, and one winner test of every single shift,
@@ -503,6 +612,8 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     runs = _price_runs(inst)
     memo = {}
     best = _scaled_rounds(runs, table, zero, eps, None, memo)
+    if not best[0]:  # free shifts win: no guess is cheaper
+        return 0, ShiftAction(tuple(best[1].tolist()))
     frontier = table.top[0] - table.base[0]
     if memo:  # the unscaled sweep ran: its full frontier tops the offset-0 chain
         node = _EMPTY_SUFFIX

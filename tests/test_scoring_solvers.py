@@ -1,6 +1,7 @@
 """Budget DP, buying, and the scoring-rule solvers."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -313,7 +314,7 @@ class TestSuffixMemo:
 
         monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
         inner = cut = layers = nodes = 0
-        for seed in range(56):
+        for seed in range(72):
             inst = memo_instance(seed)
             built.clear()
             sb.solve_two_pass(inst)
@@ -328,7 +329,8 @@ class TestSuffixMemo:
                 layers += len(rows)
             nodes += sum(len(memo) for memo, _ in memos.values())
         # the checks saw inner sweeps, cut budgets and shared suffixes: over
-        # a quarter of the layers were memo hits
+        # a quarter of the layers were memo hits (follow-ups that a scan
+        # batches are swept outside the memo)
         assert inner >= 300 and cut >= 100
         assert nodes < layers * 3 // 4
         # B and Bw sweep each guess through a copy of its baseline's memo: every sweep still equals a fresh one, and
@@ -592,7 +594,8 @@ class TestSkipTest:
         # reach test, its gain capped by the baseline's frontier, rules out
         # before any sweep is replayed the same way on its rebased rows:
         # its answer costs at least the cap the guess would have been swept
-        # below, the baseline's cost less its price.
+        # below, the baseline's cost less its price.  A follow-up that a
+        # scan batches (_follow_ups) counts as an inner sweep built.
         calls, screens = [], []
         two_pass = scoring_solvers._two_pass
         screen = scoring_solvers._screen_guesses
@@ -607,18 +610,24 @@ class TestSkipTest:
             calls[-1][1][0] = two_pass(*args)
             return calls[-1][1][0]
 
+        def recording_follow_ups(table, rows, firsts, *args):
+            calls[-1][2].extend(map(tuple, firsts.tolist()))  # each follow-up an inner sweep built
+            return follow_ups(table, rows, firsts, *args)
+
         def recording_screen(table, prices, best, frontier):
             screened = screen(table, prices, best, frontier)
             screens.append((prices[1], best, screened[1]))
             return screened
 
+        follow_ups = scoring_solvers._follow_ups
         monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
         monkeypatch.setattr(scoring_solvers, "_two_pass", recording_two_pass)
+        monkeypatch.setattr(scoring_solvers, "_follow_ups", recording_follow_ups)
         monkeypatch.setattr(scoring_solvers, "_screen_guesses", recording_screen)
         solves = [(memo_instance(seed), sb.solve_two_pass) for seed in range(56)]
         solves += [(memo_instance(seed), lambda i: scaled_rounds_alone(i, 1)) for seed in range(24)]
         solves += [(admitted_instance(seed), sb.solve_bootstrap) for seed in ADMITTED_SEEDS]
-        solves += [(inst, bootstrap_solver(inst)) for inst in map(guess_instance, range(12))]
+        solves += [(inst, bootstrap_solver(inst)) for inst in map(guess_instance, range(48))]
         skipped = capped_none = ruled_out = 0
         for inst, solve in solves:
             calls.clear()
@@ -724,6 +733,201 @@ def cut_prices(inst, rng):
         k = rng.randint(0, cf.cap)
         costs.append(sb.CostFunction(cf.prices[:k] + (None,) * (cf.cap - k)))
     return sb.ShiftBriberyInstance(inst.election, tuple(costs), inst.rule)
+
+
+def batch_instance(seed):
+    """Seeded instance of family ``seed % 7`` that the preferred candidate
+    does not already win, n = 4..7 and m = 7..9 with prices <= 20: Borda,
+    k-approval, Borda x100 (gains in units of 100), theorem6 with k = 1..3,
+    Borda with prices lowered by 5 (free shifts), Borda with every other
+    voter's last shift unreachable, and Borda with voter weights 1..2 (a
+    dense gain axis)."""
+    family, rng = seed % 7, random.Random(seed)
+    if family == 3:
+        return sb.gen_theorem6(1 + seed // 7 % 3)
+    n, m = 4 + seed % 4, 7 + seed // 7 % 3
+    if family == 1:
+        rule = sb.ScoringRule(sb.k_approval(m, 1 + seed // 7 % (m - 1)))
+    elif family == 2:
+        rule = sb.ScoringRule(sb.ScoringVector(tuple(100 * (m - 1 - j) for j in range(m))))
+    else:
+        rule = sb.ScoringRule(sb.borda(m))
+    draw = seed
+    while True:
+        inst = sb.gen_random(draw, n, m, 20, rule=rule)
+        if 0 not in sb.winners(sb.rule_scores(inst.election, rule)):
+            break
+        draw += 1000
+    e, costs = inst.election, inst.costs
+    if family == 4:
+        costs = tuple(sb.CostFunction(tuple(max(0, p - 5) for p in cf.prices)) for cf in costs)
+    elif family == 5:
+        cuts = [cf.cap - (i % 2 and cf.cap > 0) for i, cf in enumerate(costs)]
+        costs = tuple(sb.CostFunction(cf.prices[:k] + (None,) * (cf.cap - k)) for cf, k in zip(costs, cuts))
+    elif family == 6:
+        e = sb.Election(e.candidates, e.voters, tuple(rng.randint(1, 2) for _ in e.voters))
+    return sb.ShiftBriberyInstance(e, costs, rule)
+
+
+def batch_rule(inst):
+    """(admitted, dense) of an unshared ``A`` scan of ``inst``, or None when
+    no action wins: the follow-ups after the loop's first winner, of cost
+    cap, that the skip test admits at cap, and whether the outer frontier's
+    top gain in units of the gains' gcd is at most ``_DENSE_GAIN_AXIS``
+    times its point count.  The first winner is the cheapest winning point
+    of the first l1 whose full inner sweep holds one."""
+    table, rows, budget = rebased_rows(inst, [0] * inst.num_voters)
+    outer = _BudgetSweep(rows, budget)
+    firsts = outer.trace(np.arange(len(outer.costs)))
+    for f, (l1, first) in enumerate(zip(outer.costs.tolist(), firsts)):
+        inner = _BudgetSweep(rows, budget - l1, tuple(first.tolist()))
+        won = np.flatnonzero(table.wins(table.rows_after(first + inner.trace(np.arange(len(inner.costs))))))
+        if len(won):
+            cap = l1 + int(inner.costs[won[0]])
+            break
+    else:
+        return None
+    top = int(outer.gains[outer.costs <= cap - 1].max(initial=0))
+    lows = table.top[1:].tolist()
+    admitted = 0
+    for l1, gain, first in list(zip(outer.costs.tolist(), outer.gains.tolist(), firsts))[f + 1 :]:
+        row = table.rows_after(first[None])[0].tolist()
+        g = top - gain
+        if l1 < cap and all(g + min(g, c - low) >= c - row[0] for c, low in zip(row[1:], lows)):
+            admitted += 1
+    unit = math.gcd(*[int(x) for _, gains in rows for x in gains]) or 1
+    return admitted, int(outer.gains[-1]) // unit <= scoring_solvers._DENSE_GAIN_AXIS * len(outer.costs)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The (follow-ups, voters) of every ``_follow_ups`` call, in order."""
+    calls = []
+    follow_ups = scoring_solvers._follow_ups
+
+    def recording(table, rows, firsts, *args):
+        calls.append((len(firsts), len(rows)))
+        return follow_ups(table, rows, firsts, *args)
+
+    monkeypatch.setattr(scoring_solvers, "_follow_ups", recording)
+    return calls
+
+
+class TestFollowUpBatch:
+    def check(self, inst, start):
+        """An unshared scan of ``inst`` from ``start`` answers as the loop
+        that a shared memo keeps (no batch) and as ``scan_without_skips``,
+        cost and shift vector, or raises ``Infeasible`` as both do."""
+        table, rows, budget = rebased_rows(inst, start)
+        start = np.array(start, dtype=np.int64)
+        best, _ = scan_without_skips(table, rows, start, budget)
+        for memo in (None, {}):
+            if best is None:
+                with pytest.raises(sb.Infeasible):
+                    scoring_solvers._two_pass(table, rows, start, budget, None, memo)
+                continue
+            cost, shifts = scoring_solvers._two_pass(table, rows, start, budget, None, memo)
+            assert cost == best[0] and shifts.tolist() == best[1].tolist(), (start, memo)
+
+    def starts(self, inst, seed):
+        rng = random.Random(seed)
+        return [[0] * inst.num_voters, [rng.randint(0, cf.max_reachable // 2) for cf in inst.costs]]
+
+    def test_batched_scans_answer_as_the_loop(self, batches, monkeypatch):
+        # From a zero and a random start, on seven families; then with the
+        # batch rules forced open, so that every scan with a first winner
+        # and a later admitted l1 batches, sparse gain axes included.
+        per_family = [0] * 7
+        for seed in range(140):
+            inst = batch_instance(seed)
+            for start in self.starts(inst, seed):
+                before = len(batches)
+                self.check(inst, start)
+                per_family[seed % 7] += len(batches) - before
+        # Borda, Borda x100, free shifts, cut prices and weights 1..2 batch
+        assert min(per_family[i] for i in (0, 2, 4, 5, 6)) >= 5, per_family
+        # two batched follow-ups tie at the least total: the first l1 is kept
+        for seed, n in ((36, 8), (80, 6)):
+            before = len(batches)
+            self.check(sb.gen_random(seed, n, 8, 20), [0] * n)
+            assert len(batches) == before + 1
+        monkeypatch.setattr(scoring_solvers, "_FOLLOW_UPS_PER_VOTER", 1e-9)
+        monkeypatch.setattr(scoring_solvers, "_DENSE_GAIN_AXIS", 1 << 40)
+        forced = [0] * 7
+        for seed in range(140):
+            inst = batch_instance(seed)
+            if seed % 7 == 6:
+                inst = sb.gen_random(seed, 4 + seed % 4, 7, 20, weighted=True)
+            for start in self.starts(inst, seed):
+                before = len(batches)
+                self.check(inst, start)
+                forced[seed % 7] += len(batches) - before
+        # k-approval batches least: its frontiers hold at most n + 1 points
+        assert min(forced) >= 3, forced
+
+    def test_batch_rules(self, batches, monkeypatch):
+        # An unshared scan batches exactly when at least n follow-ups are
+        # admitted at its first winner's cost and its gain axis is dense,
+        # and then sweeps exactly the admitted follow-ups.
+        ran = held_back = 0
+        for seed in range(140):
+            inst = batch_instance(seed)
+            rule = batch_rule(inst)
+            batches.clear()
+            try:
+                sb.solve_two_pass(inst)
+            except sb.Infeasible:
+                assert rule is None
+                continue
+            admitted, dense = rule
+            if admitted >= inst.num_voters and dense:
+                assert batches == [(admitted, inst.num_voters)], seed
+                ran += 1
+            else:
+                assert batches == [], seed
+                held_back += admitted > 0
+        assert ran >= 30 and held_back >= 30, (ran, held_back)
+        # B's baseline and guesses share their memo and never batch, where
+        # A and Aeps's exact path do
+        inst = sb.gen_random(1, 12, 8, 20)
+        batches.clear()
+        sb.solve_two_pass(inst)
+        sb.solve_two_pass_scaled(inst, Fraction(1, 4))
+        assert batches == [(14, 12), (14, 12)]
+        batches.clear()
+        sb.solve_bootstrap(inst)
+        for guess in map(guess_instance, range(24)):
+            bootstrap_solver(guess)(guess)
+        assert batches == []
+        # weighted, the gain axis is sparse: 299 units against 104 points,
+        # with 15 follow-ups admitted for 12 voters
+        inst = sb.gen_random(1, 12, 8, 20, weighted=True)
+        assert batch_rule(inst) == (15, False)
+        want = sb.solve_two_pass(inst)
+        assert batches == []
+        monkeypatch.setattr(scoring_solvers, "_DENSE_GAIN_AXIS", 3)
+        assert sb.solve_two_pass(inst) == want
+        assert batches == [(15, 12)]
+
+    def test_chunked_levels_equal_unchunked(self, batches, monkeypatch):
+        # With one group per chunk and one point per traced block, or a few,
+        # every batched scan answers as with the default chunks.
+        insts = [batch_instance(seed) for seed in range(70)] + [sb.gen_random(1, 12, 8, 20)]
+        want = []
+        for inst in insts:
+            try:
+                want.append(sb.solve_two_pass(inst))
+            except sb.Infeasible:
+                want.append(None)
+        batched = [n for n, _ in batches]
+        for block in (1, 2000):
+            monkeypatch.setattr(scoring_solvers, "_GATHER_BLOCK", block)
+            batches.clear()
+            for inst, answer in zip(insts, want):
+                if answer is not None:
+                    assert sb.solve_two_pass(inst) == answer
+            assert [n for n, _ in batches] == batched
+        assert len(batched) >= 15 and sum(n > 1 for n in batched) >= 15, batched
 
 
 def test_every_scoring_solver_agrees_on_infeasibility():
@@ -1077,6 +1281,20 @@ class TestSolveBootstrap:
             cost, action = sb.solve_bootstrap(inst)
             assert opt <= cost <= 2 * opt, (seed, opt, cost)
             assert sb.is_successful(inst, action)
+
+    def test_zero_cost_baseline_screens_no_guess(self, monkeypatch):
+        # Every shift free: the baseline costs 0 and B returns it before
+        # reading its frontier or screening any guess, with the answer of
+        # the loop that solves every guess in full.
+        def screen(*args):
+            raise AssertionError("a guess was screened below cost 0")
+
+        monkeypatch.setattr(scoring_solvers, "_screen_guesses", screen)
+        for inst in map(guess_instance, range(24)):
+            free = tuple(sb.CostFunction((0,) * cf.cap) for cf in inst.costs)
+            inst = sb.ShiftBriberyInstance(inst.election, free, inst.rule)
+            cost, action = bootstrap_solver(inst)(inst)
+            assert cost == 0 and (cost, action) == bootstrap_uncapped(inst)
 
     def test_already_winner_before_any_check(self, monkeypatch):
         # The candidate already wins, so B answers 0 before the cell guard

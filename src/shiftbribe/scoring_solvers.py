@@ -42,7 +42,8 @@ through its own copy of the memo.  The sweep builds no inner frontier for
 a first-round buy after which no affordable follow-up can make the
 preferred candidate win, by a bound on what each rival can still lose
 (see ``_two_pass``); a scan that shares no memo builds its follow-ups'
-inner frontiers together, gain-indexed, once it finds a winner.
+inner frontiers together, gain-indexed, once it finds a winner, with the
+option rows of a run of voters built at once.
 Every two-pass scan runs below a cost: the price total + 1, or for a ``B``
 guess whose unscaled sweep runs, the best cost so far less its guessed price.
 Before any guess is swept, one vectorized reach test over all of them rules
@@ -76,10 +77,12 @@ from .errors import GuardExceeded, IncompatibleRule, Infeasible
 DEFAULT_CELL_GUARD = 10**8
 DEFAULT_EXACT_THRESHOLD = 10**6
 # A scan batches its follow-ups (``_follow_ups``) only if it admits at
-# least this many per voter: a batch costs as much as 7.5 follow-ups swept
-# one by one at n = 15-19, and 8.8 at n = 20-24 (A on the seed-1 and -2
-# benchmark pools, in-process, 2-CPU host).
-_FOLLOW_UPS_PER_VOTER = 1
+# least this many per voter.  At 1/4, 1/3, 1/2 and 1 (seed-1 pools, 2-CPU
+# host) scoring-dp's p90 read 3.65, 3.63, 3.83 and 5.65 ms (medians of 6-9
+# runs of 12 s) and its in-process pass 0.98, 0.99, 1.01 and 1.26 s;
+# scoring-guess's pass stayed at 0.27-0.28 s, 3% slower if every admitted
+# follow-up is batched.
+_FOLLOW_UPS_PER_VOTER = 1 / 4
 # ... and only if the outer frontier's top gain, in units of the gains' gcd,
 # is at most this many times its point count: unweighted scans read
 # 1.00-1.06, a weighted 20x10 3,061 units against 611 points, and batched
@@ -242,9 +245,13 @@ def _follow_ups(table: ShiftTable, rows: list, firsts, l1s, cap: int, unit: int,
     less k's.  ``argmin`` takes the smallest k on equal cost, so a gain
     traces to the lexicographically smallest least-cost action, the
     frontier's tie-break; the frontier points are the gains within the cut
-    that cost less than every larger gain.  Levels are built in chunks of
-    groups, and points traced and tested, least total first, in blocks of
-    at most ``bribery._GATHER_BLOCK`` entries.  2 * cap must fit in int64."""
+    that cost less than every larger gain.  Each group's option rows (the
+    price and gain step of every shift from its offset) are built for a run
+    of whole levels at once, from the rows laid end to end, and each level
+    slices its groups and its own option count.  A run of levels, the groups
+    reduced at once and the points traced and tested at once, least total
+    first, each hold at most ``bribery._GATHER_BLOCK`` entries, or one
+    level, group or point.  2 * cap must fit in int64."""
     n = len(rows)
     order = np.lexsort(firsts.T)  # suffixes firsts[:, i:] that are equal lie together
     firsts = firsts[order]
@@ -252,22 +259,36 @@ def _follow_ups(table: ShiftTable, rows: list, firsts, l1s, cap: int, unit: int,
     fresh[1:, n] = False
     np.logical_or.accumulate((firsts[1:] != firsts[:-1])[:, ::-1], axis=1, out=fresh[1:, n - 1 :: -1])
     group = fresh.cumsum(axis=0) - 1
+    level, head = fresh[:, :n].T.nonzero()  # every level's heads, level by level
+    offsets, parents = firsts[head, level], group[head, level + 1]
+    stop = level.searchsorted(np.arange(n + 1)).tolist()
+    sizes = np.array([len(p) for p, _ in rows])
+    options = (sizes - np.minimum.reduceat(offsets, stop[:-1])).tolist()
+    ends = np.cumsum(sizes)
+    prices, gains = np.concatenate([p for p, _ in rows]), np.concatenate([g for _, g in rows])
     cost = np.full((1, 2 * width), cap, dtype=np.int64)  # each row at [width:], after cap
     cost[0, width] = 0  # the empty suffix gains 0 at no cost
-    levels = []
+    levels, built = [], n  # levels built .. n - 1 have their option rows
     for i in reversed(range(n)):
-        prices, gains = rows[i]
-        heads = np.flatnonzero(fresh[:, i])
-        offset, parent = firsts[heads, i], group[heads, i + 1]
-        shift = offset[:, None] + np.arange(len(prices) - offset.min())
-        valid = shift < len(prices)
-        shift = np.minimum(shift, len(prices) - 1)
-        price = np.where(valid, np.minimum(prices[shift] - prices[offset, None], cap), cap)
-        step = np.minimum(np.where(valid, (gains[shift] - gains[offset, None]) // unit, 0), width)
-        choice = np.empty((len(heads), width), dtype=np.min_scalar_type(shift.shape[1]))
-        last, cost = cost, np.full((len(heads), 2 * width), cap, dtype=np.int64)
-        chunk = max(1, _GATHER_BLOCK // step[0].size // width)
-        for lo in range(0, len(heads), chunk):
+        if i < built:  # the rows of levels i, i - 1, ..: one level or at most _GATHER_BLOCK entries
+            built, k = i, options[i]
+            while built and (stop[i + 1] - stop[built - 1]) * max(k, options[built - 1]) <= _GATHER_BLOCK:
+                built -= 1
+                k = max(k, options[built])
+            row = level[stop[built] : stop[i + 1], None]
+            first = ends[row] - sizes[row] + offsets[stop[built] : stop[i + 1], None]
+            valid = np.arange(k) < ends[row] - first
+            at = np.minimum(first + np.arange(k), ends[row] - 1)
+            price_rows = np.where(valid, np.minimum(prices[at] - prices[first], cap), cap)
+            step_rows = np.where(valid, np.minimum((gains[at] - gains[first]) // unit, width), 0)
+            step_rows = step_rows.astype(np.min_scalar_type(width))  # kept until the trace
+        heads = slice(stop[i] - stop[built], stop[i + 1] - stop[built])
+        offset, parent = offsets[stop[i] : stop[i + 1]], parents[stop[i] : stop[i + 1]]
+        price, step = price_rows[heads, : options[i]], step_rows[heads, : options[i]]
+        choice = np.empty((len(offset), width), dtype=np.min_scalar_type(options[i]))
+        last, cost = cost, np.full((len(offset), 2 * width), cap, dtype=np.int64)
+        chunk = max(1, _GATHER_BLOCK // options[i] // width)
+        for lo in range(0, len(offset), chunk):
             part = slice(lo, lo + chunk)
             reads = width + np.arange(width) - step[part, :, None]
             cand = last[parent[part, None, None], reads] + price[part, :, None]
@@ -341,8 +362,8 @@ def _two_pass(table: ShiftTable, rows: list, start, budget: int, below=None, mem
 
     A scan with its own memo (``memo`` None) whose first winner costs cap
     builds the inner frontiers of the later l1s that the skip test admits
-    at cap together (``_follow_ups``) if they number at least n and the
-    gain axis is dense (``_DENSE_GAIN_AXIS``), and keeps the least total
+    at cap together (``_follow_ups``) if they number at least n / 4 and
+    the gain axis is dense (``_DENSE_GAIN_AXIS``), and keeps the least total
     l1 + l2 below cap, the first l1 on ties.  That is the loop's answer: a
     sweep cut below the falling best is a prefix of the one cut below cap;
     the loop keeps the first l1 that reaches the least total, its best

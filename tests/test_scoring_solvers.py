@@ -314,7 +314,7 @@ class TestSuffixMemo:
 
         monkeypatch.setattr(scoring_solvers, "_BudgetSweep", RecordingSweep)
         inner = cut = layers = nodes = 0
-        for seed in range(72):
+        for seed in range(150):
             inst = memo_instance(seed)
             built.clear()
             sb.solve_two_pass(inst)
@@ -595,7 +595,10 @@ class TestSkipTest:
         # before any sweep is replayed the same way on its rebased rows:
         # its answer costs at least the cap the guess would have been swept
         # below, the baseline's cost less its price.  A follow-up that a
-        # scan batches (_follow_ups) counts as an inner sweep built.
+        # scan batches (_follow_ups) is not an inner sweep of the loop: it
+        # is an l1 below the first winner's cost cap that the skip test
+        # admits at cap, and one the replay never visits lies at or above
+        # the replay's final best.
         calls, screens = [], []
         two_pass = scoring_solvers._two_pass
         screen = scoring_solvers._screen_guesses
@@ -606,13 +609,13 @@ class TestSkipTest:
                 calls[-1][2].append(offsets)
 
         def recording_two_pass(*args):
-            calls.append((args, [None], []))
+            calls.append((args, [None], [], []))
             calls[-1][1][0] = two_pass(*args)
             return calls[-1][1][0]
 
-        def recording_follow_ups(table, rows, firsts, *args):
-            calls[-1][2].extend(map(tuple, firsts.tolist()))  # each follow-up an inner sweep built
-            return follow_ups(table, rows, firsts, *args)
+        def recording_follow_ups(table, rows, firsts, l1s, cap, *args):
+            calls[-1][3].append((firsts, l1s, cap))
+            return follow_ups(table, rows, firsts, l1s, cap, *args)
 
         def recording_screen(table, prices, best, frontier):
             screened = screen(table, prices, best, frontier)
@@ -628,15 +631,25 @@ class TestSkipTest:
         solves += [(memo_instance(seed), lambda i: scaled_rounds_alone(i, 1)) for seed in range(24)]
         solves += [(admitted_instance(seed), sb.solve_bootstrap) for seed in ADMITTED_SEEDS]
         solves += [(inst, bootstrap_solver(inst)) for inst in map(guess_instance, range(48))]
-        skipped = capped_none = ruled_out = 0
+        skipped = capped_none = ruled_out = batched = beyond = 0
         for inst, solve in solves:
             calls.clear()
             screens.clear()
             solve(inst)
-            for args, (answer,), swept in calls:
+            for args, (answer,), swept, batches in calls:
                 best, visited = scan_without_skips(*args[:4])
                 built = set(swept[1:])  # the first sweep is the outer one
-                assert built <= {first for first, _ in visited}
+                seen = {first for first, _ in visited}
+                assert built <= seen
+                for firsts, l1s, cap in batches:
+                    follow = set(zip(map(tuple, firsts.tolist()), l1s.tolist()))
+                    assert follow <= admitted_at_cap(*args[:4], cap)
+                    for first, l1 in follow:
+                        if first not in seen:  # the replay stopped before l1
+                            assert l1 >= best[0]
+                            beyond += 1
+                    built |= {first for first, _ in follow}
+                    batched += len(follow)
                 below = args[4] if len(args) > 4 else None
                 if below is not None:
                     assert (answer is None) == (best[0] >= below)
@@ -660,6 +673,24 @@ class TestSkipTest:
                     assert best[0] >= cost - inst.costs[i].price(guess[i]), (guess, cost)
                     ruled_out += 1
         assert skipped >= 100 and capped_none >= 10 and ruled_out >= 40, (skipped, capped_none, ruled_out)
+        assert batched >= 100 and beyond >= 10, (batched, beyond)
+
+
+def admitted_at_cap(table, rows, start, budget, cap):
+    """{(action, l1)} of the outer frontier's points of ``_two_pass``'s scan
+    from ``start`` priced below ``cap`` whose gain bound at cap passes the
+    skip test: the l1s that a scan whose first winner costs cap may batch."""
+    outer = _BudgetSweep(rows, budget, tuple(start.tolist()))
+    firsts = start + outer.trace(np.arange(len(outer.costs)))
+    top = int(outer.gains[outer.costs <= cap - 1].max(initial=0))
+    lows = table.top[1:].tolist()
+    admitted = set()
+    for l1, gain, first in zip(outer.costs.tolist(), outer.gains.tolist(), firsts):
+        row = table.rows_after(first[None])[0].tolist()
+        g = top - gain
+        if l1 < cap and all(g + min(g, c - low) >= c - row[0] for c, low in zip(row[1:], lows)):
+            admitted.add((tuple(first.tolist()), l1))
+    return admitted
 
 
 def rebased_rows(inst, start):
@@ -774,12 +805,13 @@ def batch_rule(inst):
     no action wins: the follow-ups after the loop's first winner, of cost
     cap, that the skip test admits at cap, and whether the outer frontier's
     top gain in units of the gains' gcd is at most ``_DENSE_GAIN_AXIS``
-    times its point count.  The first winner is the cheapest winning point
-    of the first l1 whose full inner sweep holds one."""
+    times its point count.  The scan batches when both hold and at least
+    n / 4 are admitted.  The first winner is the cheapest winning point of
+    the first l1 whose full inner sweep holds one."""
     table, rows, budget = rebased_rows(inst, [0] * inst.num_voters)
     outer = _BudgetSweep(rows, budget)
     firsts = outer.trace(np.arange(len(outer.costs)))
-    for f, (l1, first) in enumerate(zip(outer.costs.tolist(), firsts)):
+    for l1, first in zip(outer.costs.tolist(), firsts):
         inner = _BudgetSweep(rows, budget - l1, tuple(first.tolist()))
         won = np.flatnonzero(table.wins(table.rows_after(first + inner.trace(np.arange(len(inner.costs))))))
         if len(won):
@@ -787,14 +819,8 @@ def batch_rule(inst):
             break
     else:
         return None
-    top = int(outer.gains[outer.costs <= cap - 1].max(initial=0))
-    lows = table.top[1:].tolist()
-    admitted = 0
-    for l1, gain, first in list(zip(outer.costs.tolist(), outer.gains.tolist(), firsts))[f + 1 :]:
-        row = table.rows_after(first[None])[0].tolist()
-        g = top - gain
-        if l1 < cap and all(g + min(g, c - low) >= c - row[0] for c, low in zip(row[1:], lows)):
-            admitted += 1
+    start = np.zeros(inst.num_voters, dtype=np.int64)
+    admitted = sum(later > l1 for _, later in admitted_at_cap(table, rows, start, budget, cap))
     unit = math.gcd(*[int(x) for _, gains in rows for x in gains]) or 1
     return admitted, int(outer.gains[-1]) // unit <= scoring_solvers._DENSE_GAIN_AXIS * len(outer.costs)
 
@@ -866,11 +892,11 @@ class TestFollowUpBatch:
         assert min(forced) >= 3, forced
 
     def test_batch_rules(self, batches, monkeypatch):
-        # An unshared scan batches exactly when at least n follow-ups are
-        # admitted at its first winner's cost and its gain axis is dense,
-        # and then sweeps exactly the admitted follow-ups.
+        # An unshared scan batches exactly when at least n / 4 follow-ups
+        # are admitted at its first winner's cost and its gain axis is
+        # dense, and then sweeps exactly the admitted follow-ups.
         ran = held_back = 0
-        for seed in range(140):
+        for seed in range(1200):
             inst = batch_instance(seed)
             rule = batch_rule(inst)
             batches.clear()
@@ -880,7 +906,7 @@ class TestFollowUpBatch:
                 assert rule is None
                 continue
             admitted, dense = rule
-            if admitted >= inst.num_voters and dense:
+            if 4 * admitted >= inst.num_voters and dense:
                 assert batches == [(admitted, inst.num_voters)], seed
                 ran += 1
             else:
@@ -910,8 +936,10 @@ class TestFollowUpBatch:
         assert batches == [(15, 12)]
 
     def test_chunked_levels_equal_unchunked(self, batches, monkeypatch):
-        # With one group per chunk and one point per traced block, or a few,
-        # every batched scan answers as with the default chunks.
+        # With one level's option rows per run, one group per chunk and one
+        # point per traced block, with a few, or with every level's rows in
+        # one run and every group and point at once, every batched scan
+        # answers as with the default chunks.
         insts = [batch_instance(seed) for seed in range(70)] + [sb.gen_random(1, 12, 8, 20)]
         want = []
         for inst in insts:
@@ -920,7 +948,7 @@ class TestFollowUpBatch:
             except sb.Infeasible:
                 want.append(None)
         batched = [n for n, _ in batches]
-        for block in (1, 2000):
+        for block in (1, 2000, 1 << 40):
             monkeypatch.setattr(scoring_solvers, "_GATHER_BLOCK", block)
             batches.clear()
             for inst, answer in zip(insts, want):

@@ -247,11 +247,11 @@ def _follow_ups(table: ShiftTable, rows: list, firsts, l1s, cap: int, unit: int,
     frontier's tie-break; the frontier points are the gains within the cut
     that cost less than every larger gain.  Each group's option rows (the
     price and gain step of every shift from its offset) are built for a run
-    of whole levels at once, from the rows laid end to end, and each level
-    slices its groups and its own option count.  A run of levels, the groups
-    reduced at once and the points traced and tested at once, least total
-    first, each hold at most ``bribery._GATHER_BLOCK`` entries, or one
-    level, group or point.  2 * cap must fit in int64."""
+    of whole levels at once, from the rows laid end to end, unpadded: a
+    level's rows lie together, each as long as its own option count.  A run
+    of levels, the groups reduced at once and the points traced and tested
+    at once, least total first, each hold at most ``bribery._GATHER_BLOCK``
+    entries, or one level, group or point.  2 * cap must fit in int64."""
     n = len(rows)
     order = np.lexsort(firsts.T)  # suffixes firsts[:, i:] that are equal lie together
     firsts = firsts[order]
@@ -264,6 +264,9 @@ def _follow_ups(table: ShiftTable, rows: list, firsts, l1s, cap: int, unit: int,
     stop = level.searchsorted(np.arange(n + 1)).tolist()
     sizes = np.array([len(p) for p, _ in rows])
     options = (sizes - np.minimum.reduceat(offsets, stop[:-1])).tolist()
+    counts = np.diff(stop)  # heads per level
+    widths = np.repeat(options, counts)  # each head's option count, its level's
+    laid = np.cumsum([0] + (counts * options).tolist()).tolist()  # level i's rows from laid[i] on
     ends = np.cumsum(sizes)
     prices, gains = np.concatenate([p for p, _ in rows]), np.concatenate([g for _, g in rows])
     cost = np.full((1, 2 * width), cap, dtype=np.int64)  # each row at [width:], after cap
@@ -271,27 +274,30 @@ def _follow_ups(table: ShiftTable, rows: list, firsts, l1s, cap: int, unit: int,
     levels, built = [], n  # levels built .. n - 1 have their option rows
     for i in reversed(range(n)):
         if i < built:  # the rows of levels i, i - 1, ..: one level or at most _GATHER_BLOCK entries
-            built, k = i, options[i]
-            while built and (stop[i + 1] - stop[built - 1]) * max(k, options[built - 1]) <= _GATHER_BLOCK:
+            built = i
+            while built and laid[i + 1] - laid[built - 1] <= _GATHER_BLOCK:
                 built -= 1
-                k = max(k, options[built])
-            row = level[stop[built] : stop[i + 1], None]
-            first = ends[row] - sizes[row] + offsets[stop[built] : stop[i + 1], None]
-            valid = np.arange(k) < ends[row] - first
-            at = np.minimum(first + np.arange(k), ends[row] - 1)
+            run = slice(stop[built], stop[i + 1])
+            row, k = level[run], widths[run]
+            first = np.repeat(ends[row] - sizes[row] + offsets[run], k)  # per entry, its head's offset
+            end = np.repeat(ends[row], k)
+            at = first + np.arange(len(first)) - np.repeat(np.cumsum(k) - k, k)
+            valid = at < end
+            at = np.minimum(at, end - 1)
             price_rows = np.where(valid, np.minimum(prices[at] - prices[first], cap), cap)
             step_rows = np.where(valid, np.minimum((gains[at] - gains[first]) // unit, width), 0)
             step_rows = step_rows.astype(np.min_scalar_type(width))  # kept until the trace
-        heads = slice(stop[i] - stop[built], stop[i + 1] - stop[built])
+        laid_i = slice(laid[i] - laid[built], laid[i + 1] - laid[built])
         offset, parent = offsets[stop[i] : stop[i + 1]], parents[stop[i] : stop[i + 1]]
-        price, step = price_rows[heads, : options[i]], step_rows[heads, : options[i]]
+        price, step = (r[laid_i].reshape(-1, options[i]) for r in (price_rows, step_rows))
         choice = np.empty((len(offset), width), dtype=np.min_scalar_type(options[i]))
         last, cost = cost, np.full((len(offset), 2 * width), cap, dtype=np.int64)
         chunk = max(1, _GATHER_BLOCK // options[i] // width)
+        rows_at = (parent * (2 * width) + width)[:, None, None] + np.arange(width)  # parent's gain g, flat
         for lo in range(0, len(offset), chunk):
             part = slice(lo, lo + chunk)
-            reads = width + np.arange(width) - step[part, :, None]
-            cand = last[parent[part, None, None], reads] + price[part, :, None]
+            cand = last.ravel()[rows_at[part] - step[part, :, None]]
+            cand += price[part, :, None]
             choice[part] = cand.argmin(axis=1)
             cost[part, width:] = cand.min(axis=1)
         np.minimum(cost, cap, out=cost)

@@ -576,12 +576,11 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     the deficits and so the greedy's cost; a k asking some rival to be
     passed by more voters than can pass it is dropped (the greedy would
     find no action).  The k are covered in ascending (floor, k) order,
-    skipping a k whose (floor, k) is not below the best (cost, k) so far
-    and stopping at the first floor above the best cost; an action is
-    tested (``_wins_after``) only if its (cost, k) is below the best.  A
-    skipped or unvisited k has (cost, k) >= (floor, k) >= the best, so it
-    could not have been the answer, and each k's action is the same
-    whichever order the k are covered in.
+    stopping at the first k whose (floor, k) is not below the best (cost,
+    k) so far; an action is tested (``_wins_after``) only if its (cost, k)
+    is below the best.  The best only falls, so an unvisited k has (cost,
+    k) >= (floor, k) >= the best, and could not have been the answer; each
+    k's action is the same whichever order the k are covered in.
     """
     if not isinstance(inst.rule, MaximinRule):
         raise IncompatibleRule("solve_maximin_shift requires the maximin rule")
@@ -605,10 +604,8 @@ def solve_maximin_shift(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     order = kept[np.argsort(floors[kept], kind="stable")]  # stable: ties in k order
     best: Tuple[float, int, Optional[list]] = (math.inf, 0, None)  # (cost, row, shifts)
     for j, floor in zip(order.tolist(), floors[order].tolist()):
-        if floor > best[0]:
-            break
         if (floor, j) >= best[:2]:
-            continue
+            break
         shifts = _cover(prices, above, deficits[j].tolist())
         cost = sum(p[t] for p, t in zip(prices, shifts))
         if (cost, j) < best[:2] and _wins_after(inst, tally, wins, shifts):

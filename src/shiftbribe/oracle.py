@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bribery import MAXIMIN, CopelandRule, ShiftAction, ShiftBriberyInstance, ShiftTable
-from .bribery import _checked_price_runs, _columns, _pairwise_wins, _price_table
+from .bribery import _GATHER_BLOCK, _checked_price_runs, _columns, _pairwise_wins, _price_table
 from .condorcet_solvers import FlipSet, MicrobriberyInstance, _check_targets, _micro_tally
 from .elections import CopelandAlpha, _check_i64, _unchecked
 from .errors import GuardExceeded, Infeasible
@@ -30,9 +30,6 @@ DEFAULT_ENUM_GUARD = 10**7
 # Most vectors tested in one batch of the exhaustive search, or combined
 # into one group of a side's rows.
 _BLOCK = 4096
-# Most row entries in one batch of its rounds: batches of wide rows hold
-# fewer vectors, so that their temporaries stay in cache.
-_BATCH_CELLS = 2**16
 
 
 def _check_enumeration(inst: ShiftBriberyInstance):
@@ -109,12 +106,13 @@ def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[
     The search runs in rounds of rising cost threshold x, from the 64th
     cheapest sum of the 64 cheapest heads and tails, then 2x + 1, capped at
     the largest cost.  A round tests, in batches of at most ``_BLOCK``
-    vectors and ``_BATCH_CELLS`` row entries, exactly the untested vectors
-    of cost at most x: per head, the positions from ``done[h]`` up to that
-    bound.  So after round x every vector of cost at most x has been
-    tested, and the first round that accepts a vector has tested the
-    cheapest accepted vector and every other vector of its cost: an
-    untested vector costs more than x, and x is at least what the round
+    vectors and ``bribery._GATHER_BLOCK`` row entries (so that the
+    temporaries of a batch of wide rows stay in cache), exactly the
+    untested vectors of cost at most x: per head, the positions from
+    ``done[h]`` up to that bound.  So after round x every vector of cost at
+    most x has been tested, and the first round that accepts a vector has
+    tested the cheapest accepted vector and every other vector of its cost:
+    an untested vector costs more than x, and x is at least what the round
     accepted.  Once a batch accepts one, the rest of the round tests only
     vectors no dearer.  Of the cheapest, the least (head index, tail index)
     is the lexicographically first vector, since the order is head-major
@@ -134,7 +132,7 @@ def _cheapest(prices: list, deltas: list, base: np.ndarray, accept) -> Optional[
     x = int(_least((_least(H, 64)[:, None] + T[None, :64]).ravel(), 64).max())
     top = int(H.max()) + int(T[-1])
     done = np.zeros(len(H), dtype=np.int64)
-    batch = min(_BLOCK, max(1, _BATCH_CELLS // len(base)))
+    batch = min(_BLOCK, max(1, _GATHER_BLOCK // len(base)))
     best = None  # (cost, head * len(T) + tail index)
     while True:
         upto = np.searchsorted(T, x - H, "right")

@@ -50,7 +50,8 @@ Before any guess is swept, one vectorized reach test over all of them rules
 out those after which no action cheaper than the baseline's cost can make
 the preferred candidate win, by the same bound on what each rival can lose
 with every voter at its last affordable shift, the preferred candidate's
-gain capped by the baseline's frontier (see ``solve_bootstrap``).
+gain capped by the baseline's frontier (see ``solve_bootstrap``); each
+guess it admits, one that wins alone included, is settled by its own sweep.
 
 All solvers are deterministic: buying ties are broken by minimum cost and
 then by the lexicographically smallest shift vector, and budget grids are
@@ -551,31 +552,32 @@ def solve_two_pass_scaled(inst: ShiftBriberyInstance, eps) -> Tuple[int, ShiftAc
     return cost, ShiftAction(tuple(shifts.tolist()))
 
 
-def _screen_guesses(table: ShiftTable, prices: tuple, best: int, frontier: int) -> Tuple[list, list]:
-    """(single, hopeless), lists over the flat index starts[i] + t of
-    ``prices``, the instance's ``_price_table``, whose layout ``table``
-    shares: whether the guess (voter i, shift t) wins alone, and whether the
-    reach test of ``solve_bootstrap`` rules it out below the cost ``best``,
-    with ``frontier`` bounding the preferred candidate's gain there.
-    Only guesses with t >= 1, priced below ``best``, that do not win alone
-    are tested, all at once: a voter's reach is the count of its prices
-    within the cap, less one, and the rows at the reaches one ``rows_after``."""
+def _screen_guesses(table: ShiftTable, prices: tuple, best: int, frontier: int) -> list:
+    """The (voter i, shift t, price) triples, in (i, t) order, of the
+    guesses with t >= 1 priced below the cost ``best`` that the reach test
+    of ``solve_bootstrap`` admits, with ``frontier`` bounding the preferred
+    candidate's gain below ``best``.  ``prices`` is the instance's
+    ``_price_table``, whose layout ``table`` shares.  Every such guess is
+    tested at once: a voter's reach is the count of its prices within the
+    cap, less one, and the rows at the reaches one ``rows_after``.  A guess
+    that wins alone is admitted: with g, F and need_c as in
+    ``solve_bootstrap``, need_c <= 0 for every rival c, and g >= 0, since F
+    is at least the guess's gain (its price is below ``best``) and voter i
+    reaches at least t."""
     values, starts, ends = prices
-    alone = table.base + table.flat  # the row after each (voter, shift) alone
-    single = table.wins(alone)
     voter = np.arange(len(starts)).repeat(ends - starts)
     cheap = values < best
-    guessed = np.flatnonzero((np.arange(len(values)) > starts[voter]) & cheap & ~single)
+    guessed = np.flatnonzero((np.arange(len(values)) > starts[voter]) & cheap)
     caps = (best - 1) - values[guessed]
     reach = np.add.reduceat(values <= caps[:, None], starts, axis=1, dtype=np.int64) - 1
     own = voter[guessed]
     reach[np.arange(len(guessed)), own] = np.add.reduceat(cheap, starts, dtype=np.int64)[own] - 1
-    after, low = alone[guessed], table.rows_after(reach)
+    after, low = table.base + table.flat[guessed], table.rows_after(reach)
     g = np.minimum(low[:, :1] - after[:, :1], frontier - table.flat[guessed, :1])
     loss, need = after[:, 1:] - low[:, 1:], after[:, 1:] - after[:, :1]
-    hopeless = np.zeros(len(values), dtype=bool)
-    hopeless[guessed] = (g + np.minimum(g, loss) < need).any(axis=1)
-    return single.tolist(), hopeless.tolist()
+    kept = guessed[(g + np.minimum(g, loss) >= need).all(axis=1)]
+    i = voter[kept]
+    return list(zip(i.tolist(), (kept - starts[i]).tolist(), values[kept].tolist()))
 
 
 def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
@@ -593,25 +595,26 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
     Returns the cheapest successful combination found.
 
     The work that is the same for every guess is done once per solve: the
-    shift table and price runs, and one winner test of every single shift,
-    which settles a guess that wins alone.  An admitted guess (voter i,
-    shift t) sweeps the option rows offset at the guess, with voter i's
-    prices rebased at t (``_scaled_rounds``).  Where the baseline's sweep
-    is admitted, its suffix frontiers seed each guess's memo, a shallow
-    copy dropped when the guess ends, so a guess builds only the frontiers
-    the baseline did not build at a budget as high (``_BudgetSweep``).
+    shift table and price runs.  Every admitted guess (voter i, shift t),
+    one that wins alone included, sweeps the option rows offset at the
+    guess, with voter i's prices rebased at t (``_scaled_rounds``); a guess
+    that wins alone finds itself at cost 0 there.  Where the baseline's
+    sweep is admitted, its suffix frontiers seed each guess's memo, a
+    shallow copy dropped when the guess ends, so a guess builds only the
+    frontiers the baseline did not build at a budget as high
+    (``_BudgetSweep``).
 
     A guess is kept only if it is strictly cheaper than the best so far, so
     its remainder is sought only below the best cost less the guessed price,
-    which is at least 1 since guesses stop at the first price not below the
-    best cost: an admitted unscaled sweep is built no further than that and
+    which is at least 1 since a guess priced at or above the best cost is
+    skipped: an admitted unscaled sweep is built no further than that and
     a guess that finds nothing there is dropped, with the answer of the loop
     that solves every remainder in full.
 
     Before the loop, one reach test over every guess with t >= 1 priced
-    below the baseline's cost ``best`` that does not win alone rules out
-    the guesses that cannot win below ``best`` (``_screen_guesses``).  With
-    cap = best - 1 - p_i(t), voter j != i reaches its last shift k with
+    below the baseline's cost ``best`` rules out the guesses that cannot
+    win below ``best`` and hands the loop the rest (``_screen_guesses``).
+    With cap = best - 1 - p_i(t), voter j != i reaches its last shift k with
     p_j(k) <= cap and voter i its last with p_i(k) <= best - 1; no price
     is added to a budget.  S is the row after the guess alone, R the row
     with every voter at its reach, and F the largest gain of the baseline's
@@ -647,25 +650,14 @@ def solve_bootstrap(inst: ShiftBriberyInstance) -> Tuple[int, ShiftAction]:
         for _ in range(n):
             node = memo[0, id(node)]
         frontier = node[1][node[0].searchsorted(best[0] - 1, "right") - 1]
-    single, hopeless = _screen_guesses(table, _price_table(inst), best[0], int(frontier))
-    for i, (p, row) in enumerate(zip([run.tolist() for run in runs], table.starts.tolist())):
-        for t in range(1, len(p)):
-            if p[t] >= best[0]:
-                break  # prices are non-decreasing; nothing cheaper follows
-            if hopeless[row + t]:
-                continue
-            guess = zero.copy()
-            guess[i] = t
-            if single[row + t]:
-                cand = (p[t], guess)
-            else:
-                below = best[0] - p[t]
-                rest = _scaled_rounds(runs, table, guess, eps, below, dict(memo))
-                if rest is None:
-                    continue
-                cand = (p[t] + rest[0], rest[1])
-            if cand[0] < best[0]:
-                best = cand
+    for i, t, price in _screen_guesses(table, _price_table(inst), best[0], int(frontier)):
+        if price >= best[0]:
+            continue
+        guess = zero.copy()
+        guess[i] = t
+        rest = _scaled_rounds(runs, table, guess, eps, best[0] - price, dict(memo))
+        if rest is not None and price + rest[0] < best[0]:
+            best = (price + rest[0], rest[1])
     return best[0], ShiftAction(tuple(best[1].tolist()))
 
 

@@ -201,4 +201,4 @@ def test_wide_voters_match_the_block_scan(rule):
     election = sb.Election(("p",) + tuple(f"c{c}" for c in range(1, 70)), tuple(voters))
     inst = sb.ShiftBriberyInstance(election, tuple(costs), RULES[rule](70, 1))
     batches = batch_sizes(lambda: assert_same_answer(lambda: sb.exact_shift_opt(inst)))
-    assert max(batches) <= oracle._BATCH_CELLS // 70
+    assert max(batches) <= oracle._GATHER_BLOCK // 70
